@@ -57,18 +57,28 @@ _DEVICE_FIELDS = [f.name for f in dataclasses.fields(DeviceParams)]
 
 def _parse_range(text: str) -> np.ndarray:
     """Parse ``lo:hi:step`` (inclusive) or a single number into a float grid."""
-    parts = text.split(":")
-    if len(parts) == 1:
-        return np.array([float(parts[0])])
-    if len(parts) != 3:
-        raise ConfigError(f"range must be 'lo:hi:step' or a single number, got {text!r}")
-    lo, hi, step = (float(p) for p in parts)
+    try:
+        values = [float(p) for p in text.split(":")]
+    except ValueError as exc:
+        raise ConfigError(f"range must be numeric, got {text!r}") from exc
+    if len(values) not in (1, 3) or not all(np.isfinite(values)):
+        raise ConfigError(f"range must be 'lo:hi:step' or a single number, finite, got {text!r}")
+    if len(values) == 1:
+        return np.array(values)
+    lo, hi, step = values
     if step <= 0:
         raise ConfigError(f"range step must be positive, got {step!r}")
     if hi < lo:
         raise ConfigError(f"range end {hi!r} is below start {lo!r}")
     count = int(round((hi - lo) / step)) + 1
     return lo + step * np.arange(count)
+
+
+def _parse_tree(text: str) -> BranchingVector:
+    try:
+        return BranchingVector.parse(text)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -160,7 +170,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
     for name, value in dataclasses.asdict(consts).items():
         print(f"{name} = {_fmt(value)}")
     if args.m is not None and args.b is not None:
-        tree = BranchingVector.parse(args.b)
+        tree = _parse_tree(args.b)
         k = k_of_design(args.m, tree)
         coeffs = chain_coefficients(consts, device, args.m, k,
                                     boosted=(args.scheme == "new"))
@@ -174,7 +184,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 def cmd_rate(args: argparse.Namespace) -> int:
     device = _resolve_device(args)
-    tree = BranchingVector.parse(args.b)
+    tree = _parse_tree(args.b)
     grid = _parse_range(args.L)
     config = {
         "command": "rate", "device": _device_dict(device),
@@ -196,7 +206,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
 
 def cmd_envelope(args: argparse.Namespace) -> int:
     device = _resolve_device(args)
-    tree = BranchingVector.parse(args.b)
+    tree = _parse_tree(args.b)
     grid = _parse_range(args.L)
     consts = derive_constants(device)
     k = k_of_design(args.m, tree)

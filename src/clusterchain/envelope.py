@@ -10,7 +10,10 @@ transmissivity ``eta = exp(-alpha L)``::
     s = -ln(q1 q2) / (z ln(A B**2)),   D = q3 * P_cn / (divisor * q2)
 
 where ``q1 = p_z**(2(m-1)) * p_x**2``, ``q2 = 1 - (1 - p_b)**m`` and
-``q3 = p_end**2`` are the chain factors evaluated on the locus.  Minimising
+``q3 = p_end**2`` are the chain factors evaluated on the locus.  They are
+not re-derived here: the locus is the chain-factor kernel of
+:mod:`clusterchain.ratemodel` called at ``eta_link = (A B**2)**(-z)``, on
+one ``z`` or on a whole grid at once.  Minimising
 ``s`` over ``z`` gives the flattest attainable power law; the corresponding
 repeater spacing ``L/n = z* ln(A B**2) / alpha`` is a constant independent
 of the total range.
@@ -31,8 +34,9 @@ from scipy import optimize as sp_optimize
 
 from .errors import LocusInvalidError, NoCrossoverError, NoInteriorMinimumError
 from .params import ChainCoefficients, DeviceParams
-from .ratemodel import ChainConfig, mode_divisor, coefficients_for, r_direct, rates_over_n
-from .treecode import BranchingVector, p_x_general, p_z_general
+from .ratemodel import (ChainConfig, chain_probs, coefficients_for, log_chain_factors,
+                        mode_divisor, r_direct, rates_over_n)
+from .treecode import BranchingVector
 
 __all__ = [
     "EnvelopeParams",
@@ -81,50 +85,44 @@ class EnvelopePoint:
     n_opt: int
 
 
-def _locus_survival(
-    z: float, coeffs: ChainCoefficients, scheme: str
-) -> tuple[float, float]:
-    """``(eta_link, stationary survival)`` on the locus at parameter ``z``.
-
-    ``eta_link = eta**(1/n) = (A B**2)**(-z)``; the stationary tree photons
-    survive with ``eta_link * B`` under the ``"new"`` scheme and with
-    ``sqrt(eta_link) * C`` under ``"naive"`` (all photons travel half a
-    link, no spool wait).
-    """
-    ab2 = coeffs.ab_squared
-    if ab2 <= 1.0:
+def _require_locus(coeffs: ChainCoefficients) -> None:
+    if coeffs.ab_squared <= 1.0:
         raise LocusInvalidError(
-            f"A*B^2 = {ab2:.6g} <= 1: the optimal-design locus is undefined"
+            f"A*B^2 = {coeffs.ab_squared:.6g} <= 1: the optimal-design locus is undefined"
         )
-    if z <= 0.0:
-        raise LocusInvalidError(f"locus parameter z must be > 0, got {z!r}")
-    eta_link = ab2**-z
-    if scheme == "new":
-        survival = eta_link * coeffs.b_coeff
-    else:
-        survival = math.sqrt(eta_link) * coeffs.c_coeff
-    return eta_link, survival
+
+
+def _locus(z, m: int, tree: BranchingVector, coeffs: ChainCoefficients, scheme: str) -> tuple:
+    """``(kernel outputs, log factors, s)`` on the locus, array-native in ``z > 0``.
+
+    ``s = inf`` wherever ``p_b > 1`` or a factor vanishes.
+    """
+    log_ab2 = math.log(coeffs.ab_squared)
+    probs = chain_probs(coeffs.ab_squared ** -np.asarray(z), m, tree, coeffs, scheme)
+    with np.errstate(invalid="ignore"):  # ln q2 is undefined where p_b > 1
+        logs = log_chain_factors(*probs, m)
+        s = np.where(probs[2] > 1.0, np.inf, -(logs[0] + logs[1]) / (z * log_ab2))
+    return probs, logs, s
+
+
+def _exponent(z, *locus_args) -> np.ndarray:
+    """Envelope exponent ``s(z)``; ``inf`` where the locus is invalid."""
+    return _locus(z, *locus_args)[2]
 
 
 def _locus_factors(
-    z: float,
-    m: int,
-    tree: BranchingVector,
-    coeffs: ChainCoefficients,
-    scheme: str,
-) -> tuple[float, float, float, float]:
-    """Locus-evaluated ``(p_x, p_z, p_b, p_end)`` for an arbitrary tree."""
-    eta_link, survival = _locus_survival(z, coeffs, scheme)
-    eps = 1.0 - survival
-    px = float(p_x_general(tree, eps))
-    pz = float(p_z_general(tree, eps))
-    pb = coeffs.ab_squared ** (1.0 - z) / m
-    if pb > 1.0:
+    z: float, m: int, tree: BranchingVector, coeffs: ChainCoefficients, scheme: str
+) -> tuple:
+    """:func:`_locus` at one ``z``, raising :class:`LocusInvalidError` off the locus."""
+    _require_locus(coeffs)
+    if z <= 0.0:
+        raise LocusInvalidError(f"locus parameter z must be > 0, got {z!r}")
+    probs, logs, s = _locus(z, m, tree, coeffs, scheme)
+    if probs[2] > 1.0:
         raise LocusInvalidError(
-            f"locus Bell probability {pb:.6g} exceeds 1 at z={z:.6g}, m={m}"
+            f"locus Bell probability {float(probs[2]):.6g} exceeds 1 at z={z:.6g}, m={m}"
         )
-    pend = -math.expm1(m * math.log1p(-math.sqrt(eta_link) * coeffs.c_coeff))
-    return px, pz, pb, pend
+    return probs, logs, s
 
 
 def locus_probs(
@@ -145,7 +143,8 @@ def locus_probs(
     leaves [0, 1].
     """
     coeffs = ChainCoefficients(a_coeff=a_coeff, b_coeff=b_coeff, c_coeff=c_coeff)
-    return _locus_factors(z, m, BranchingVector((b0, b1)), coeffs, scheme)
+    probs, _, _ = _locus_factors(z, m, BranchingVector((b0, b1)), coeffs, scheme)
+    return tuple(float(p) for p in probs)
 
 
 def analytic_lb(
@@ -166,26 +165,17 @@ def analytic_lb(
         ``s = -ln(q1 q2) / (z ln(A B**2))``; ``s`` is ``inf`` when the locus
         factors vanish.
     """
-    px, pz, pb, pend = _locus_factors(z, m, tree, coeffs, scheme)
-    q1 = pz ** (2 * (m - 1)) * px**2
-    q2 = -math.expm1(m * math.log1p(-pb)) if pb < 1.0 else 1.0
-    q3 = pend**2
-    log_ab2 = math.log(coeffs.ab_squared)
-    if q1 <= 0.0 or q2 <= 0.0:
-        s = math.inf
-    else:
-        # sum of logs: the product itself can underflow for deep trees at small z
-        s = -(math.log(q1) + math.log(q2)) / (z * log_ab2)
-    divisor = mode_divisor(m, tree, scheme)
-    d_coeff = q3 * p_cn / (divisor * q2) if q2 > 0.0 else 0.0
+    _, logs, s = _locus_factors(z, m, tree, coeffs, scheme)
+    q1, q2, q3 = (math.exp(float(v)) for v in logs)
+    d_coeff = q3 * p_cn / (mode_divisor(m, tree, scheme) * q2) if q2 > 0.0 else 0.0
     return EnvelopeParams(
         z=z,
         q1=q1,
         q2=q2,
         q3=q3,
         d_coeff=d_coeff,
-        s_exp=s,
-        l0_km=z * log_ab2 / device.alpha,
+        s_exp=float(s),
+        l0_km=repeater_spacing(z, coeffs, device.alpha),
     )
 
 
@@ -212,19 +202,10 @@ def optimize_z(
         If ``s(z)`` is monotone on ``[z_lo, z_hi]`` (minimum at a boundary)
         or finite nowhere on the grid.
     """
-    if coeffs.ab_squared <= 1.0:
-        raise LocusInvalidError(
-            f"A*B^2 = {coeffs.ab_squared:.6g} <= 1: the optimal-design locus is undefined"
-        )
-
-    def s_of(z: float) -> float:
-        try:
-            return analytic_lb(z, m, tree, device, coeffs, scheme=scheme).s_exp
-        except LocusInvalidError:
-            return math.inf
-
+    _require_locus(coeffs)
+    args = (m, tree, coeffs, scheme)
     grid = np.geomspace(z_lo, z_hi, _Z_GRID_POINTS)
-    values = np.array([s_of(z) for z in grid])
+    values = _exponent(grid, *args)
     if not np.isfinite(values).any():
         raise NoInteriorMinimumError(
             "exponent s(z) is nowhere finite on the search bracket"
@@ -236,13 +217,14 @@ def optimize_z(
             "no interior minimum"
         )
     result = sp_optimize.minimize_scalar(
-        s_of,
+        _exponent,
+        args=args,
         bracket=(grid[best - 1], grid[best], grid[best + 1]),
         method="golden",
         options={"xtol": rel_tol},
     )
     z_star = float(result.x)
-    if not (z_lo <= z_star <= z_hi) or not math.isfinite(s_of(z_star)):
+    if not (z_lo <= z_star <= z_hi) or not np.isfinite(_exponent(z_star, *args)):
         raise NoInteriorMinimumError(
             f"golden-section search left the bracket (z={z_star:.6g})"
         )
@@ -251,10 +233,7 @@ def optimize_z(
 
 def spacing_unit(coeffs: ChainCoefficients, alpha: float) -> float:
     """The length scale ``ln(A B**2) / alpha`` of the locus, in km."""
-    if coeffs.ab_squared <= 1.0:
-        raise LocusInvalidError(
-            f"A*B^2 = {coeffs.ab_squared:.6g} <= 1: no positive spacing unit"
-        )
+    _require_locus(coeffs)
     return math.log(coeffs.ab_squared) / alpha
 
 

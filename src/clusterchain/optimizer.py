@@ -21,8 +21,8 @@ from .clusterbuild import min_sources
 from .envelope import EnvelopeParams, analytic_lb, optimize_z
 from .errors import EmptyFeasibleSetError, InvalidConfigurationError, LocusInvalidError, NoInteriorMinimumError
 from .params import DeviceParams, chain_coefficients, derive_constants
-from .ratemodel import k_of_design
-from .treecode import BranchingVector, tree_size
+from .ratemodel import cluster_photons, k_of_design
+from .treecode import BranchingVector
 
 __all__ = [
     "SearchBounds",
@@ -67,7 +67,7 @@ class DesignPoint:
 
     @property
     def n_cluster(self) -> int:
-        return (4 * self.m + 1) + 2 * self.m * tree_size(self.tree)
+        return cluster_photons(self.m, self.tree)
 
     @property
     def parallel_channels(self) -> int:

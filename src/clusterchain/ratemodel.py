@@ -11,6 +11,11 @@ that one clock cycle yields an end-to-end entangled pair factorises as::
 and the secret-key rate in bits per mode is ``R = P_cn * P_meas / (2m)``,
 with ``P_cn`` the probability that every node's cluster factory fires.
 
+The factors are defined once, in the kernel :func:`chain_probs` (per-link
+transmissivity to ``(P_X, P_Z, P_B, P_end)``) and :func:`log_chain_factors`
+(``ln P_meas = n ln q1 + (n-1) ln q2 + ln q3``); the scalar functions, the
+node-count sweep and the envelope locus are views of it.
+
 Two measurement conventions are supported via ``ChainConfig.scheme``:
 
 * ``"new"`` -- core photons wait in fiber spools for the midpoint heralds
@@ -47,6 +52,8 @@ __all__ = [
     "transmitted_photons",
     "mode_divisor",
     "coefficients_for",
+    "chain_probs",
+    "log_chain_factors",
     "loss_rates",
     "measurement_probs",
     "p_bell",
@@ -122,9 +129,9 @@ class ChainConfig:
     scheme: str = "new"
 
     def __post_init__(self) -> None:
-        if self.total_range_km < 0:
+        if not (math.isfinite(self.total_range_km) and self.total_range_km >= 0):
             raise InvalidConfigurationError(
-                f"total_range_km must be >= 0, got {self.total_range_km!r}"
+                f"total_range_km must be finite and >= 0, got {self.total_range_km!r}"
             )
         if self.node_count < 1:
             raise InvalidConfigurationError(
@@ -173,6 +180,75 @@ def coefficients_for(cfg: ChainConfig, device: DeviceParams) -> ChainCoefficient
     )
 
 
+def chain_probs(
+    eta_link: float | np.ndarray,
+    m: int,
+    tree: BranchingVector,
+    coeffs: ChainCoefficients,
+    scheme: str = "new",
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The chain-factor kernel: ``(P_X, P_Z, P_B, P_end)`` at per-link transmissivity.
+
+    ``eta_link`` (scalar or array) is ``exp(-alpha L / n)`` for a chain and
+    ``(A B**2)**(-z)`` on the envelope locus.  ``P_B`` is returned unchecked.
+    """
+    traveling, stationary = _survivals(eta_link, coeffs, scheme)
+    eps_stat = np.clip(1.0 - stationary, 0.0, 1.0)
+    p_b = coeffs.ab_squared / m * eta_link
+    return p_x_general(tree, eps_stat), p_z_general(tree, eps_stat), p_b, _any_of(traveling, m)
+
+
+def log_chain_factors(
+    p_x: np.ndarray, p_z: np.ndarray, p_b: np.ndarray, p_end: np.ndarray, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(ln q1, ln q2, ln q3)`` from the kernel outputs, for ``P_B <= 1``.
+
+    ``q1 = P_Z**(2(m-1)) * P_X**2``, ``q2 = 1 - (1 - P_B)**m`` and
+    ``q3 = P_end**2``.  A vanishing factor gives ``-inf``, never NaN; ``P_Z``
+    does not enter ``q1`` at ``m = 1``.
+    """
+    with np.errstate(divide="ignore"):
+        ln_q1 = 2.0 * np.log(p_x) + (2.0 * (m - 1) * np.log(p_z) if m > 1 else 0.0)
+        return ln_q1, np.log(_any_of(p_b, m)), 2.0 * np.log(p_end)
+
+
+def _survivals(eta_link, coeffs: ChainCoefficients, scheme: str) -> tuple:
+    """Survival ``(traveling, stationary)`` of a tree photon (see :func:`loss_rates`)."""
+    traveling = np.sqrt(eta_link) * coeffs.c_coeff
+    return traveling, (eta_link * coeffs.b_coeff if scheme == "new" else traveling)
+
+
+def _any_of(p, m: int):
+    """``1 - (1 - p)**m`` without cancellation: one of ``m`` tries succeeds."""
+    with np.errstate(divide="ignore"):
+        return -np.expm1(m * np.log1p(-p))
+
+
+def _eta_link(cfg: ChainConfig, device: DeviceParams, n) -> np.ndarray:
+    return np.exp(-device.alpha * cfg.total_range_km / np.asarray(n, dtype=float))
+
+
+def _chain_probs(cfg: ChainConfig, device: DeviceParams, coeffs, n) -> tuple:
+    """Kernel outputs for ``cfg``'s chain at node count(s) ``n``."""
+    coeffs = coeffs if coeffs is not None else coefficients_for(cfg, device)
+    return chain_probs(_eta_link(cfg, device, n), cfg.channels, cfg.tree, coeffs, cfg.scheme)
+
+
+def _checked_bell(p_b):
+    if np.any(p_b > 1.0):
+        raise InvalidConfigurationError(f"Bell success probability {np.max(p_b):.6g} exceeds 1")
+    return p_b
+
+
+def _log_p_meas(cfg: ChainConfig, device: DeviceParams, coeffs, n) -> np.ndarray:
+    """``ln P_meas = n ln q1 + (n-1) ln q2 + ln q3`` at node count(s) ``n``."""
+    probs = _chain_probs(cfg, device, coeffs, n)
+    _checked_bell(probs[2])
+    ln_q1, ln_q2, ln_q3 = log_chain_factors(*probs, cfg.channels)
+    with np.errstate(invalid="ignore"):  # one node has no link: no 0 * -inf from q2
+        return n * ln_q1 + np.where(n > 1.0, (n - 1.0) * ln_q2, 0.0) + ln_q3
+
+
 def loss_rates(
     cfg: ChainConfig,
     device: DeviceParams,
@@ -186,19 +262,10 @@ def loss_rates(
     ``"naive"`` scheme measures everything at the midpoints, so both
     populations see ``eps_trav``.
     """
-    if coeffs is None:
-        coeffs = coefficients_for(cfg, device)
-    n = cfg.node_count
-    per_half_link = math.exp(-device.alpha * cfg.total_range_km / (2 * n))
-    eps_trav = 1.0 - per_half_link * coeffs.c_coeff
-    if cfg.scheme == "new":
-        eps_stat = 1.0 - per_half_link**2 * coeffs.b_coeff
-    else:
-        eps_stat = eps_trav
-    return LossRates(
-        eps_trav=min(max(eps_trav, 0.0), 1.0),
-        eps_stat=min(max(eps_stat, 0.0), 1.0),
-    )
+    coeffs = coeffs if coeffs is not None else coefficients_for(cfg, device)
+    survivals = _survivals(_eta_link(cfg, device, cfg.node_count), coeffs, cfg.scheme)
+    eps_trav, eps_stat = (float(np.clip(1.0 - v, 0.0, 1.0)) for v in survivals)
+    return LossRates(eps_trav=eps_trav, eps_stat=eps_stat)
 
 
 def measurement_probs(
@@ -207,11 +274,8 @@ def measurement_probs(
     coeffs: ChainCoefficients | None = None,
 ) -> tuple[float, float]:
     """``(P_X, P_Z)`` of the tree code at this config's stationary loss rate."""
-    eps_stat = loss_rates(cfg, device, coeffs).eps_stat
-    return (
-        float(p_x_general(cfg.tree, eps_stat)),
-        float(p_z_general(cfg.tree, eps_stat)),
-    )
+    p_x, p_z, _, _ = _chain_probs(cfg, device, coeffs, cfg.node_count)
+    return float(p_x), float(p_z)
 
 
 def p_bell(
@@ -220,15 +284,7 @@ def p_bell(
     coeffs: ChainCoefficients | None = None,
 ) -> float:
     """Midpoint Bell-measurement success probability ``(A B**2 / m) * eta**(1/n)``."""
-    if coeffs is None:
-        coeffs = coefficients_for(cfg, device)
-    eta_link = math.exp(-device.alpha * cfg.total_range_km / cfg.node_count)
-    value = coeffs.ab_squared / cfg.channels * eta_link
-    if value > 1.0:
-        raise InvalidConfigurationError(
-            f"Bell success probability {value:.6g} exceeds 1; coefficients unphysical"
-        )
-    return value
+    return float(_checked_bell(_chain_probs(cfg, device, coeffs, cfg.node_count)[2]))
 
 
 def p_end(
@@ -240,10 +296,7 @@ def p_end(
 
     ``P_end = 1 - (1 - eta**(1/2n) * C)**m``; increasing in ``m``.
     """
-    if coeffs is None:
-        coeffs = coefficients_for(cfg, device)
-    per_half_link = math.exp(-device.alpha * cfg.total_range_km / (2 * cfg.node_count))
-    return -math.expm1(cfg.channels * math.log1p(-per_half_link * coeffs.c_coeff))
+    return float(_chain_probs(cfg, device, coeffs, cfg.node_count)[3])
 
 
 def log_p_meas(
@@ -257,22 +310,7 @@ def log_p_meas(
     nodes (where ``P_Z**(2(m-1)n)`` underflows linear arithmetic) evaluate
     exactly as written.
     """
-    if coeffs is None:
-        coeffs = coefficients_for(cfg, device)
-    n, m = cfg.node_count, cfg.channels
-    px, pz = measurement_probs(cfg, device, coeffs)
-    pb = p_bell(cfg, device, coeffs)
-    pend = p_end(cfg, device, coeffs)
-    # 1 - (1 - P_B)**m without cancellation
-    link_ok = -math.expm1(m * math.log1p(-pb)) if pb < 1.0 else 1.0
-    if px <= 0.0 or pz <= 0.0 or link_ok <= 0.0 or pend <= 0.0:
-        return -math.inf
-    return (
-        2.0 * (m - 1) * n * math.log(pz)
-        + 2.0 * n * math.log(px)
-        + (n - 1) * math.log(link_ok)
-        + 2.0 * math.log(pend)
-    )
+    return float(_log_p_meas(cfg, device, coeffs, cfg.node_count))
 
 
 def p_meas(
@@ -303,41 +341,13 @@ def rates_over_n(
     """Vectorised ``rate_n`` over an array of node counts.
 
     The config's own ``node_count`` is ignored; everything else (range,
-    channels, tree, scheme, ``p_cn``) is taken from ``cfg``.
+    channels, tree, scheme, ``p_cn``) is taken from ``cfg``.  A chain whose
+    success probability vanishes has rate 0, never NaN.
     """
-    if coeffs is None:
-        coeffs = coefficients_for(cfg, device)
     n = np.asarray(n_values, dtype=float)
     if np.any(n < 1):
         raise InvalidConfigurationError("node counts must be >= 1")
-    m = cfg.channels
-    per_half_link = np.exp(-device.alpha * cfg.total_range_km / (2.0 * n))
-    eta_link = per_half_link**2
-
-    if cfg.scheme == "new":
-        eps_stat = 1.0 - eta_link * coeffs.b_coeff
-    else:
-        eps_stat = 1.0 - per_half_link * coeffs.c_coeff
-    eps_stat = np.clip(eps_stat, 0.0, 1.0)
-    px = np.asarray(p_x_general(cfg.tree, eps_stat))
-    pz = np.asarray(p_z_general(cfg.tree, eps_stat))
-
-    pb = coeffs.ab_squared / m * eta_link
-    if np.any(pb > 1.0):
-        raise InvalidConfigurationError("Bell success probability exceeds 1")
-    link_ok = -np.expm1(m * np.log1p(-pb))
-    pend = -np.expm1(m * np.log1p(-per_half_link * coeffs.c_coeff))
-
-    with np.errstate(divide="ignore"):
-        log_rate = (
-            2.0 * (m - 1) * n * np.log(pz)
-            + 2.0 * n * np.log(px)
-            + (n - 1.0) * np.log(link_ok)
-            + 2.0 * np.log(pend)
-            + math.log(cfg.p_cn)
-            - math.log(cfg.divisor)
-        )
-    return np.exp(log_rate)
+    return np.exp(_log_p_meas(cfg, device, coeffs, n) + math.log(cfg.p_cn / cfg.divisor))
 
 
 def r_direct(l_km: float, alpha: float) -> float:

@@ -313,6 +313,20 @@ class TestOptimize:
         assert code == 2
         assert err.startswith("error: config:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("constants", "--m", "4"),
+            ("rate", "--m", "4", "--n", "100", "--L", "100"),
+            ("envelope", "--m", "4", "--L", "100"),
+        ],
+        ids=["constants", "rate", "envelope"],
+    )
+    def test_invalid_tree_is_config_error(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv, "--b", "7,x")
+        assert code == 2
+        assert err.startswith("error: config:")
+
     def test_unbuildable_class_is_infeasible(self, capsys):
         code, _, err = run_cli(capsys, "optimize", "--L", "300", "--k", "2")
         assert code == 3
@@ -343,8 +357,10 @@ class TestErrorHandling:
     RATE_PREFIX = ("rate", "--m", "4", "--b", "7,3", "--n", "100")
 
     @pytest.mark.parametrize(
-        "bad_range", ["300:100:50", "100:200:0", "1:2:3:4"],
-        ids=["reversed", "zero_step", "too_many_parts"],
+        "bad_range",
+        ["300:100:50", "100:200:0", "1:2:3:4", "nan", "inf", "1:nan:1", "1:x:1"],
+        ids=["reversed", "zero_step", "too_many_parts", "nan", "inf", "nan_end",
+             "non_numeric"],
     )
     def test_bad_range_is_config_error(self, capsys, bad_range):
         code, _, err = run_cli(capsys, *self.RATE_PREFIX, "--L", bad_range)

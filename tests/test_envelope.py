@@ -207,6 +207,14 @@ class TestNumericEnvelope:
         assert neighbours[1] >= neighbours[0]
         assert neighbours[1] >= neighbours[2]
 
+    def test_single_channel_long_range_is_positive(self, device):
+        # every chain with few nodes loses everything at this range; those
+        # rates are 0, and the scan must still find the maximum further out
+        point, _ = numeric_envelope(1, TREE, device, [900.0, 1000.0])
+        assert math.isfinite(point.rate_bits_per_mode)
+        assert point.rate_bits_per_mode > 0.0
+        assert point.n_opt > 1
+
     def test_spacing_tracks_l0(self, points):
         for p in points[3:]:
             assert p.l_km / p.n_opt == pytest.approx(L0_KM, rel=0.1)

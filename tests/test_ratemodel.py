@@ -82,6 +82,8 @@ class TestChainConfig:
             {"p_cn": 0.0},
             {"p_cn": 1.2},
             {"scheme": "old"},
+            {"total_range_km": math.nan},
+            {"total_range_km": math.inf},
         ],
     )
     def test_validation(self, kwargs):
@@ -200,21 +202,28 @@ class TestRates:
         )
 
     def test_vectorised_matches_scalar(self, device):
-        cfg = cfg_73()
-        n_values = np.array([50, 100, 173, 400])
-        rates = rates_over_n(cfg, device, n_values)
-        for n_val, rate in zip(n_values, rates):
-            cfg_n = ChainConfig(
-                total_range_km=cfg.total_range_km,
-                node_count=int(n_val),
-                channels=cfg.channels,
-                tree=cfg.tree,
-                p_cn=cfg.p_cn,
-                scheme=cfg.scheme,
-            )
-            assert rate == pytest.approx(
-                rate_n(cfg_n, device).rate_bits_per_mode, rel=1e-10
-            )
+        # the single-channel chain at 5000 km loses everything at small n,
+        # where P_Z = 0 must not enter q1 as 0 * log(0)
+        single_far = ChainConfig(
+            total_range_km=5000.0, node_count=1, channels=1, tree=BranchingVector((7, 3))
+        )
+        for cfg, n_values in (
+            (cfg_73(), np.array([50, 100, 173, 400])),
+            (single_far, np.array([1, 2, 3, 500, 3000])),
+        ):
+            rates = rates_over_n(cfg, device, n_values)
+            for n_val, rate in zip(n_values, rates):
+                cfg_n = ChainConfig(
+                    total_range_km=cfg.total_range_km,
+                    node_count=int(n_val),
+                    channels=cfg.channels,
+                    tree=cfg.tree,
+                    p_cn=cfg.p_cn,
+                    scheme=cfg.scheme,
+                )
+                assert rate == pytest.approx(
+                    rate_n(cfg_n, device).rate_bits_per_mode, rel=1e-10
+                )
 
     def test_vectorised_accepts_real_node_counts(self, device):
         # the model is smooth in n, so fractional node counts interpolate
