@@ -9,9 +9,10 @@ Subcommands::
     optimize    best design per cluster class at a range (CSV)
     verify      graph-rule and measurement-identity checks (report)
 
-Conventions: ranges are ``lo:hi:step`` (inclusive), lists are
-comma-separated, device parameters come from built-in defaults overridden
-by an optional JSON config file and then by per-field flags.  Every CSV
+Conventions: ranges are ``lo:hi:step`` (inclusive, with a step that
+divides the span), Monte Carlo seeds are integers in ``[0, 2**64)``,
+lists are comma-separated, device parameters come from built-in defaults
+overridden by an optional JSON config file and then by per-field flags.  Every CSV
 starts with a ``# config:`` comment holding the resolved configuration as
 sorted JSON, so identical configuration and seed reproduce byte-identical
 output.  Files are written atomically.
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -56,7 +58,7 @@ _DEVICE_FIELDS = [f.name for f in dataclasses.fields(DeviceParams)]
 
 
 def _parse_range(text: str) -> np.ndarray:
-    """Parse ``lo:hi:step`` (inclusive) or a single number into a float grid."""
+    """Parse ``lo:hi:step`` (inclusive, step dividing the span) or one number."""
     try:
         values = [float(p) for p in text.split(":")]
     except ValueError as exc:
@@ -70,8 +72,10 @@ def _parse_range(text: str) -> np.ndarray:
         raise ConfigError(f"range step must be positive, got {step!r}")
     if hi < lo:
         raise ConfigError(f"range end {hi!r} is below start {lo!r}")
-    count = int(round((hi - lo) / step)) + 1
-    return lo + step * np.arange(count)
+    steps = (hi - lo) / step
+    if not (math.isfinite(steps) and math.isclose(steps, round(steps), rel_tol=1e-9)):
+        raise ConfigError(f"range step must divide hi - lo, got {text!r}")
+    return lo + step * np.arange(round(steps) + 1)
 
 
 def _parse_tree(text: str) -> BranchingVector:
@@ -222,8 +226,8 @@ def cmd_envelope(args: argparse.Namespace) -> int:
     }
     rows = []
     for l_km in grid:
-        n_opt = max(1, round(float(l_km) / env.l0_km))
-        rows.append((float(l_km), env.rate_at(float(l_km), device.alpha), n_opt))
+        rows.append((float(l_km), env.rate_at(float(l_km), device.alpha),
+                     env.n_opt_at(float(l_km))))
     trailer = (
         f"# D={_fmt(env.d_coeff)}, s={_fmt(env.s_exp)}, L0_km={_fmt(env.l0_km)}"
     )
@@ -271,7 +275,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     }
     if args.with_sources:
         print(f"seed: {args.seed}", file=sys.stderr)
-    l_km = float(args.L)
+    grid = _parse_range(args.L)
+    if grid.size != 1:
+        raise ConfigError(f"optimize takes a single range, got {args.L!r}")
+    l_km = float(grid[0])
     max_depth = max(bounds.depths)
     branch_cols = tuple(f"b{i}" for i in range(max_depth))
     rows = []

@@ -20,9 +20,9 @@ are modelled:
   survival after allocation.
 
 The banked scheme is evaluated both by seeded Monte Carlo
-(:func:`improved_pc1_mc`) and by exact propagation of per-bank count
-distributions (:func:`improved_pc1_exact`); the two serve as mutual
-cross-checks.  :func:`min_sources` searches for the smallest source count
+(:func:`improved_pc1_mc`, on the engine of :mod:`clusterchain.montecarlo`)
+and by exact propagation of per-bank count distributions
+(:func:`improved_pc1_exact`); the two serve as mutual cross-checks.  :func:`min_sources` searches for the smallest source count
 meeting a target probability that all ``n`` nodes fire in one clock cycle.
 """
 
@@ -41,6 +41,7 @@ from .errors import (
     InvalidConfigurationError,
     TargetUnreachableError,
 )
+from .montecarlo import mc_fractions
 from .params import DerivedConstants
 
 __all__ = [
@@ -61,7 +62,6 @@ __all__ = [
 
 NAIVE_FORMULAS = ("banked", "flattened", "printed")
 
-_MC_BLOCK = 16384
 _TAIL_MASS = 1e-12
 _EXACT_BANK_LIMIT = 256  # largest 2**k the exact propagation is used for by default
 
@@ -248,7 +248,6 @@ def optimize_naive_multiplex(
     k: int,
     m: int,
     consts: DerivedConstants,
-    formula: str = "banked",
     grid_max: int = 200,
 ) -> tuple[NaiveMultiplex | None, float]:
     """Best ``(n_b, n_ghz, n_meas)`` within a source budget ``n_s``.
@@ -272,7 +271,7 @@ def optimize_naive_multiplex(
         grows = feasible & ((2 * (n_b + 1)) ** k <= budget)
         n_b[grows] += 1
     n_b = np.maximum(n_b, 1)
-    pc1 = _naive_pc1_core(n_b, n_ghz, n_meas, k, m, consts, formula)
+    pc1 = _naive_pc1_core(n_b, n_ghz, n_meas, k, m, consts, "banked")
     pc1 = np.where(feasible, pc1, -1.0)
     best_flat = np.argmax(pc1)
     best_val = pc1.flat[best_flat]
@@ -347,22 +346,17 @@ def improved_pc1_mc(
     level as ``Binomial(min(y1, y2), p_l)``.  The estimate is the fraction
     of trials whose root bank is non-empty.
 
-    Trials are partitioned into fixed-size blocks, each driven by its own
-    counter-based generator keyed on ``(seed, block index)``, so the result
-    is bit-identical for a given ``(seed, trials)`` regardless of how the
-    blocks are scheduled.
+    Trials run through the package's Monte Carlo engine
+    (:func:`clusterchain.montecarlo.mc_fractions`), one leaf bank per cell,
+    so the result is bit-identical for a given ``(seed, trials)``.
 
     Returns
     -------
     (estimate, standard_error)
     """
-    if trials < 1:
-        raise InvalidConfigurationError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise InvalidConfigurationError(f"seed must be >= 0, got {seed}")
+    if n_s < 0:
+        raise InvalidConfigurationError(f"source count must be >= 0, got {n_s}")
     n_attempts = n_s if ghz_source else n_s // 6
-    if n_attempts < 1:
-        return 0.0, 0.0
     weights = np.asarray(sched.weights, dtype=float)
     measured = np.asarray(sched.measured_mask, dtype=bool)
     thin_p = consts.p_chip * consts.eta_ghz
@@ -373,19 +367,18 @@ def improved_pc1_mc(
         raise InvalidConfigurationError(
             f"need {sched.k} fusion probabilities, got {len(probs)}"
         )
-    hits = 0
-    for block_index, start in enumerate(range(0, trials, _MC_BLOCK)):
-        block = min(_MC_BLOCK, trials - start)
-        rng = np.random.Generator(np.random.Philox(key=(seed << 64) + block_index))
+
+    def draw(size: int, rng: np.random.Generator) -> tuple[int]:
         if ghz_source:
-            x = np.full(block, n_attempts, dtype=np.int64)
+            x = np.full(size, n_attempts, dtype=np.int64)
         else:
-            x = rng.binomial(n_attempts, consts.p_ghz, size=block).astype(np.int64)
+            x = rng.binomial(n_attempts, consts.p_ghz, size=size).astype(np.int64)
         counts = allocate_ghz_counts(x, weights)
         counts[:, measured] = rng.binomial(counts[:, measured], thin_p)
-        hits += int((_cascade_mc(counts, probs, rng) > 0).sum())
-    estimate = hits / trials
-    return estimate, math.sqrt(estimate * (1.0 - estimate) / trials)
+        return (int((_cascade_mc(counts, probs, rng) > 0).sum()),)
+
+    (estimate,), (error,) = mc_fractions(trials, seed, sched.leaf_banks, draw)
+    return estimate, error
 
 
 def _thin_matrix(cap: int, p: float) -> np.ndarray:
@@ -545,12 +538,11 @@ def _pc1_evaluator(
     method: str,
     trials: int,
     seed: int,
-    formula: str,
 ):
     """Build a ``p_c1(n_s)`` callable for one scheme; see :func:`min_sources`."""
     if scheme == "naive":
         def evaluate(n_s: int) -> float:
-            return optimize_naive_multiplex(n_s, k, m, consts, formula)[1]
+            return optimize_naive_multiplex(n_s, k, m, consts)[1]
 
         return evaluate
     if scheme not in ("improved", "ghz_primitive"):
@@ -589,7 +581,6 @@ def min_sources(
     trials: int = 10**5,
     seed: int = 0,
     ceiling: int = 10**15,
-    formula: str = "banked",
 ) -> int:
     """Smallest source count whose per-cycle ``P_cn`` meets ``target_pcn``.
 
@@ -612,7 +603,7 @@ def min_sources(
     if n < 1:
         raise InvalidConfigurationError(f"n must be >= 1, got {n}")
     p_c1_target = target_pcn ** (1.0 / n)
-    evaluate = _pc1_evaluator(scheme, k, m, consts, method, trials, seed, formula)
+    evaluate = _pc1_evaluator(scheme, k, m, consts, method, trials, seed)
 
     def feasible(n_s: int) -> bool:
         return evaluate(n_s) >= p_c1_target
@@ -645,8 +636,7 @@ def pcn_curve(
     method: str = "auto",
     trials: int = 10**5,
     seed: int = 0,
-    formula: str = "banked",
 ) -> np.ndarray:
     """``P_cn`` as a function of source count, for resource-curve emission."""
-    evaluate = _pc1_evaluator(scheme, k, m, consts, method, trials, seed, formula)
+    evaluate = _pc1_evaluator(scheme, k, m, consts, method, trials, seed)
     return np.array([pcn(evaluate(int(n_s)), n) for n_s in source_counts])

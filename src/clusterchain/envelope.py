@@ -75,6 +75,10 @@ class EnvelopeParams:
         """Evaluate ``D * exp(-s * alpha * L)`` at range ``l_km``."""
         return self.d_coeff * np.exp(-self.s_exp * alpha * np.asarray(l_km, dtype=float))
 
+    def n_opt_at(self, l_km: float) -> int:
+        """Envelope node count at range ``l_km``: ``max(1, round(L / l0))``."""
+        return max(1, round(l_km / self.l0_km)) if self.l0_km > 0 else 1
+
 
 @dataclass(frozen=True)
 class EnvelopePoint:

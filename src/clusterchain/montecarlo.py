@@ -1,0 +1,58 @@
+"""The package's one Monte Carlo engine: blocked, counter-keyed sampling.
+
+Each sampler (the tree-code loss oracle, the banked factory) hands
+:func:`mc_fractions` a ``draw(size, rng)`` callable that simulates ``size``
+independent trials and returns the integer hit count of each event it
+tracks.  The engine validates the run, splits the trials into blocks of at
+most 16384 trials and at most ``2**21`` trial-cells (``width`` is the cells
+one trial touches: tree photons, leaf banks), so memory stays bounded for
+any sample count, and drives block ``i`` from
+``Generator(Philox(key=(seed << 64) + i))``.  A result depends only on
+``(samples, seed, width)`` and the draw, never on how blocks are scheduled.
+"""
+
+from __future__ import annotations
+
+import math
+import operator
+from typing import Callable, Sequence
+
+import numpy as np
+
+from .errors import InvalidConfigurationError
+
+__all__ = ["mc_fractions"]
+
+_MAX_BLOCK = 16384
+_MAX_BLOCK_CELLS = 2**21
+
+
+def mc_fractions(
+    samples: int,
+    seed: int,
+    width: int,
+    draw: Callable[[int, np.random.Generator], Sequence[int]],
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Per-event hit fractions over ``samples`` trials, with standard errors.
+
+    Returns ``(fractions, standard_errors)``, one entry per event counted by
+    ``draw``; each error is ``sqrt(f (1 - f) / samples)``.
+
+    Raises
+    ------
+    InvalidConfigurationError
+        For ``samples < 1`` or a seed outside ``[0, 2**64)``, before any draw.
+    """
+    if samples < 1:
+        raise InvalidConfigurationError(f"sample count must be >= 1, got {samples!r}")
+    seed = operator.index(seed)  # numpy integers would wrap in the shift below
+    if not 0 <= seed < 2**64:
+        raise InvalidConfigurationError(f"seed must lie in [0, 2**64), got {seed!r}")
+    block = min(_MAX_BLOCK, max(1, _MAX_BLOCK_CELLS // width))
+    totals = None
+    for index, start in enumerate(range(0, samples, block)):
+        rng = np.random.Generator(np.random.Philox(key=(seed << 64) + index))
+        counts = draw(min(block, samples - start), rng)
+        totals = counts if totals is None else [a + b for a, b in zip(totals, counts)]
+    fractions = tuple(int(hits) / samples for hits in totals)
+    return fractions, tuple(math.sqrt(f * (1.0 - f) / samples) for f in fractions)

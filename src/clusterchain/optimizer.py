@@ -12,6 +12,7 @@ cheap exponential comparisons.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -148,12 +149,9 @@ def _design_point(
     l_km: float,
     alpha: float,
 ) -> DesignPoint:
-    rate = env.rate_at(l_km, alpha)
-    spacing = env.l0_km
-    n_opt = max(1, round(l_km / spacing)) if spacing > 0 else 1
     return DesignPoint(
         m=m, tree=tree, k=k, envelope=env, range_km=l_km,
-        rate_bits_per_mode=rate, n_opt=n_opt,
+        rate_bits_per_mode=env.rate_at(l_km, alpha), n_opt=env.n_opt_at(l_km),
     )
 
 
@@ -172,8 +170,8 @@ def optimize_design(
     channel count.  Pass ``candidates`` (from :func:`design_envelopes`) to
     amortise the scan across ranges.
     """
-    if l_km <= 0:
-        raise InvalidConfigurationError(f"range must be positive, got {l_km!r}")
+    if not (math.isfinite(l_km) and l_km > 0):
+        raise InvalidConfigurationError(f"range must be positive and finite, got {l_km!r}")
     if candidates is None:
         candidates = design_envelopes(k, device, p_cn, scheme, bounds)
     best: DesignPoint | None = None

@@ -19,16 +19,18 @@ Besides the recursion this module carries a Monte Carlo oracle that samples
 explicit loss configurations and applies the *combinatorial* success rule
 (at least one subtree whose root survived and whose children are all
 measurable), giving an independent check of the algebra rather than of the
-formula's transcription.
+formula's transcription.  It samples through the package's Monte Carlo
+engine (:mod:`clusterchain.montecarlo`), one tree photon per cell.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .montecarlo import mc_fractions
 
 __all__ = [
     "BranchingVector",
@@ -265,17 +267,14 @@ def mc_xi(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of ``xi_i`` with its standard error.
 
-    The estimate simulates the subtree rooted at a depth-``i`` vertex, i.e.
+    This is ``P_X`` of the subtree rooted at a depth-``i`` vertex, i.e. of
     the branching vector ``b[i:]``; deterministic for a given
     ``(seed, samples)``.
     """
     if not 0 <= i <= b.depth:
         raise IndexError(f"depth index {i} out of range for {b}")
-    sub = BranchingVector(b.branches[i:])
-    rng = np.random.default_rng(seed)
-    x_hits, _ = _simulate_tree(sub, eps, samples, rng)
-    est = float(x_hits.mean())
-    return est, math.sqrt(est * (1.0 - est) / samples)
+    est = mc_measurement_probs(BranchingVector(b.branches[i:]), eps, samples, seed)
+    return est.p_x, est.p_x_err
 
 
 def mc_measurement_probs(
@@ -285,13 +284,10 @@ def mc_measurement_probs(
     seed: int = 0,
 ) -> MCMeasurementEstimate:
     """Monte Carlo estimates of ``P_X`` and ``P_Z`` with standard errors."""
-    rng = np.random.default_rng(seed)
-    x_hits, z_hits = _simulate_tree(b, eps, samples, rng)
-    p_x = float(x_hits.mean())
-    p_z = float(z_hits.mean())
-    return MCMeasurementEstimate(
-        p_x=p_x,
-        p_x_err=math.sqrt(p_x * (1.0 - p_x) / samples),
-        p_z=p_z,
-        p_z_err=math.sqrt(p_z * (1.0 - p_z) / samples),
-    )
+
+    def draw(size: int, rng: np.random.Generator) -> tuple[int, int]:
+        x_hits, z_hits = _simulate_tree(b, eps, size, rng)
+        return int(x_hits.sum()), int(z_hits.sum())
+
+    (p_x, p_z), (p_x_err, p_z_err) = mc_fractions(samples, seed, tree_size(b), draw)
+    return MCMeasurementEstimate(p_x=p_x, p_x_err=p_x_err, p_z=p_z, p_z_err=p_z_err)

@@ -15,10 +15,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterchain import cli
 from clusterchain.clusterbuild import pcn_curve
 from clusterchain.envelope import analytic_lb, optimize_z
+from clusterchain.errors import ConfigError
 from clusterchain.graphstate import CheckResult
 from clusterchain.params import DeviceParams, chain_coefficients, derive_constants
 from clusterchain.ratemodel import ChainConfig, k_of_design, r_direct, rate_n
@@ -358,12 +361,53 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize(
         "bad_range",
-        ["300:100:50", "100:200:0", "1:2:3:4", "nan", "inf", "1:nan:1", "1:x:1"],
+        ["300:100:50", "100:200:0", "1:2:3:4", "nan", "inf", "1:nan:1", "1:x:1",
+         "0:11:4"],
         ids=["reversed", "zero_step", "too_many_parts", "nan", "inf", "nan_end",
-             "non_numeric"],
+             "non_numeric", "step_not_dividing"],
     )
     def test_bad_range_is_config_error(self, capsys, bad_range):
         code, _, err = run_cli(capsys, *self.RATE_PREFIX, "--L", bad_range)
+        assert code == 2
+        assert err.startswith("error: config:")
+
+    def test_fractional_step_keeps_both_ends(self):
+        grid = cli._parse_range("0:1:0.1")
+        assert grid.size == 11
+        assert grid[0] == 0.0 and grid[-1] == pytest.approx(1.0)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        lo=st.floats(-1e6, 1e6),
+        step=st.floats(1e-6, 1e6),
+        whole_steps=st.integers(0, 200),
+        extra=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    )
+    def test_range_is_refused_or_uniform_and_inclusive(self, lo, step, whole_steps, extra):
+        hi = lo + (whole_steps + extra) * step
+        try:
+            grid = cli._parse_range(f"{lo!r}:{hi!r}:{step!r}")
+        except ConfigError:
+            return
+        span_tol = 1e-9 * (hi - lo) + 4 * np.spacing(max(abs(lo), abs(hi)))
+        assert grid[0] == lo
+        assert abs(grid[-1] - hi) <= span_tol
+        if grid.size > 1:
+            assert np.allclose(np.diff(grid), step, rtol=1e-9, atol=span_tol)
+
+    @pytest.mark.parametrize("bad_l", ["abc", "nan", "inf", "100:300:100"],
+                             ids=["non_numeric", "nan", "inf", "multi_point"])
+    def test_optimize_bad_range_is_config_error(self, capsys, bad_l):
+        code, _, err = run_cli(capsys, "optimize", "--L", bad_l, "--k", "7")
+        assert code == 2
+        assert err.startswith("error: config:")
+
+    def test_monte_carlo_seed_out_of_range_is_config_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "resources", "--k", "3", "--m", "1", "--n", "1",
+            "--sources", "400", "--method", "mc", "--trials", "100",
+            "--seed", str(2**64),
+        )
         assert code == 2
         assert err.startswith("error: config:")
 

@@ -255,6 +255,11 @@ class TestMonteCarlo:
         with pytest.raises(InvalidConfigurationError):
             improved_pc1_mc(100, sched, consts, seed=-1)
         assert improved_pc1_mc(5, sched, consts) == (0.0, 0.0)
+        assert improved_pc1_mc(0, sched, consts, ghz_source=True) == (0.0, 0.0)
+        with pytest.raises(InvalidConfigurationError):
+            improved_pc1_mc(5, sched, consts, seed=-1)
+        with pytest.raises(InvalidConfigurationError):
+            improved_pc1_mc(-6, sched, consts)
 
 
 class TestPcn:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from clusterchain.errors import InvalidConfigurationError
 from clusterchain.treecode import (
     BranchingVector,
     LossRates,
@@ -129,6 +130,22 @@ class TestMonteCarlo:
         first = mc_measurement_probs(b, 0.3, samples=20_000, seed=5)
         second = mc_measurement_probs(b, 0.3, samples=20_000, seed=5)
         assert first == second
+
+    def test_xi_is_subtree_p_x(self):
+        b = BranchingVector((3, 2, 2))
+        sub = mc_measurement_probs(BranchingVector((2, 2)), 0.2, samples=20_000, seed=6)
+        assert mc_xi(1, b, 0.2, samples=20_000, seed=6) == (sub.p_x, sub.p_x_err)
+
+    @pytest.mark.parametrize(
+        "samples,seed", [(10, -1), (10, 2**64), (0, 0)],
+        ids=["negative_seed", "seed_2_64", "zero_samples"],
+    )
+    def test_invalid_run_is_config_error(self, samples, seed):
+        b = BranchingVector((2, 2))
+        with pytest.raises(InvalidConfigurationError):
+            mc_xi(0, b, 0.3, samples=samples, seed=seed)
+        with pytest.raises(InvalidConfigurationError):
+            mc_measurement_probs(b, 0.3, samples=samples, seed=seed)
 
 
 class TestLossRates:
