@@ -21,8 +21,9 @@ are modelled:
 
 The banked scheme is evaluated both by seeded Monte Carlo
 (:func:`improved_pc1_mc`, on the engine of :mod:`clusterchain.montecarlo`)
-and by exact propagation of per-bank count distributions
-(:func:`improved_pc1_exact`); the two serve as mutual cross-checks.  :func:`min_sources` searches for the smallest source count
+and by exact propagation of per-bank count survivals
+(:func:`improved_pc1_exact`); the two serve as mutual cross-checks.
+:func:`min_sources` searches for the smallest source count
 meeting a target probability that all ``n`` nodes fire in one clock cycle.
 """
 
@@ -62,7 +63,8 @@ __all__ = [
 
 NAIVE_FORMULAS = ("banked", "flattened", "printed")
 
-_TAIL_MASS = 1e-12
+_TAIL_MASS = 1e-12  # GHZ-success mass outside the exact window
+_EARLY_STOP = 1e-16  # largest change the exact sweep's early stop may skip
 _EXACT_BANK_LIMIT = 256  # largest 2**k the exact propagation is used for by default
 
 
@@ -257,6 +259,8 @@ def optimize_naive_multiplex(
     in the success probability are broken toward larger ``n_b``.  Returns
     ``(None, 0.0)`` when even ``(1, 1, 1)`` exceeds the budget.
     """
+    if n_s < 0:
+        raise InvalidConfigurationError(f"source count must be >= 0, got {n_s}")
     if n_s < 6 * 2**k:
         return None, 0.0
     grid = np.arange(1, grid_max + 1)
@@ -315,6 +319,24 @@ def allocate_ghz_counts(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return base + increment
 
 
+def _banked_prelude(
+    n_s: int, sched: FusionSchedule, consts: DerivedConstants, ghz_source: bool,
+    fusion_probs: Sequence[float] | None,
+) -> tuple[int, np.ndarray, np.ndarray, float, list[float]]:
+    """Shared set-up: ``(GHZ attempts, weights, measured mask, thinning p, p_l)``."""
+    if n_s < 0:
+        raise InvalidConfigurationError(f"source count must be >= 0, got {n_s}")
+    probs = list(fusion_probs) if fusion_probs is not None else fusion_probabilities(
+        sched.k, consts
+    )
+    if len(probs) != sched.k:
+        raise InvalidConfigurationError(f"need {sched.k} fusion probabilities, got {len(probs)}")
+    weights = np.asarray(sched.weights, dtype=float)
+    measured = np.asarray(sched.measured_mask, dtype=bool)
+    n_attempts = n_s if ghz_source else n_s // 6
+    return n_attempts, weights, measured, consts.p_chip * consts.eta_ghz, probs
+
+
 def _cascade_mc(
     counts: np.ndarray,
     probs: Sequence[float],
@@ -354,19 +376,9 @@ def improved_pc1_mc(
     -------
     (estimate, standard_error)
     """
-    if n_s < 0:
-        raise InvalidConfigurationError(f"source count must be >= 0, got {n_s}")
-    n_attempts = n_s if ghz_source else n_s // 6
-    weights = np.asarray(sched.weights, dtype=float)
-    measured = np.asarray(sched.measured_mask, dtype=bool)
-    thin_p = consts.p_chip * consts.eta_ghz
-    probs = list(fusion_probs) if fusion_probs is not None else fusion_probabilities(
-        sched.k, consts
+    n_attempts, weights, measured, thin_p, probs = _banked_prelude(
+        n_s, sched, consts, ghz_source, fusion_probs
     )
-    if len(probs) != sched.k:
-        raise InvalidConfigurationError(
-            f"need {sched.k} fusion probabilities, got {len(probs)}"
-        )
 
     def draw(size: int, rng: np.random.Generator) -> tuple[int]:
         if ghz_source:
@@ -381,23 +393,18 @@ def improved_pc1_mc(
     return estimate, error
 
 
-def _thin_matrix(cap: int, p: float) -> np.ndarray:
-    """Binomial-thinning transition matrix ``T[y, j] = Binom(j; y, p)``."""
-    counts = np.arange(cap + 1)
-    return sp_stats.binom.pmf(counts[None, :], counts[:, None], p)
+def _survival_matrix(cap_in: int, cap_out: int, p: float) -> np.ndarray:
+    """Non-negative ``M`` with ``(S @ M)[c] = P[Bin(Y, p) >= c]`` for ``S[y] = P[Y >= y]``.
 
-
-def _min_pair_pmfs(pmfs: np.ndarray) -> np.ndarray:
-    """PMFs of ``min(Y1, Y2)`` for independent adjacent banks.
-
-    The bank axis is the second-to-last one; leading axes broadcast.
+    ``M[y, c] = p Binom(c-1; y-1, p)``, the step ``P[Bin(y, p) >= c] -
+    P[Bin(y-1, p) >= c]`` summed by parts, and ``M[0, 0] = 1``.
     """
-    # survival S[c] = P[Y >= c]
-    survival = np.cumsum(pmfs[..., ::-1], axis=-1)[..., ::-1]
-    paired = survival[..., 0::2, :] * survival[..., 1::2, :]
-    pmf = paired.copy()
-    pmf[..., :-1] -= paired[..., 1:]
-    return pmf
+    matrix = np.zeros((cap_in + 1, cap_out + 1))
+    matrix[0, 0] = 1.0
+    matrix[1:, 1:] = p * sp_stats.binom.pmf(
+        np.arange(cap_out)[None, :], np.arange(cap_in)[:, None], p
+    )
+    return matrix
 
 
 def improved_pc1_exact(
@@ -408,42 +415,41 @@ def improved_pc1_exact(
     ghz_source: bool = False,
     fusion_probs: Sequence[float] | None = None,
 ) -> float:
-    """Exact ``P_c1`` of the banked scheme by count-distribution propagation.
+    """Exact ``P_c1`` of the banked scheme by count-survival propagation.
 
     Conditions on the number ``x`` of heralded GHZ states: given ``x`` the
     largest-remainder allocation is deterministic and every subsequent
-    thinning and fusion draw is independent across banks, so the per-bank
-    count distributions propagate exactly through the ``min``-combine
-    cascade.  Averaging the conditional success over the GHZ-success
-    distribution (truncated to a window holding all but ``1e-12`` of the
-    mass, then renormalised) gives ``P_c1``.  Counts never grow along the
-    cascade, so a cap equal to the largest allocated count (the default) is
-    lossless.
+    thinning and fusion draw is independent across banks, so each bank's
+    survival ``S[c] = P[Y >= c]`` propagates exactly: ``min(Y1, Y2)`` has
+    survival ``S1 * S2`` and a binomial thinning is one non-negative matrix,
+    so no step subtracts.  The root's ``S[1]`` is the conditional success;
+    averaging it over the GHZ-success distribution (truncated to a window
+    holding all but ``1e-12`` of the mass, then renormalised) gives
+    ``P_c1``.  Counts never grow along the cascade, so a cap equal to the
+    largest allocated count (the default) is lossless; each fusion level's
+    support is then cut 10 sigma above its mean, with the mass above the cut
+    lumped at it, which only understates success.
 
     The conditional success probability is non-decreasing in ``x`` (an
     extra GHZ state can only help), so the sweep over the window runs from
     small ``x`` upward and stops once the remaining weight cannot move the
-    result by more than ``1e-16``.
+    result by more than ``1e-16``.  Window tail, user-``cap`` overflow,
+    level cuts and early stop make the error budget the result is checked
+    against before it is clamped to ``[0, 1]``.
 
     Raises
     ------
     CapTooSmallError
         When a user-supplied ``cap`` would truncate more than ``1e-9``
         probability mass at the allocation stage.
+    ArithmeticError
+        When the result lies outside ``[-budget, 1 + budget]`` (a defect).
     """
-    n_attempts = n_s if ghz_source else n_s // 6
+    n_attempts, weights, measured, thin_p, probs = _banked_prelude(
+        n_s, sched, consts, ghz_source, fusion_probs
+    )
     if n_attempts < 1:
         return 0.0
-    weights = np.asarray(sched.weights, dtype=float)
-    measured = np.asarray(sched.measured_mask, dtype=bool)
-    thin_p = consts.p_chip * consts.eta_ghz
-    probs = list(fusion_probs) if fusion_probs is not None else fusion_probabilities(
-        sched.k, consts
-    )
-    if len(probs) != sched.k:
-        raise InvalidConfigurationError(
-            f"need {sched.k} fusion probabilities, got {len(probs)}"
-        )
 
     if ghz_source:
         xs = np.array([n_attempts], dtype=np.int64)
@@ -466,59 +472,52 @@ def improved_pc1_exact(
 
     alloc = allocate_ghz_counts(xs, weights)
     needed_cap = int(alloc.max())
-    if cap is None:
-        cap = needed_cap
-    elif needed_cap > cap:
-        overflow = px[(alloc > cap).any(axis=1)].sum()
-        if overflow > 1e-9:
-            raise CapTooSmallError(
-                f"cap {cap} truncates {overflow:.3g} probability mass "
-                f"(largest allocated count is {needed_cap})"
-            )
-        alloc = np.minimum(alloc, cap)
+    cap = needed_cap if cap is None else cap
+    overflow = px[(alloc > cap).any(axis=1)].sum()
+    if overflow > 1e-9:
+        raise CapTooSmallError(
+            f"cap {cap} truncates {overflow:.3g} probability mass "
+            f"(largest allocated count is {needed_cap})"
+        )
+    alloc = np.minimum(alloc, cap)
+    cap = max(cap, 1)  # the root's column 1, P[Y >= 1], must exist
 
-    banks = sched.leaf_banks
-    thin_meas = _thin_matrix(cap, thin_p) if measured.any() else None
     # Counts concentrate near (previous count) * p_level after each fusion
-    # thinning, so each level's support is cut 10 sigma above that mean;
-    # the dropped mass (< 1e-20 per bank) only ever understates success.
+    # thinning, so each level's support is cut 10 sigma above that mean; the
+    # mass above a cut is lumped at it, which only understates success.
     caps = [cap]
     for p_level in probs:
         centre = caps[-1] * p_level
         spread = math.sqrt(max(caps[-1] * p_level * (1.0 - p_level), 1.0))
         caps.append(min(caps[-1], math.ceil(centre + 10.0 * spread) + 5))
-    thin_levels = [
-        sp_stats.binom.pmf(
-            np.arange(caps[level + 1] + 1)[None, :],
-            np.arange(caps[level] + 1)[:, None],
-            p_level,
-        )
-        for level, p_level in enumerate(probs)
-    ]
-    bank_index = np.arange(banks)
+    levels = [_survival_matrix(c_in, c_out, p) for c_in, c_out, p in zip(caps, caps[1:], probs)]
+    # row y: survival of exactly y states, unthinned and (measured) thinned
+    indicator = np.tri(cap + 1)
+    leaf_survivals = np.stack([indicator, indicator @ _survival_matrix(cap, cap, thin_p)])
 
     success = 0.0
     weight_done = 0.0
-    chunk = max(1, 4_000_000 // (banks * (cap + 1)))
+    chunk = max(1, 4_000_000 // (sched.leaf_banks * (cap + 1)))
     for start in range(0, len(xs), chunk):
-        counts = alloc[start : start + chunk]
-        rows = counts.shape[0]
-        pmfs = np.zeros((rows, banks, cap + 1))
-        pmfs[np.arange(rows)[:, None], bank_index[None, :], counts] = 1.0
-        if thin_meas is not None:
-            pmfs[:, measured, :] = thin_meas[counts[:, measured]]
-        for matrix in thin_levels:
-            pmfs = _min_pair_pmfs(pmfs) @ matrix
-        conditional = 1.0 - pmfs[:, 0, 0]
-        block_px = px[start : start + rows]
+        survival = leaf_survivals[measured.astype(np.intp), alloc[start : start + chunk]]
+        for matrix in levels:
+            survival = (survival[:, 0::2] * survival[:, 1::2]) @ matrix
+        conditional = survival[:, 0, 1]
+        block_px = px[start : start + len(conditional)]
         success += float(block_px @ conditional)
         weight_done += float(block_px.sum())
         # monotone in x: every remaining x succeeds at least as often
         remaining = 1.0 - weight_done
-        if remaining * (1.0 - conditional[-1]) < 1e-16:
+        if remaining * (1.0 - conditional[-1]) < _EARLY_STOP:
             success += remaining * float(conditional[-1])
             break
-    return float(min(max(success, 0.0), 1.0))
+    # a level-l cut moves one of its 2**(k-l) banks only when its count
+    # exceeds caps[l], which has probability <= P[Bin(caps[l-1], p_l) > caps[l]]
+    cut = 2.0 ** np.arange(sched.k - 1, -1, -1) @ sp_stats.binom.sf(caps[1:], caps[:-1], probs)
+    budget = _TAIL_MASS + overflow + cut + _EARLY_STOP
+    if not -budget <= success <= 1.0 + budget:
+        raise ArithmeticError(f"P_c1 = {success!r} lies outside its error budget {budget:.3g}")
+    return min(max(success, 0.0), 1.0)
 
 
 def pcn(p_c1: float, n: int) -> float:

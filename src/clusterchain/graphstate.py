@@ -24,6 +24,8 @@ from typing import Hashable, Iterable, Sequence
 import networkx as nx
 import numpy as np
 
+from .errors import InvalidConfigurationError
+
 __all__ = [
     "CheckResult",
     "local_complement",
@@ -335,6 +337,10 @@ def _branches_match(
 
 def _identity_inputs(seed: int = 7, samples: int = 100) -> list[SmallState]:
     """Computational basis states on 1-3 qubits plus seeded random 2-qubit states."""
+    if seed < 0 or samples < 0:
+        raise InvalidConfigurationError(
+            f"seed and samples must be >= 0, got seed={seed}, samples={samples}"
+        )
     states = []
     for qubits in (1, 2, 3):
         for index in range(2**qubits):

@@ -192,6 +192,8 @@ def chain_probs(
     ``eta_link`` (scalar or array) is ``exp(-alpha L / n)`` for a chain and
     ``(A B**2)**(-z)`` on the envelope locus.  ``P_B`` is returned unchecked.
     """
+    if scheme not in SCHEMES:
+        raise InvalidConfigurationError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     traveling, stationary = _survivals(eta_link, coeffs, scheme)
     eps_stat = np.clip(1.0 - stationary, 0.0, 1.0)
     p_b = coeffs.ab_squared / m * eta_link

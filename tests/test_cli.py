@@ -411,6 +411,23 @@ class TestErrorHandling:
         assert code == 2
         assert err.startswith("error: config:")
 
+    @pytest.mark.parametrize("method", ["exact", "mc"])
+    def test_negative_source_count_is_config_error(self, capsys, method):
+        code, _, err = run_cli(
+            capsys, "resources", "--k", "3", "--m", "1", "--n", "1",
+            "--sources=-12:0:6", "--method", method, "--trials", "100",
+        )
+        assert code == 2
+        assert err.startswith("error: config:")
+
+    @pytest.mark.parametrize("argv", [("--seed", "-1"), ("--samples", "-3")],
+                             ids=["negative_seed", "negative_samples"])
+    def test_verify_bad_input_is_config_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: config:")
+
     def test_unknown_device_key_is_config_error(self, capsys, tmp_path):
         config = tmp_path / "device.json"
         config.write_text(json.dumps({"flux": 1.0}))

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from clusterchain import clusterbuild
 from clusterchain.clusterbuild import (
     FusionSchedule,
     NaiveMultiplex,
@@ -95,6 +97,10 @@ class TestNaivePc1:
 class TestOptimizeNaive:
     def test_budget_too_small(self, consts):
         assert optimize_naive_multiplex(6 * 2**3 - 1, 3, 1, consts) == (None, 0.0)
+
+    def test_negative_budget(self, consts):
+        with pytest.raises(InvalidConfigurationError):
+            optimize_naive_multiplex(-6, 3, 1, consts)
 
     def test_stays_within_budget(self, consts):
         n_s = 10**6
@@ -194,6 +200,49 @@ class TestExactPropagation:
         got = improved_pc1_exact(5, plain_schedule(1), consts, ghz_source=True)
         assert got == pytest.approx(1.0 - (1.0 - p1) ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize("fusion_probs", [None, (0.6, 0.45)],
+                             ids=["model", "custom"])
+    def test_two_level_enumeration_oracle(self, consts, fusion_probs):
+        # 11 deterministic GHZ states on weights (2, 1, 1, 2) with the outer
+        # banks measured: shares (11/3, 11/6, 11/6, 11/3) floor to (3, 1, 1, 3)
+        # and the three leftover states go to the largest remainders.
+        sched = FusionSchedule(
+            k=2, measured_mask=(True, False, False, True), weights=(2.0, 1.0, 1.0, 2.0)
+        )
+        counts = (4, 2, 2, 3)
+        alloc = allocate_ghz_counts(np.array([11]), np.array(sched.weights))
+        assert alloc.tolist() == [list(counts)]
+        thin = consts.p_chip * consts.eta_ghz
+        p1, p2 = fusion_probs or fusion_probabilities(2, consts)
+
+        def pmf(j, n, p):
+            return math.comb(n, j) * p**j * (1.0 - p) ** (n - j)
+
+        expected = 0.0
+        for t0, t3 in itertools.product(range(counts[0] + 1), range(counts[3] + 1)):
+            left, right = min(t0, counts[1]), min(counts[2], t3)
+            for a, b in itertools.product(range(left + 1), range(right + 1)):
+                weight = (
+                    pmf(t0, counts[0], thin) * pmf(t3, counts[3], thin)
+                    * pmf(a, left, p1) * pmf(b, right, p1)
+                )
+                top = min(a, b)
+                expected += weight * sum(pmf(r, top, p2) for r in range(1, top + 1))
+        got = improved_pc1_exact(
+            11, sched, consts, ghz_source=True, fusion_probs=fusion_probs
+        )
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_result_outside_error_budget_raises(self, consts, monkeypatch):
+        # doubling every level matrix pushes P_c1 well above 1; the result
+        # must be refused, not clamped
+        original = clusterbuild._survival_matrix
+        monkeypatch.setattr(
+            clusterbuild, "_survival_matrix", lambda *args: 2.0 * original(*args)
+        )
+        with pytest.raises(ArithmeticError):
+            improved_pc1_exact(5, plain_schedule(1), consts, ghz_source=True)
+
     def test_perfect_fusions_reduce_to_allocation(self, consts):
         got = improved_pc1_exact(
             5, plain_schedule(1), consts, ghz_source=True, fusion_probs=[1.0]
@@ -260,6 +309,8 @@ class TestMonteCarlo:
             improved_pc1_mc(5, sched, consts, seed=-1)
         with pytest.raises(InvalidConfigurationError):
             improved_pc1_mc(-6, sched, consts)
+        with pytest.raises(InvalidConfigurationError):
+            improved_pc1_exact(-6, sched, consts)
 
 
 class TestPcn:

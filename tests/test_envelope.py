@@ -19,6 +19,7 @@ from clusterchain.envelope import (
     spacing_unit,
 )
 from clusterchain.errors import (
+    InvalidConfigurationError,
     LocusInvalidError,
     NoCrossoverError,
     NoInteriorMinimumError,
@@ -149,6 +150,11 @@ class TestOptimizeZ:
         # z* ~ 0.069 lies right of this bracket, so s is decreasing on it
         with pytest.raises(NoInteriorMinimumError):
             optimize_z(M, TREE, device, coeffs, z_lo=1e-3, z_hi=0.01)
+
+    def test_unknown_scheme_raises(self, device, coeffs):
+        # a misspelt scheme must not silently score the naive locus
+        with pytest.raises(InvalidConfigurationError):
+            optimize_z(M, TREE, device, coeffs, scheme="nwe")
 
     def test_undefined_locus_raises(self, device):
         weak = ChainCoefficients(a_coeff=0.5, b_coeff=1.0, c_coeff=1.0)
