@@ -1,87 +1,3 @@
 """Rate, resource, and design analysis for all-photonic repeater chains."""
 
-from .errors import (
-    CapTooSmallError,
-    ClusterChainError,
-    ConfigError,
-    DesignInfeasibleError,
-    EmptyFeasibleSetError,
-    InvalidConfigurationError,
-    LocusInvalidError,
-    NoCrossoverError,
-    NoInteriorMinimumError,
-    TargetUnreachableError,
-)
-from .params import (
-    ChainCoefficients,
-    DerivedConstants,
-    DeviceParams,
-    chain_coefficients,
-    derive_constants,
-    load_device_params,
-)
-from .treecode import (
-    BranchingVector,
-    LossRates,
-    mc_measurement_probs,
-    mc_xi,
-    p_x_depth2,
-    p_x_general,
-    p_z_depth2,
-    p_z_general,
-    tree_size,
-    xi,
-)
-from .ratemodel import (
-    ChainConfig,
-    RatePoint,
-    cluster_photons,
-    k_of_design,
-    mode_divisor,
-    r_direct,
-    rate_n,
-    rates_over_n,
-)
-from .envelope import (
-    EnvelopeParams,
-    EnvelopePoint,
-    analytic_lb,
-    crossover_analytic,
-    crossover_distance,
-    locus_probs,
-    numeric_envelope,
-    optimize_z,
-    repeater_spacing,
-)
-from .clusterbuild import (
-    FusionSchedule,
-    NaiveMultiplex,
-    allocate_ghz_counts,
-    build_schedule,
-    improved_pc1_exact,
-    improved_pc1_mc,
-    min_sources,
-    naive_pc1,
-    optimize_naive_multiplex,
-    pcn,
-)
-from .optimizer import (
-    DesignPoint,
-    FamilyCurve,
-    OperatingPoint,
-    SearchBounds,
-    operating_point,
-    optimize_design,
-    rate_family,
-)
-from .graphstate import (
-    CheckResult,
-    SmallState,
-    check_star_clique,
-    check_tree_attachment,
-    local_complement,
-    measure_graph,
-    verify_reordering_identities,
-)
-
 __version__ = "0.1.0"

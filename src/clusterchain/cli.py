@@ -78,13 +78,6 @@ def _parse_range(text: str) -> np.ndarray:
     return lo + step * np.arange(round(steps) + 1)
 
 
-def _parse_tree(text: str) -> BranchingVector:
-    try:
-        return BranchingVector.parse(text)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _parse_int_list(text: str) -> list[int]:
     try:
         return [int(p) for p in text.split(",")]
@@ -171,24 +164,21 @@ def _design_args(parser: argparse.ArgumentParser) -> None:
 def cmd_constants(args: argparse.Namespace) -> int:
     device = _resolve_device(args)
     consts = derive_constants(device)
-    for name, value in dataclasses.asdict(consts).items():
-        print(f"{name} = {_fmt(value)}")
+    report = dataclasses.asdict(consts)
     if args.m is not None and args.b is not None:
-        tree = _parse_tree(args.b)
-        k = k_of_design(args.m, tree)
+        k = k_of_design(args.m, BranchingVector.parse(args.b))
         coeffs = chain_coefficients(consts, device, args.m, k,
                                     boosted=(args.scheme == "new"))
-        print(f"k = {k}")
-        print(f"a_coeff = {_fmt(coeffs.a_coeff)}")
-        print(f"b_coeff = {_fmt(coeffs.b_coeff)}")
-        print(f"c_coeff = {_fmt(coeffs.c_coeff)}")
-        print(f"ab_squared = {_fmt(coeffs.ab_squared)}")
+        report.update(k=k, a_coeff=coeffs.a_coeff, b_coeff=coeffs.b_coeff,
+                      c_coeff=coeffs.c_coeff, ab_squared=coeffs.ab_squared)
+    for name, value in report.items():
+        print(f"{name} = {_fmt(value)}")
     return 0
 
 
 def cmd_rate(args: argparse.Namespace) -> int:
     device = _resolve_device(args)
-    tree = _parse_tree(args.b)
+    tree = BranchingVector.parse(args.b)
     grid = _parse_range(args.L)
     config = {
         "command": "rate", "device": _device_dict(device),
@@ -210,7 +200,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
 
 def cmd_envelope(args: argparse.Namespace) -> int:
     device = _resolve_device(args)
-    tree = _parse_tree(args.b)
+    tree = BranchingVector.parse(args.b)
     grid = _parse_range(args.L)
     consts = derive_constants(device)
     k = k_of_design(args.m, tree)

@@ -48,7 +48,6 @@ from .params import DerivedConstants
 __all__ = [
     "NaiveMultiplex",
     "FusionSchedule",
-    "NAIVE_FORMULAS",
     "naive_pc1",
     "optimize_naive_multiplex",
     "build_schedule",
@@ -61,11 +60,11 @@ __all__ = [
     "pcn_curve",
 ]
 
-NAIVE_FORMULAS = ("banked", "flattened", "printed")
-
 _TAIL_MASS = 1e-12  # GHZ-success mass outside the exact window
 _EARLY_STOP = 1e-16  # largest change the exact sweep's early stop may skip
 _EXACT_BANK_LIMIT = 256  # largest 2**k the exact propagation is used for by default
+_NAIVE_GRID = 200  # n_ghz and n_meas scanned on [1, _NAIVE_GRID] by the naive optimiser
+_SOURCE_CEILING = 10**15  # largest source count min_sources tries
 
 
 @dataclass(frozen=True)
@@ -174,13 +173,7 @@ def fusion_probabilities(k: int, consts: DerivedConstants) -> list[float]:
     ]
 
 
-def naive_pc1(
-    mux: NaiveMultiplex,
-    k: int,
-    m: int,
-    consts: DerivedConstants,
-    formula: str = "banked",
-):
+def naive_pc1(mux: NaiveMultiplex, k: int, m: int, consts: DerivedConstants) -> float:
     """Per-node, per-clock success probability of the naive scheme.
 
     The multiplexed recursion is::
@@ -190,24 +183,13 @@ def naive_pc1(
         P_l = 1 - (1 - P_{l-1}**2 * Q_l)**n_b
         P'  = (eta_ghz * p_chip**(k+1))**(4m+1)
 
-    Three readings of the final multiplexing stage are selectable for
-    auditing (they agree on ``n_meas = 1``, ``k = 1`` limits but diverge at
-    scale):
-
-    * ``"banked"`` (default): the level-``k`` bank feeds ``n_meas``
-      conversion attempts, ``P_c1 = 1 - (1 - P_k * P')**n_meas``.  This is
-      the reading consistent with the ``(2 n_b)**k`` source accounting and
-      is the one whose optimised source counts land near the published
-      scale.
-    * ``"flattened"``: the last fusion is merged into the conversion stage,
-      ``P_c1 = 1 - (1 - P_{k-1}**2 * Q_k * P')**n_meas``.
-    * ``"printed"``: ``P_c1 = 1 - (Q_k * P')**n_meas`` taken literally; kept
-      only for auditing since it is not monotone in the success factors.
-
+    and the level-``k`` bank feeds ``n_meas`` conversion attempts,
+    ``P_c1 = 1 - (1 - P_k * P')**n_meas``.  This reading of the final stage
+    is the one consistent with the ``(2 n_b)**k`` source accounting, and its
+    optimised source counts land near the published scale.
     """
     result = _naive_pc1_core(
-        np.asarray(mux.n_b), np.asarray(mux.n_ghz), np.asarray(mux.n_meas),
-        k, m, consts, formula,
+        np.asarray(mux.n_b), np.asarray(mux.n_ghz), np.asarray(mux.n_meas), k, m, consts
     )
     return float(result)
 
@@ -219,30 +201,16 @@ def _naive_pc1_core(
     k: int,
     m: int,
     consts: DerivedConstants,
-    formula: str,
 ) -> np.ndarray:
     """Array core of :func:`naive_pc1` over aligned multiplex-depth arrays."""
-    if formula not in NAIVE_FORMULAS:
-        raise InvalidConfigurationError(
-            f"unknown naive formula {formula!r}; expected one of {NAIVE_FORMULAS}"
-        )
     if k < 1:
         raise InvalidConfigurationError(f"k must be >= 1, got {k}")
     p_level = -np.expm1(n_ghz * math.log1p(-consts.p_ghz))
-    last_recursed = k if formula == "banked" else k - 1
-    for level in range(1, last_recursed + 1):
+    for level in range(1, k + 1):
         q_l = (consts.eta_ghz * consts.p_chip**level) ** 2 / 2.0
         p_level = -np.expm1(n_b * np.log1p(-(p_level**2 * q_l)))
     p_convert = (consts.eta_ghz * consts.p_chip ** (k + 1)) ** (4 * m + 1)
-    if formula == "banked":
-        per_attempt = p_level * p_convert
-    elif formula == "flattened":
-        q_k = (consts.eta_ghz * consts.p_chip**k) ** 2 / 2.0
-        per_attempt = p_level**2 * q_k * p_convert
-    else:  # printed
-        q_k = (consts.eta_ghz * consts.p_chip**k) ** 2 / 2.0
-        return 1.0 - (q_k * p_convert) ** n_meas
-    return -np.expm1(n_meas * np.log1p(-per_attempt))
+    return -np.expm1(n_meas * np.log1p(-(p_level * p_convert)))
 
 
 def optimize_naive_multiplex(
@@ -250,11 +218,10 @@ def optimize_naive_multiplex(
     k: int,
     m: int,
     consts: DerivedConstants,
-    grid_max: int = 200,
 ) -> tuple[NaiveMultiplex | None, float]:
     """Best ``(n_b, n_ghz, n_meas)`` within a source budget ``n_s``.
 
-    Scans ``n_ghz, n_meas`` exhaustively on ``[1, grid_max]**2``; the budget
+    Scans ``n_ghz, n_meas`` exhaustively on ``[1, 200]**2``; the budget
     identity then fixes the largest admissible ``n_b`` for each pair.  Ties
     in the success probability are broken toward larger ``n_b``.  Returns
     ``(None, 0.0)`` when even ``(1, 1, 1)`` exceeds the budget.
@@ -263,7 +230,7 @@ def optimize_naive_multiplex(
         raise InvalidConfigurationError(f"source count must be >= 0, got {n_s}")
     if n_s < 6 * 2**k:
         return None, 0.0
-    grid = np.arange(1, grid_max + 1)
+    grid = np.arange(1, _NAIVE_GRID + 1)
     n_ghz, n_meas = np.meshgrid(grid, grid, indexing="ij")
     budget = n_s // (6 * n_ghz * n_meas)
     feasible = budget >= 2**k
@@ -275,7 +242,7 @@ def optimize_naive_multiplex(
         grows = feasible & ((2 * (n_b + 1)) ** k <= budget)
         n_b[grows] += 1
     n_b = np.maximum(n_b, 1)
-    pc1 = _naive_pc1_core(n_b, n_ghz, n_meas, k, m, consts, "banked")
+    pc1 = _naive_pc1_core(n_b, n_ghz, n_meas, k, m, consts)
     pc1 = np.where(feasible, pc1, -1.0)
     best_flat = np.argmax(pc1)
     best_val = pc1.flat[best_flat]
@@ -479,6 +446,7 @@ def improved_pc1_exact(
             f"cap {cap} truncates {overflow:.3g} probability mass "
             f"(largest allocated count is {needed_cap})"
         )
+    cap = min(cap, needed_cap)  # a larger cap holds only columns no count reaches
     alloc = np.minimum(alloc, cap)
     cap = max(cap, 1)  # the root's column 1, P[Y >= 1], must exist
 
@@ -579,7 +547,6 @@ def min_sources(
     method: str = "auto",
     trials: int = 10**5,
     seed: int = 0,
-    ceiling: int = 10**15,
 ) -> int:
     """Smallest source count whose per-cycle ``P_cn`` meets ``target_pcn``.
 
@@ -593,7 +560,7 @@ def min_sources(
     Raises
     ------
     TargetUnreachableError
-        When the target is not met even at ``ceiling`` sources.
+        When the target is not met even at ``10**15`` sources.
     """
     if not 0.0 < target_pcn < 1.0:
         raise InvalidConfigurationError(
@@ -611,9 +578,9 @@ def min_sources(
     while not feasible(hi):
         lo = hi
         hi *= 2
-        if hi > ceiling:
+        if hi > _SOURCE_CEILING:
             raise TargetUnreachableError(
-                f"P_cn target {target_pcn} not reachable below {ceiling:.3g} sources "
+                f"P_cn target {target_pcn} not reachable below {_SOURCE_CEILING:.3g} sources "
                 f"for scheme '{scheme}' (k={k}, m={m}, n={n})"
             )
     while hi > lo + 1 and (hi - lo) > 0.01 * lo:

@@ -32,7 +32,8 @@ from typing import Sequence
 import numpy as np
 from scipy import optimize as sp_optimize
 
-from .errors import LocusInvalidError, NoCrossoverError, NoInteriorMinimumError
+from .errors import (InvalidConfigurationError, LocusInvalidError, NoCrossoverError,
+                     NoInteriorMinimumError)
 from .params import ChainCoefficients, DeviceParams
 from .ratemodel import (ChainConfig, chain_probs, coefficients_for, log_chain_factors,
                         mode_divisor, r_direct, rates_over_n)
@@ -52,6 +53,9 @@ __all__ = [
 ]
 
 _Z_GRID_POINTS = 161
+_Z_LO, _Z_HI = 1e-3, 3.0  # bracket of the locus parameter z scanned by optimize_z
+_Z_XTOL = 1e-6  # golden-section tolerance on z
+_N_MAX = 10**6  # largest node count numeric_envelope scans
 
 
 @dataclass(frozen=True)
@@ -168,7 +172,14 @@ def analytic_lb(
         With ``D = q3 * p_cn / (divisor * q2)`` and
         ``s = -ln(q1 q2) / (z ln(A B**2))``; ``s`` is ``inf`` when the locus
         factors vanish.
+
+    Raises
+    ------
+    InvalidConfigurationError
+        If ``p_cn`` lies outside ``(0, 1]``.
     """
+    if not 0.0 < p_cn <= 1.0:
+        raise InvalidConfigurationError(f"p_cn must lie in (0, 1], got {p_cn!r}")
     _, logs, s = _locus_factors(z, m, tree, coeffs, scheme)
     q1, q2, q3 = (math.exp(float(v)) for v in logs)
     d_coeff = q3 * p_cn / (mode_divisor(m, tree, scheme) * q2) if q2 > 0.0 else 0.0
@@ -189,26 +200,24 @@ def optimize_z(
     device: DeviceParams,
     coeffs: ChainCoefficients,
     scheme: str = "new",
-    z_lo: float = 1e-3,
-    z_hi: float = 3.0,
-    rel_tol: float = 1e-6,
 ) -> float:
     """Locus parameter minimising the envelope exponent ``s``.
 
-    A coarse logarithmic grid scan locates the bracket (guarding against
-    multimodality), then golden-section search refines it to ``rel_tol``.
+    A coarse logarithmic grid scan of ``z`` in ``[1e-3, 3]`` locates the
+    bracket (guarding against multimodality), then golden-section search
+    refines it to ``xtol = 1e-6``.
 
     Raises
     ------
     LocusInvalidError
         If ``A B**2 <= 1`` so no locus exists at all.
     NoInteriorMinimumError
-        If ``s(z)`` is monotone on ``[z_lo, z_hi]`` (minimum at a boundary)
+        If ``s(z)`` is monotone on the scanned range (minimum at a boundary)
         or finite nowhere on the grid.
     """
     _require_locus(coeffs)
     args = (m, tree, coeffs, scheme)
-    grid = np.geomspace(z_lo, z_hi, _Z_GRID_POINTS)
+    grid = np.geomspace(_Z_LO, _Z_HI, _Z_GRID_POINTS)
     values = _exponent(grid, *args)
     if not np.isfinite(values).any():
         raise NoInteriorMinimumError(
@@ -225,10 +234,10 @@ def optimize_z(
         args=args,
         bracket=(grid[best - 1], grid[best], grid[best + 1]),
         method="golden",
-        options={"xtol": rel_tol},
+        options={"xtol": _Z_XTOL},
     )
     z_star = float(result.x)
-    if not (z_lo <= z_star <= z_hi) or not np.isfinite(_exponent(z_star, *args)):
+    if not (_Z_LO <= z_star <= _Z_HI) or not np.isfinite(_exponent(z_star, *args)):
         raise NoInteriorMinimumError(
             f"golden-section search left the bracket (z={z_star:.6g})"
         )
@@ -257,10 +266,8 @@ def numeric_envelope(
     l_grid: Sequence[float],
     p_cn: float = 0.9,
     scheme: str = "new",
-    n_max: int = 10**6,
-    coeffs: ChainCoefficients | None = None,
 ) -> list[EnvelopePoint]:
-    """Envelope ``max_n R_n(L)`` over node counts ``n in [1, n_max]``.
+    """Envelope ``max_n R_n(L)`` over node counts ``n in [1, 10**6]``.
 
     Scans integer ``n`` upward in vectorised chunks, stopping once the rate
     has decreased for 50 consecutive node counts past the incumbent maximum
@@ -269,14 +276,14 @@ def numeric_envelope(
     maximum is what the analytic construction bounds from below — the
     integer-restricted maximum can dip beneath the locus value by the
     rounding loss — and the integer maximizer is still reported as
-    ``n_opt``.  Warns when the maximum sits at ``n_max``, which means the
-    range was too small.
+    ``n_opt``.  Warns when the maximum sits at the largest node count
+    scanned, where the true maximum may lie further out.
     """
     l_values = np.asarray(list(l_grid), dtype=float)
     if l_values.size == 0:
-        raise ValueError("range grid must be non-empty")
+        raise InvalidConfigurationError("range grid must be non-empty")
     if np.any(np.diff(l_values) <= 0):
-        raise ValueError("range grid must be strictly increasing")
+        raise InvalidConfigurationError("range grid must be strictly increasing")
     points: list[EnvelopePoint] = []
     chunk = 512
     tail_needed = 50
@@ -289,15 +296,15 @@ def numeric_envelope(
             p_cn=p_cn,
             scheme=scheme,
         )
-        local_coeffs = coeffs if coeffs is not None else coefficients_for(cfg, device)
+        coeffs = coefficients_for(cfg, device)
         best_rate = -math.inf
         best_n = 1
         start = 1
         scanned_past_best = 0
-        while start <= n_max:
-            stop = min(start + chunk - 1, n_max)
+        while start <= _N_MAX:
+            stop = min(start + chunk - 1, _N_MAX)
             ns = np.arange(start, stop + 1)
-            rates = rates_over_n(cfg, device, ns, local_coeffs)
+            rates = rates_over_n(cfg, device, ns, coeffs)
             idx = int(np.argmax(rates))
             if rates[idx] > best_rate:
                 best_rate = float(rates[idx])
@@ -308,16 +315,16 @@ def numeric_envelope(
             if scanned_past_best >= tail_needed:
                 break
             start = stop + 1
-        if best_n == n_max:
+        if best_n == _N_MAX:
             warnings.warn(
-                f"envelope maximum at the n_max={n_max} boundary for L={l_km:g} km; "
-                "increase the node-count range",
+                f"envelope maximum at the largest node count scanned, n={_N_MAX}, "
+                f"for L={l_km:g} km; the true maximum may lie at a larger n",
                 stacklevel=2,
             )
         elif best_n > 1:
             refined = sp_optimize.minimize_scalar(
                 lambda nr: -float(
-                    rates_over_n(cfg, device, np.array([nr]), local_coeffs)[0]
+                    rates_over_n(cfg, device, np.array([nr]), coeffs)[0]
                 ),
                 bounds=(best_n - 1.0, best_n + 1.0),
                 method="bounded",
@@ -338,7 +345,7 @@ def crossover_distance(points: Sequence[EnvelopePoint], alpha: float) -> float:
     when the envelope stays below the bound on the whole grid.
     """
     if not points:
-        raise ValueError("need at least one envelope point")
+        raise InvalidConfigurationError("need at least one envelope point")
     diffs = [p.rate_bits_per_mode - r_direct(p.l_km, alpha) for p in points]
     for i, diff in enumerate(diffs):
         if diff >= 0.0:

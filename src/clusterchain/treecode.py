@@ -30,6 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import ConfigError, InvalidConfigurationError
 from .montecarlo import mc_fractions
 
 __all__ = [
@@ -62,18 +63,25 @@ class BranchingVector:
     def __init__(self, branches: Iterable[int]) -> None:
         entries = tuple(int(b) for b in branches)
         if not entries:
-            raise ValueError("branching vector must have at least one level")
+            raise InvalidConfigurationError("branching vector must have at least one level")
         if any(b < 1 for b in entries):
-            raise ValueError(f"branching vector entries must be >= 1, got {entries}")
+            raise InvalidConfigurationError(
+                f"branching vector entries must be >= 1, got {entries}"
+            )
         object.__setattr__(self, "branches", entries)
 
     @classmethod
     def parse(cls, text: str) -> BranchingVector:
-        """Parse a comma-separated list such as ``"7,3"``."""
+        """Parse a comma-separated list such as ``"7,3"``.
+
+        Raises :class:`ConfigError` for a part that is not an integer and
+        :class:`InvalidConfigurationError` for an entry below 1.
+        """
         try:
-            return cls(int(part) for part in text.split(","))
+            entries = [int(part) for part in text.split(",")]
         except ValueError as exc:
-            raise ValueError(f"cannot parse branching vector from {text!r}") from exc
+            raise ConfigError(f"cannot parse branching vector from {text!r}") from exc
+        return cls(entries)
 
     @property
     def depth(self) -> int:
@@ -110,7 +118,7 @@ class LossRates:
         for name in ("eps_trav", "eps_stat"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+                raise InvalidConfigurationError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -152,7 +160,7 @@ def xi(i: int, b: BranchingVector, eps: float | np.ndarray) -> float | np.ndarra
     float or ndarray
     """
     if not 0 <= i <= b.depth:
-        raise IndexError(f"depth index {i} out of range for {b}")
+        raise InvalidConfigurationError(f"depth index {i} out of range for {b}")
     eps_arr = np.asarray(eps, dtype=float)
     br = b.branches
     ones = np.ones_like(eps_arr)
@@ -272,7 +280,7 @@ def mc_xi(
     ``(seed, samples)``.
     """
     if not 0 <= i <= b.depth:
-        raise IndexError(f"depth index {i} out of range for {b}")
+        raise InvalidConfigurationError(f"depth index {i} out of range for {b}")
     est = mc_measurement_probs(BranchingVector(b.branches[i:]), eps, samples, seed)
     return est.p_x, est.p_x_err
 

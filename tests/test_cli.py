@@ -9,7 +9,9 @@ writes, exit codes) rather than re-deriving the models.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 
@@ -326,8 +328,9 @@ class TestOptimize:
         ids=["constants", "rate", "envelope"],
     )
     def test_invalid_tree_is_config_error(self, capsys, argv):
-        code, _, err = run_cli(capsys, *argv, "--b", "7,x")
+        code, out, err = run_cli(capsys, *argv, "--b", "7,x")
         assert code == 2
+        assert out == ""
         assert err.startswith("error: config:")
 
     def test_unbuildable_class_is_infeasible(self, capsys):
@@ -354,6 +357,26 @@ class TestVerify:
         assert code == 4
         assert out.startswith("FAIL")
         assert "1 verification check(s) failed" in err
+
+
+# A valid value for every value flag of each subcommand; the property test
+# below replaces one of them with malformed text.
+VALID_VALUES = {
+    "constants": {"--m": "4", "--b": "7,3"},
+    "rate": {"--m": "4", "--b": "7,3", "--n": "100", "--L": "100", "--p-cn": "0.9"},
+    "envelope": {"--m": "4", "--b": "7,3", "--L": "100", "--p-cn": "0.9"},
+    "resources": {"--k": "3", "--m": "1", "--n": "1", "--sources": "600"},
+    "optimize": {"--L": "300", "--k": "7", "--depths": "2", "--p-cn": "0.9"},
+    "verify": {"--seed": "7", "--samples": "20"},
+}
+# characters that occur in no int, float, 'inf' or 'nan' literal
+JUNK = "bcdghjklmopqrsuvwxz#@!?%"
+MALFORMED = st.builds(
+    lambda head, junk, tail: head + junk + tail,
+    st.text("0123456789.,:-", max_size=4),
+    st.sampled_from(JUNK),
+    st.text("0123456789.,:" + JUNK, max_size=4),
+)
 
 
 class TestErrorHandling:
@@ -427,6 +450,41 @@ class TestErrorHandling:
         assert code == 2
         assert out == ""
         assert err.startswith("error: config:")
+
+    @pytest.mark.parametrize("p_cn", ["5", "0", "nan"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("envelope", "--m", "4", "--b", "7,3", "--L", "100"),
+         ("optimize", "--L", "300", "--k", "7")],
+        ids=["envelope", "optimize"],
+    )
+    def test_p_cn_outside_unit_interval_is_config_error(self, capsys, argv, p_cn):
+        code, out, err = run_cli(capsys, *argv, "--p-cn", p_cn)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: config:")
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(
+        case=st.sampled_from(
+            [(command, flag) for command, flags in VALID_VALUES.items() for flag in flags]
+        ),
+        text=MALFORMED,
+    )
+    def test_malformed_value_exits_2_with_empty_stdout(self, case, text):
+        command, bad_flag = case
+        argv = [command] + [
+            f"{flag}={text if flag == bad_flag else value}"
+            for flag, value in VALID_VALUES[command].items()
+        ]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse refuses a malformed int or float
+                code = exc.code
+        assert code == 2, (argv, err.getvalue())
+        assert out.getvalue() == ""
 
     def test_unknown_device_key_is_config_error(self, capsys, tmp_path):
         config = tmp_path / "device.json"

@@ -63,11 +63,15 @@ class TestNaivePc1:
         assert naive_pc1(mux, 1, m, consts) == pytest.approx(expected, rel=1e-12)
 
     def test_banked_equals_flattened_without_fanout(self, consts):
-        # with a single attempt at the last fusion the two readings coincide
+        # with a single attempt at the last fusion, banking the level-k
+        # fragment equals merging that fusion into the conversion stage:
+        # P_c1 = 1 - (1 - P_{k-1}**2 * Q_k * P')**n_meas
         mux = NaiveMultiplex(n_b=1, n_ghz=7, n_meas=4)
-        banked = naive_pc1(mux, 1, 2, consts, formula="banked")
-        flattened = naive_pc1(mux, 1, 2, consts, formula="flattened")
-        assert banked == pytest.approx(flattened, rel=1e-14)
+        p_0 = 1.0 - (1.0 - consts.p_ghz) ** mux.n_ghz
+        q_1 = (consts.eta_ghz * consts.p_chip) ** 2 / 2.0
+        convert = (consts.eta_ghz * consts.p_chip**2) ** (4 * 2 + 1)
+        flattened = 1.0 - (1.0 - p_0**2 * q_1 * convert) ** mux.n_meas
+        assert naive_pc1(mux, 1, 2, consts) == pytest.approx(flattened, rel=1e-14)
 
     def test_monotone_in_each_depth(self, consts):
         base = NaiveMultiplex(n_b=3, n_ghz=10, n_meas=5)
@@ -78,16 +82,6 @@ class TestNaivePc1:
             NaiveMultiplex(3, 10, 6),
         ):
             assert naive_pc1(bump, 3, 2, consts) > val
-
-    def test_printed_formula_is_audit_only(self, consts):
-        value = naive_pc1(
-            NaiveMultiplex(2, 2, 2), 2, 1, consts, formula="printed"
-        )
-        assert 0.0 <= value <= 1.0
-
-    def test_unknown_formula(self, consts):
-        with pytest.raises(InvalidConfigurationError):
-            naive_pc1(NaiveMultiplex(1, 1, 1), 1, 1, consts, formula="exotic")
 
     def test_bad_k(self, consts):
         with pytest.raises(InvalidConfigurationError):
@@ -263,8 +257,8 @@ class TestExactPropagation:
 
     def test_generous_cap_matches_default(self, consts):
         sched = build_schedule(3, 1, consts)
-        assert improved_pc1_exact(2000, sched, consts, cap=400) == pytest.approx(
-            improved_pc1_exact(2000, sched, consts), rel=1e-12
+        assert improved_pc1_exact(2000, sched, consts, cap=400) == improved_pc1_exact(
+            2000, sched, consts
         )
 
     def test_wrong_probability_count(self, consts):
@@ -351,9 +345,10 @@ class TestMinSources:
         count = min_sources("naive", 8, 8, 250, 0.9, consts)
         assert count == pytest.approx(2.255e11, rel=0.02)
 
-    def test_ceiling_raises(self, consts):
+    def test_ceiling_raises(self, consts, monkeypatch):
+        monkeypatch.setattr(clusterbuild, "_SOURCE_CEILING", 100)
         with pytest.raises(TargetUnreachableError):
-            min_sources("improved", 7, 4, 250, 0.9, consts, ceiling=100)
+            min_sources("improved", 7, 4, 250, 0.9, consts)
 
     def test_validation(self, consts):
         with pytest.raises(InvalidConfigurationError):

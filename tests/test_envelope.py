@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from clusterchain import envelope
 from clusterchain.envelope import (
     EnvelopeParams,
     analytic_lb,
@@ -142,14 +143,18 @@ class TestOptimizeZ:
         assert s_at(Z_STAR) <= s_at(Z_STAR * 1.001)
         assert s_at(Z_STAR) <= s_at(Z_STAR * 0.999)
 
-    def test_bracket_insensitive(self, device, coeffs):
-        wide = optimize_z(M, TREE, device, coeffs, z_lo=5e-4, z_hi=5.0)
+    def test_bracket_insensitive(self, device, coeffs, monkeypatch):
+        monkeypatch.setattr(envelope, "_Z_LO", 5e-4)
+        monkeypatch.setattr(envelope, "_Z_HI", 5.0)
+        wide = optimize_z(M, TREE, device, coeffs)
         assert wide == pytest.approx(Z_STAR, rel=1e-4)
 
-    def test_boundary_minimum_raises(self, device, coeffs):
+    def test_boundary_minimum_raises(self, device, coeffs, monkeypatch):
         # z* ~ 0.069 lies right of this bracket, so s is decreasing on it
+        monkeypatch.setattr(envelope, "_Z_LO", 1e-3)
+        monkeypatch.setattr(envelope, "_Z_HI", 0.01)
         with pytest.raises(NoInteriorMinimumError):
-            optimize_z(M, TREE, device, coeffs, z_lo=1e-3, z_hi=0.01)
+            optimize_z(M, TREE, device, coeffs)
 
     def test_unknown_scheme_raises(self, device, coeffs):
         # a misspelt scheme must not silently score the naive locus
@@ -225,14 +230,15 @@ class TestNumericEnvelope:
         for p in points[3:]:
             assert p.l_km / p.n_opt == pytest.approx(L0_KM, rel=0.1)
 
-    def test_boundary_warns(self, device):
-        with pytest.warns(UserWarning, match="n_max"):
-            numeric_envelope(M, TREE, device, [300.0], n_max=2)
+    def test_boundary_warns(self, device, monkeypatch):
+        monkeypatch.setattr(envelope, "_N_MAX", 2)
+        with pytest.warns(UserWarning, match="largest node count scanned, n=2"):
+            numeric_envelope(M, TREE, device, [300.0])
 
     def test_grid_validation(self, device):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfigurationError):
             numeric_envelope(M, TREE, device, [])
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfigurationError):
             numeric_envelope(M, TREE, device, [100.0, 100.0])
 
 
@@ -264,6 +270,10 @@ class TestCrossover:
         )
         with pytest.raises(NoCrossoverError):
             crossover_analytic(dead, device.alpha)
+
+    def test_no_points_is_config_error(self, device):
+        with pytest.raises(InvalidConfigurationError):
+            crossover_distance([], device.alpha)
 
     def test_numeric_no_crossover(self, device):
         points = numeric_envelope(M, TREE, device, [20.0, 30.0])

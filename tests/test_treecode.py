@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from clusterchain.errors import InvalidConfigurationError
+from clusterchain.errors import ConfigError, InvalidConfigurationError
 from clusterchain.treecode import (
     BranchingVector,
     LossRates,
@@ -32,9 +32,14 @@ class TestBranchingVector:
         assert tree_size(BranchingVector((3, 2, 2))) == 1 + 3 + 6 + 12
         assert BranchingVector((4,)).size == 5
 
-    @pytest.mark.parametrize("bad", ["", "0,2", "3,-1", "a,b"])
-    def test_rejects(self, bad):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        "bad,error",
+        [("", ConfigError), ("0,2", InvalidConfigurationError),
+         ("3,-1", InvalidConfigurationError), ("a,b", ConfigError)],
+        ids=["", "0,2", "3,-1", "a,b"],
+    )
+    def test_rejects(self, bad, error):
+        with pytest.raises(error):
             BranchingVector.parse(bad)
 
     def test_equality_is_structural(self):
@@ -73,7 +78,7 @@ class TestRecursion:
         np.testing.assert_allclose(vec, scalar, rtol=1e-15)
 
     def test_xi_index_out_of_range(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(InvalidConfigurationError):
             xi(2, BranchingVector((4, 2)), 0.1)
 
     def test_monotone_in_eps(self):
@@ -155,7 +160,7 @@ class TestLossRates:
         assert rates.eps_stat == 0.2
 
     def test_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfigurationError):
             LossRates(eps_trav=-0.01, eps_stat=0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfigurationError):
             LossRates(eps_trav=0.1, eps_stat=1.5)
