@@ -162,10 +162,15 @@ def _design_args(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_constants(args: argparse.Namespace) -> int:
+    if (args.m is None) != (args.b is None):
+        given = "--m" if args.b is None else "--b"
+        raise InvalidConfigurationError(
+            f"constants needs --m and --b together for a design block; got only {given}"
+        )
     device = _resolve_device(args)
     consts = derive_constants(device)
     report = dataclasses.asdict(consts)
-    if args.m is not None and args.b is not None:
+    if args.m is not None:
         k = k_of_design(args.m, BranchingVector.parse(args.b))
         coeffs = chain_coefficients(consts, device, args.m, k,
                                     boosted=(args.scheme == "new"))

@@ -226,6 +226,8 @@ def optimize_naive_multiplex(
     in the success probability are broken toward larger ``n_b``.  Returns
     ``(None, 0.0)`` when even ``(1, 1, 1)`` exceeds the budget.
     """
+    if k < 1:
+        raise InvalidConfigurationError(f"k must be >= 1, got {k}")
     if n_s < 0:
         raise InvalidConfigurationError(f"source count must be >= 0, got {n_s}")
     if n_s < 6 * 2**k:
@@ -286,13 +288,10 @@ def allocate_ghz_counts(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return base + increment
 
 
-def _banked_prelude(
-    n_s: int, sched: FusionSchedule, consts: DerivedConstants, ghz_source: bool,
-    fusion_probs: Sequence[float] | None,
-) -> tuple[int, np.ndarray, np.ndarray, float, list[float]]:
-    """Shared set-up: ``(GHZ attempts, weights, measured mask, thinning p, p_l)``."""
-    if n_s < 0:
-        raise InvalidConfigurationError(f"source count must be >= 0, got {n_s}")
+def _banked_setup(
+    sched: FusionSchedule, consts: DerivedConstants, fusion_probs: Sequence[float] | None,
+) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
+    """Per-schedule set-up: ``(weights, measured mask, thinning p, p_l)``."""
     probs = list(fusion_probs) if fusion_probs is not None else fusion_probabilities(
         sched.k, consts
     )
@@ -300,8 +299,14 @@ def _banked_prelude(
         raise InvalidConfigurationError(f"need {sched.k} fusion probabilities, got {len(probs)}")
     weights = np.asarray(sched.weights, dtype=float)
     measured = np.asarray(sched.measured_mask, dtype=bool)
-    n_attempts = n_s if ghz_source else n_s // 6
-    return n_attempts, weights, measured, consts.p_chip * consts.eta_ghz, probs
+    return weights, measured, consts.p_chip * consts.eta_ghz, probs
+
+
+def _ghz_attempts(n_s: int, ghz_source: bool) -> int:
+    """GHZ attempts ``n_s`` sources make: ``n_s // 6``, or ``n_s`` GHZ sources."""
+    if n_s < 0:
+        raise InvalidConfigurationError(f"source count must be >= 0, got {n_s}")
+    return n_s if ghz_source else n_s // 6
 
 
 def _cascade_mc(
@@ -343,9 +348,8 @@ def improved_pc1_mc(
     -------
     (estimate, standard_error)
     """
-    n_attempts, weights, measured, thin_p, probs = _banked_prelude(
-        n_s, sched, consts, ghz_source, fusion_probs
-    )
+    n_attempts = _ghz_attempts(n_s, ghz_source)
+    weights, measured, thin_p, probs = _banked_setup(sched, consts, fusion_probs)
 
     def draw(size: int, rng: np.random.Generator) -> tuple[int]:
         if ghz_source:
@@ -364,7 +368,9 @@ def _survival_matrix(cap_in: int, cap_out: int, p: float) -> np.ndarray:
     """Non-negative ``M`` with ``(S @ M)[c] = P[Bin(Y, p) >= c]`` for ``S[y] = P[Y >= y]``.
 
     ``M[y, c] = p Binom(c-1; y-1, p)``, the step ``P[Bin(y, p) >= c] -
-    P[Bin(y-1, p) >= c]`` summed by parts, and ``M[0, 0] = 1``.
+    P[Bin(y-1, p) >= c]`` summed by parts, and ``M[0, 0] = 1``.  Every entry
+    depends on ``(y, c, p)`` alone, so a smaller matrix is the top-left
+    corner of a larger one.
     """
     matrix = np.zeros((cap_in + 1, cap_out + 1))
     matrix[0, 0] = 1.0
@@ -372,6 +378,146 @@ def _survival_matrix(cap_in: int, cap_out: int, p: float) -> np.ndarray:
         np.arange(cap_out)[None, :], np.arange(cap_in)[:, None], p
     )
     return matrix
+
+
+_X_BLOCK = 256  # GHZ-success counts x per memo block of the exact factory
+
+
+class _ExactFactory:
+    """``f(x) = P[root bank non-empty | x heralded GHZ states]`` for one schedule.
+
+    Holds ``f`` per aligned block of ``x`` and the level matrices for as long
+    as the object lives; see :func:`improved_pc1_exact` for the method.
+    """
+
+    def __init__(
+        self,
+        sched: FusionSchedule,
+        consts: DerivedConstants,
+        ghz_source: bool,
+        fusion_probs: Sequence[float] | None,
+        cap: int | None,
+    ) -> None:
+        self.weights, self.measured, self.thin_p, self.probs = _banked_setup(
+            sched, consts, fusion_probs
+        )
+        self.p_ghz = consts.p_ghz
+        self.ghz_source = ghz_source
+        self.cap = cap
+        self.banks_per_level = 2.0 ** np.arange(sched.k - 1, -1, -1)
+        self.blocks: dict[int, tuple[np.ndarray, float, float]] = {}  # j -> block(j)
+        self.matrices: dict[int, np.ndarray] = {}  # level -> largest _survival_matrix so far
+
+    def _matrix(self, level: int, cap_in: int, cap_out: int) -> np.ndarray:
+        """Level ``level``'s survival matrix, a corner of the largest built so far."""
+        held = self.matrices.get(level)
+        if held is None or held.shape[0] <= cap_in or held.shape[1] <= cap_out:
+            # a quarter headroom: an upward sweep's caps grow block by block
+            rows, cols = (cap_in * 5) // 4, (cap_out * 5) // 4
+            if held is not None:
+                rows, cols = max(rows, held.shape[0] - 1), max(cols, held.shape[1] - 1)
+            held = self.matrices[level] = _survival_matrix(rows, cols, self.probs[level])
+        return held[: cap_in + 1, : cap_out + 1]
+
+    def block(self, j: int) -> tuple[np.ndarray, float, float]:
+        """``f`` over ``x`` in ``[j B, (j + 1) B)``, a lower bound on ``f`` beyond
+        the block, and the mass the block's level cuts may move."""
+        if j in self.blocks:
+            return self.blocks[j]
+        x_next = (j + 1) * _X_BLOCK
+        # the last row is a floor every count reaches from x_next on, as
+        # allocate_ghz_counts grants each bank at least floor(x * share)
+        share = self.weights / self.weights.sum()
+        alloc = np.vstack([
+            allocate_ghz_counts(np.arange(j * _X_BLOCK, x_next), self.weights),
+            np.floor(x_next * share).astype(np.int64),
+        ])
+        cap = int(alloc.max()) if self.cap is None else min(self.cap, int(alloc.max()))
+        cap = max(cap, 1)  # the root's column 1, P[Y >= 1], must exist
+        alloc = np.minimum(alloc, cap)
+        # Counts concentrate near (previous count) * p_level after each fusion
+        # thinning, so each level's support is cut 10 sigma above that mean;
+        # the mass above a cut is lumped at it, which only understates success.
+        caps = [cap]
+        for p_level in self.probs:
+            centre = caps[-1] * p_level
+            spread = math.sqrt(max(caps[-1] * p_level * (1.0 - p_level), 1.0))
+            caps.append(min(caps[-1], math.ceil(centre + 10.0 * spread) + 5))
+        # a level-l cut moves one of its 2**(k-l) banks only when its count
+        # exceeds caps[l], which has probability <= P[Bin(caps[l-1], p_l) > caps[l]]
+        cut = float(self.banks_per_level @ sp_stats.binom.sf(caps[1:], caps[:-1], self.probs))
+
+        # Identical subtrees share one survival row: leaves are numbered by
+        # their (count, measured) key, each level by its pair of child ids.
+        keys, ids = np.unique(2 * alloc + self.measured, return_inverse=True)
+        ids = ids.reshape(alloc.shape)
+        counts, thinned = keys // 2, keys % 2 == 1
+        survival = (np.arange(cap + 1) <= counts[:, None]).astype(float)  # exactly y states
+        survival[thinned, 1:] = sp_stats.binom.sf(
+            np.arange(cap)[None, :], counts[thinned, None], self.thin_p
+        )
+        for level, (cap_in, cap_out) in enumerate(zip(caps, caps[1:])):
+            pairs, ids = np.unique(
+                ids[:, 0::2] * len(survival) + ids[:, 1::2], return_inverse=True
+            )
+            ids = ids.reshape(len(alloc), -1)
+            left, right = np.divmod(pairs, len(survival))
+            survival = (survival[left] * survival[right]) @ self._matrix(level, cap_in, cap_out)
+        f = survival[ids[:, 0], 1]
+        self.blocks[j] = f[:-1], float(f[-1]), cut
+        return self.blocks[j]
+
+    def pc1(self, n_s: int) -> float:
+        """``P_c1(n_s)``: the GHZ-success pmf over its window dotted with ``f``."""
+        n_attempts = _ghz_attempts(n_s, self.ghz_source)
+        if n_attempts < 1:
+            return 0.0
+        if self.ghz_source:
+            lo = hi = n_attempts
+            px = np.array([1.0])
+        else:
+            dist = sp_stats.binom(n_attempts, self.p_ghz)
+            mean = n_attempts * self.p_ghz
+            sd = math.sqrt(max(mean * (1.0 - self.p_ghz), 1.0))
+            half_width = 8.5 * sd
+            lo = max(0, math.floor(mean - half_width))
+            hi = min(n_attempts, math.ceil(mean + half_width))
+            while dist.cdf(hi) - (dist.cdf(lo - 1) if lo > 0 else 0.0) < 1.0 - _TAIL_MASS:
+                lo = max(0, lo - math.ceil(4 * sd))
+                hi = min(n_attempts, hi + math.ceil(4 * sd))
+                if lo == 0 and hi == n_attempts:
+                    break
+            px = dist.pmf(np.arange(lo, hi + 1))
+            px = px / px.sum()
+
+        overflow = 0.0
+        if self.cap is not None:
+            alloc = allocate_ghz_counts(np.arange(lo, hi + 1), self.weights)
+            overflow = px[(alloc > self.cap).any(axis=1)].sum()
+            if overflow > 1e-9:
+                raise CapTooSmallError(
+                    f"cap {self.cap} truncates {overflow:.3g} probability mass "
+                    f"(largest allocated count is {int(alloc.max())})"
+                )
+
+        success = weight_done = cut = 0.0
+        for j in range(lo // _X_BLOCK, hi // _X_BLOCK + 1):
+            f, bound, block_cut = self.block(j)
+            start, stop = max(lo, j * _X_BLOCK), min(hi, (j + 1) * _X_BLOCK - 1)
+            conditional = f[start - j * _X_BLOCK : stop - j * _X_BLOCK + 1]
+            block_px = px[start - lo : stop - lo + 1]
+            success += float(block_px @ conditional)
+            weight_done += float(block_px.sum())
+            cut = max(cut, block_cut)
+            # every remaining x succeeds at least as often as the block's bound
+            remaining = 1.0 - weight_done
+            if remaining * (1.0 - bound) < _EARLY_STOP:
+                success += remaining * bound
+                break
+        budget = _TAIL_MASS + overflow + cut + _EARLY_STOP
+        if not -budget <= success <= 1.0 + budget:
+            raise ArithmeticError(f"P_c1 = {success!r} lies outside its error budget {budget:.3g}")
+        return min(max(success, 0.0), 1.0)
 
 
 def improved_pc1_exact(
@@ -387,22 +533,38 @@ def improved_pc1_exact(
     Conditions on the number ``x`` of heralded GHZ states: given ``x`` the
     largest-remainder allocation is deterministic and every subsequent
     thinning and fusion draw is independent across banks, so each bank's
-    survival ``S[c] = P[Y >= c]`` propagates exactly: ``min(Y1, Y2)`` has
-    survival ``S1 * S2`` and a binomial thinning is one non-negative matrix,
-    so no step subtracts.  The root's ``S[1]`` is the conditional success;
-    averaging it over the GHZ-success distribution (truncated to a window
-    holding all but ``1e-12`` of the mass, then renormalised) gives
-    ``P_c1``.  Counts never grow along the cascade, so a cap equal to the
-    largest allocated count (the default) is lossless; each fusion level's
-    support is then cut 10 sigma above its mean, with the mass above the cut
-    lumped at it, which only understates success.
+    survival ``S[c] = P[Y >= c]`` propagates exactly: a measured leaf holding
+    ``n`` states starts from ``P[Bin(n, p_chip eta_ghz) >= c]``, ``min(Y1,
+    Y2)`` has survival ``S1 * S2`` and a level's binomial thinning is one
+    non-negative matrix, so no step subtracts.  The root's ``S[1]`` is the
+    conditional success ``f(x)``; averaging it over the GHZ-success
+    distribution (truncated to a window holding all but ``1e-12`` of the
+    mass, then renormalised) gives ``P_c1``.
 
-    The conditional success probability is non-decreasing in ``x`` (an
-    extra GHZ state can only help), so the sweep over the window runs from
-    small ``x`` upward and stops once the remaining weight cannot move the
-    result by more than ``1e-16``.  Window tail, user-``cap`` overflow,
-    level cuts and early stop make the error budget the result is checked
-    against before it is clamped to ``[0, 1]``.
+    ``f`` is computed for aligned blocks of 256 consecutive ``x``.  Within a
+    block most banks hold the same count, so the leaves are numbered by
+    their ``(count, measured)`` key and each fusion level by its pair of
+    child ids (``np.unique``); only the distinct survival rows are
+    propagated.  Each block keeps its ``f``, so the windows of a source
+    search share work when one evaluator (:func:`min_sources`,
+    :func:`pcn_curve`) holds the blocks; a single call keeps them only for
+    itself.  A block's cap is the largest count its own allocation grants
+    (or a smaller user ``cap``), which is lossless because counts never grow
+    along the cascade; each fusion level's support is then cut 10 sigma
+    above its mean, with the mass above the cut lumped at it, which only
+    understates success.  Caps and cuts come from the block alone, so
+    ``f(x)`` has the same bits whichever window first reached its block.
+
+    ``f`` is not monotone in ``x``: largest remainder can take a state from
+    a bank when ``x`` grows.  Every bank does keep the floor of its share,
+    and success is non-decreasing in every bank's count, so each block also
+    computes ``f`` of the floors at the next block's first ``x``, a lower
+    bound on ``f`` for all larger ``x``.  The sweep over the window runs
+    upward and stops once the remaining weight times the gap between that
+    bound and 1 falls below ``1e-16``.  The error budget is the window tail,
+    the user-``cap`` overflow, the largest level-cut mass over the blocks
+    used, and the early stop; the result is checked against it before it is
+    clamped to ``[0, 1]``.
 
     Raises
     ------
@@ -412,80 +574,7 @@ def improved_pc1_exact(
     ArithmeticError
         When the result lies outside ``[-budget, 1 + budget]`` (a defect).
     """
-    n_attempts, weights, measured, thin_p, probs = _banked_prelude(
-        n_s, sched, consts, ghz_source, fusion_probs
-    )
-    if n_attempts < 1:
-        return 0.0
-
-    if ghz_source:
-        xs = np.array([n_attempts], dtype=np.int64)
-        px = np.array([1.0])
-    else:
-        dist = sp_stats.binom(n_attempts, consts.p_ghz)
-        mean = n_attempts * consts.p_ghz
-        sd = math.sqrt(max(mean * (1.0 - consts.p_ghz), 1.0))
-        half_width = 8.5 * sd
-        lo = max(0, math.floor(mean - half_width))
-        hi = min(n_attempts, math.ceil(mean + half_width))
-        while dist.cdf(hi) - (dist.cdf(lo - 1) if lo > 0 else 0.0) < 1.0 - _TAIL_MASS:
-            lo = max(0, lo - math.ceil(4 * sd))
-            hi = min(n_attempts, hi + math.ceil(4 * sd))
-            if lo == 0 and hi == n_attempts:
-                break
-        xs = np.arange(lo, hi + 1, dtype=np.int64)
-        px = dist.pmf(xs)
-        px = px / px.sum()
-
-    alloc = allocate_ghz_counts(xs, weights)
-    needed_cap = int(alloc.max())
-    cap = needed_cap if cap is None else cap
-    overflow = px[(alloc > cap).any(axis=1)].sum()
-    if overflow > 1e-9:
-        raise CapTooSmallError(
-            f"cap {cap} truncates {overflow:.3g} probability mass "
-            f"(largest allocated count is {needed_cap})"
-        )
-    cap = min(cap, needed_cap)  # a larger cap holds only columns no count reaches
-    alloc = np.minimum(alloc, cap)
-    cap = max(cap, 1)  # the root's column 1, P[Y >= 1], must exist
-
-    # Counts concentrate near (previous count) * p_level after each fusion
-    # thinning, so each level's support is cut 10 sigma above that mean; the
-    # mass above a cut is lumped at it, which only understates success.
-    caps = [cap]
-    for p_level in probs:
-        centre = caps[-1] * p_level
-        spread = math.sqrt(max(caps[-1] * p_level * (1.0 - p_level), 1.0))
-        caps.append(min(caps[-1], math.ceil(centre + 10.0 * spread) + 5))
-    levels = [_survival_matrix(c_in, c_out, p) for c_in, c_out, p in zip(caps, caps[1:], probs)]
-    # row y: survival of exactly y states, unthinned and (measured) thinned
-    indicator = np.tri(cap + 1)
-    leaf_survivals = np.stack([indicator, indicator @ _survival_matrix(cap, cap, thin_p)])
-
-    success = 0.0
-    weight_done = 0.0
-    chunk = max(1, 4_000_000 // (sched.leaf_banks * (cap + 1)))
-    for start in range(0, len(xs), chunk):
-        survival = leaf_survivals[measured.astype(np.intp), alloc[start : start + chunk]]
-        for matrix in levels:
-            survival = (survival[:, 0::2] * survival[:, 1::2]) @ matrix
-        conditional = survival[:, 0, 1]
-        block_px = px[start : start + len(conditional)]
-        success += float(block_px @ conditional)
-        weight_done += float(block_px.sum())
-        # monotone in x: every remaining x succeeds at least as often
-        remaining = 1.0 - weight_done
-        if remaining * (1.0 - conditional[-1]) < _EARLY_STOP:
-            success += remaining * float(conditional[-1])
-            break
-    # a level-l cut moves one of its 2**(k-l) banks only when its count
-    # exceeds caps[l], which has probability <= P[Bin(caps[l-1], p_l) > caps[l]]
-    cut = 2.0 ** np.arange(sched.k - 1, -1, -1) @ sp_stats.binom.sf(caps[1:], caps[:-1], probs)
-    budget = _TAIL_MASS + overflow + cut + _EARLY_STOP
-    if not -budget <= success <= 1.0 + budget:
-        raise ArithmeticError(f"P_c1 = {success!r} lies outside its error budget {budget:.3g}")
-    return min(max(success, 0.0), 1.0)
+    return _ExactFactory(sched, consts, ghz_source, fusion_probs, cap).pc1(n_s)
 
 
 def pcn(p_c1: float, n: int) -> float:
@@ -521,10 +610,7 @@ def _pc1_evaluator(
     if method == "auto":
         method = "exact" if sched.leaf_banks <= _EXACT_BANK_LIMIT else "mc"
     if method == "exact":
-        def evaluate(n_s: int) -> float:
-            return improved_pc1_exact(n_s, sched, consts, ghz_source=ghz_source)
-
-        return evaluate
+        return _ExactFactory(sched, consts, ghz_source, None, None).pc1
     if method == "mc":
         def evaluate(n_s: int) -> float:
             return improved_pc1_mc(

@@ -91,10 +91,17 @@ class TestConstants:
                 float(report[name]), getattr(coeffs, name), rel_tol=1e-10
             ), name
 
-    def test_no_design_block_without_tree(self, capsys):
-        code, out, _ = run_cli(capsys, "constants", "--m", "4")
-        assert code == 0
-        assert "k" not in parse_report(out)
+    def test_m_without_b_is_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "constants", "--m", "4")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: config:")
+
+    def test_b_without_m_is_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "constants", "--b", "7,x")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: config:")
 
     def test_alpha_flag_changes_fiber_survival(self, capsys):
         code, out, _ = run_cli(capsys, "constants", "--alpha", "0.092")
@@ -441,6 +448,15 @@ class TestErrorHandling:
             "--sources=-12:0:6", "--method", method, "--trials", "100",
         )
         assert code == 2
+        assert err.startswith("error: config:")
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_resources_non_positive_k_is_config_error(self, capsys, k):
+        code, out, err = run_cli(
+            capsys, "resources", "--k", k, "--m", "1", "--n", "1", "--sources", "600",
+        )
+        assert code == 2
+        assert out == ""
         assert err.startswith("error: config:")
 
     @pytest.mark.parametrize("argv", [("--seed", "-1"), ("--samples", "-3")],

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterchain import clusterbuild
 from clusterchain.clusterbuild import (
@@ -29,6 +31,28 @@ from clusterchain.errors import (
     InvalidConfigurationError,
     TargetUnreachableError,
 )
+
+
+PROPERTY = settings(derandomize=True, max_examples=50, deadline=None)
+# leaf masks of schedules with 2, 4, 8 or 16 banks
+MASKS = st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.booleans(), min_size=2**k, max_size=2**k)
+)
+# (scheme, k, m) of buildable small designs
+SMALL_DESIGNS = st.tuples(
+    st.sampled_from(["improved", "ghz_primitive"]),
+    st.sampled_from([(3, 1), (4, 1), (4, 3), (5, 2)]),
+)
+
+
+def masked_schedule(mask: list[bool], consts) -> FusionSchedule:
+    """A schedule with measured leaves where ``mask`` says, weighted as built."""
+    heavy = 1.0 / (consts.p_chip * consts.eta_ghz)
+    return FusionSchedule(
+        k=len(mask).bit_length() - 1,
+        measured_mask=tuple(mask),
+        weights=tuple(heavy if flagged else 1.0 for flagged in mask),
+    )
 
 
 def plain_schedule(k: int) -> FusionSchedule:
@@ -143,6 +167,18 @@ class TestAllocation:
         out = allocate_ghz_counts(np.array([1001]), weights)[0]
         exact = 1001 * weights / weights.sum()
         assert np.max(np.abs(out - exact)) < 1.0
+
+    @PROPERTY
+    @given(
+        x=st.lists(st.integers(0, 10**6), min_size=1, max_size=8),
+        weights=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=16),
+    )
+    def test_rows_sum_to_x_and_counts_round_their_shares(self, x, weights):
+        x, weights = np.array(x), np.array(weights)
+        out = allocate_ghz_counts(x, weights)
+        np.testing.assert_array_equal(out.sum(axis=1), x)
+        floor = np.floor(x[:, None] * (weights / weights.sum())[None, :])
+        assert np.isin(out - floor, (0, 1)).all()
 
 
 class TestSchedule:
@@ -268,6 +304,60 @@ class TestExactPropagation:
             )
 
 
+class TestExactMemo:
+    def test_conditional_success_dips_where_allocation_does(self, consts):
+        # Largest remainder is not house-monotone: from x = 1517 to 1518 the
+        # k=5, m=1 schedule moves states from four light banks to five
+        # measured ones, and f(x) drops, so the early stop cannot take
+        # f(x) as non-decreasing.  It takes the block's floor bound instead.
+        sched = build_schedule(5, 1, consts)
+        alloc = allocate_ghz_counts(np.array([1517, 1518]), np.array(sched.weights))
+        assert (alloc[1] < alloc[0]).sum() == 4
+        factory = clusterbuild._ExactFactory(sched, consts, False, None, None)
+        f, _, _ = factory.block(1517 // clusterbuild._X_BLOCK)
+        i = 1517 % clusterbuild._X_BLOCK
+        assert f[i + 1] < f[i]
+
+    @PROPERTY
+    @given(mask=MASKS, block=st.integers(0, 6))
+    def test_block_bound_holds_beyond_the_block(self, consts, mask, block):
+        # the early stop credits every x past a block with the block's bound
+        sched = masked_schedule(mask, consts)
+        factory = clusterbuild._ExactFactory(sched, consts, False, None, None)
+        _, bound, _ = factory.block(block)
+        beyond = np.concatenate([factory.block(block + step)[0] for step in (1, 2)])
+        assert bound <= beyond.min()
+
+    @PROPERTY
+    @given(mask=MASKS, counts=st.lists(st.integers(0, 60_000), min_size=2, max_size=2))
+    def test_pc1_non_decreasing_in_sources(self, consts, mask, counts):
+        sched = masked_schedule(mask, consts)
+        low, high = sorted(counts)
+        # each value carries up to 1e-16 of early stop plus summation roundoff
+        assert improved_pc1_exact(low, sched, consts) <= improved_pc1_exact(
+            high, sched, consts
+        ) + 1e-15
+
+    @PROPERTY
+    @given(
+        design=SMALL_DESIGNS,
+        warm=st.lists(st.integers(0, 4000), max_size=6),
+        target=st.integers(0, 4000),
+    )
+    def test_warm_evaluator_matches_cold_call(self, consts, design, warm, target):
+        scheme, (k, m) = design
+        # x is n_s GHZ sources, or about n_s p_ghz / 6 from single photons
+        per_unit = 1 if scheme == "ghz_primitive" else 50
+        evaluate = clusterbuild._pc1_evaluator(scheme, k, m, consts, "exact", 1, 0)
+        for units in warm:
+            evaluate(units * per_unit)
+        cold = improved_pc1_exact(
+            target * per_unit, build_schedule(k, m, consts), consts,
+            ghz_source=scheme == "ghz_primitive",
+        )
+        assert evaluate(target * per_unit) == cold
+
+
 class TestMonteCarlo:
     def test_matches_exact_within_3_sigma(self, consts):
         trials = 40_000
@@ -276,6 +366,14 @@ class TestMonteCarlo:
         est, _ = improved_pc1_mc(2000, sched, consts, trials=trials, seed=3)
         # z-score under the exact success probability (the MC's own standard
         # error degenerates to zero when every trial succeeds)
+        se = math.sqrt(exact * (1.0 - exact) / trials)
+        assert abs(est - exact) < 3 * se
+
+    def test_k9_matches_exact_within_3_sigma(self, consts):
+        trials = 20_000
+        sched = build_schedule(9, 4, consts)
+        exact = improved_pc1_exact(22_000_000, sched, consts)
+        est, _ = improved_pc1_mc(22_000_000, sched, consts, trials=trials, seed=9)
         se = math.sqrt(exact * (1.0 - exact) / trials)
         assert abs(est - exact) < 3 * se
 
