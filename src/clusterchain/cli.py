@@ -58,13 +58,13 @@ _DEVICE_FIELDS = [f.name for f in dataclasses.fields(DeviceParams)]
 
 
 def _parse_range(text: str) -> np.ndarray:
-    """Parse ``lo:hi:step`` (inclusive, step dividing the span) or one number."""
+    """Parse ``lo:hi:step`` (inclusive, step dividing the span) or one number, all >= 0."""
     try:
         values = [float(p) for p in text.split(":")]
     except ValueError as exc:
         raise ConfigError(f"range must be numeric, got {text!r}") from exc
-    if len(values) not in (1, 3) or not all(np.isfinite(values)):
-        raise ConfigError(f"range must be 'lo:hi:step' or a single number, finite, got {text!r}")
+    if len(values) not in (1, 3) or not all(0.0 <= v < math.inf for v in values):
+        raise ConfigError(f"range must be 'lo:hi:step' or one number, finite, >= 0, got {text!r}")
     if len(values) == 1:
         return np.array(values)
     lo, hi, step = values
@@ -235,7 +235,10 @@ def cmd_envelope(args: argparse.Namespace) -> int:
 def cmd_resources(args: argparse.Namespace) -> int:
     device = _resolve_device(args)
     consts = derive_constants(device)
-    grid = _parse_range(args.sources).astype(np.int64)
+    grid = _parse_range(args.sources)
+    if not np.all((grid == np.floor(grid)) & (grid < 2.0**63)):
+        raise ConfigError(f"source counts must be integers below 2**63, got {args.sources!r}")
+    grid = grid.astype(np.int64)
     config = {
         "command": "resources", "device": _device_dict(device),
         "k": args.k, "m": args.m, "n": args.n, "sources": args.sources,

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize as sp_optimize
 
 from .errors import (InvalidConfigurationError, LocusInvalidError, NoCrossoverError,
                      NoInteriorMinimumError)
@@ -54,8 +53,9 @@ __all__ = [
 
 _Z_GRID_POINTS = 161
 _Z_LO, _Z_HI = 1e-3, 3.0  # bracket of the locus parameter z scanned by optimize_z
-_Z_XTOL = 1e-6  # golden-section tolerance on z
+_Z_XTOL = 1e-6  # width of the final z bracket, relative to z
 _N_MAX = 10**6  # largest node count numeric_envelope scans
+_BRACKET_POINTS = 129  # grid points per _narrow step, ends included; odd keeps the centre
 
 
 @dataclass(frozen=True)
@@ -113,9 +113,26 @@ def _locus(z, m: int, tree: BranchingVector, coeffs: ChainCoefficients, scheme: 
     return probs, logs, s
 
 
-def _exponent(z, *locus_args) -> np.ndarray:
-    """Envelope exponent ``s(z)``; ``inf`` where the locus is invalid."""
-    return _locus(z, *locus_args)[2]
+def _narrow(f, lo: float, hi: float, tol: float, root: bool = False) -> float:
+    """Centre of ``[lo, hi]`` narrowed to width ``<= tol`` around a minimum or a root.
+
+    ``f`` takes an array.  Each step scores it on the interior of
+    ``np.linspace(lo, hi, _BRACKET_POINTS)`` and keeps the two cells around
+    the lowest score (``f`` unimodal), or with ``root`` the cell where ``f``
+    first reaches ``>= 0`` (``f(lo) < 0 <= f(hi)``).  It also stops where
+    floating point cannot narrow the bracket further.
+    """
+    while hi - lo > tol:
+        x = np.linspace(lo, hi, _BRACKET_POINTS)
+        y = f(x[1:-1])
+        if root:
+            i, cells = int(np.argmax(np.append(y >= 0.0, True))), 1
+        else:
+            i, cells = int(np.argmin(y)), 2
+        if x[i + cells] - x[i] >= hi - lo:
+            break
+        lo, hi = x[i], x[i + cells]
+    return float(0.5 * (lo + hi))
 
 
 def _locus_factors(
@@ -204,43 +221,33 @@ def optimize_z(
     """Locus parameter minimising the envelope exponent ``s``.
 
     A coarse logarithmic grid scan of ``z`` in ``[1e-3, 3]`` locates the
-    bracket (guarding against multimodality), then golden-section search
-    refines it to ``xtol = 1e-6``.
+    bracket (guarding against multimodality), then :func:`_narrow` shrinks
+    it around the minimum to a width of ``1e-6`` relative to ``z``.
 
     Raises
     ------
     LocusInvalidError
         If ``A B**2 <= 1`` so no locus exists at all.
     NoInteriorMinimumError
-        If ``s(z)`` is monotone on the scanned range (minimum at a boundary)
-        or finite nowhere on the grid.
+        If ``s(z)`` is monotone on the scanned range (minimum at a boundary),
+        finite nowhere on the grid, or not finite at the refined minimum.
     """
     _require_locus(coeffs)
-    args = (m, tree, coeffs, scheme)
+
+    def exponent(z):
+        return _locus(z, m, tree, coeffs, scheme)[2]
     grid = np.geomspace(_Z_LO, _Z_HI, _Z_GRID_POINTS)
-    values = _exponent(grid, *args)
+    values = exponent(grid)
     if not np.isfinite(values).any():
-        raise NoInteriorMinimumError(
-            "exponent s(z) is nowhere finite on the search bracket"
-        )
+        raise NoInteriorMinimumError("exponent s(z) is nowhere finite on the search bracket")
     best = int(np.argmin(values))
     if best in (0, len(grid) - 1):
         raise NoInteriorMinimumError(
-            f"s(z) is minimised at the bracket edge z={grid[best]:.6g}; "
-            "no interior minimum"
+            f"s(z) is minimised at the bracket edge z={grid[best]:.6g}; no interior minimum"
         )
-    result = sp_optimize.minimize_scalar(
-        _exponent,
-        args=args,
-        bracket=(grid[best - 1], grid[best], grid[best + 1]),
-        method="golden",
-        options={"xtol": _Z_XTOL},
-    )
-    z_star = float(result.x)
-    if not (_Z_LO <= z_star <= _Z_HI) or not np.isfinite(_exponent(z_star, *args)):
-        raise NoInteriorMinimumError(
-            f"golden-section search left the bracket (z={z_star:.6g})"
-        )
+    z_star = _narrow(exponent, grid[best - 1], grid[best + 1], _Z_XTOL * grid[best])
+    if not np.isfinite(exponent(z_star)):
+        raise NoInteriorMinimumError(f"s(z) is not finite at the refined minimum z={z_star:.6g}")
     return z_star
 
 
@@ -272,7 +279,8 @@ def numeric_envelope(
     Scans integer ``n`` upward in vectorised chunks, stopping once the rate
     has decreased for 50 consecutive node counts past the incumbent maximum
     (the curves are empirically unimodal in ``n``), then polishes the
-    maximum over real-valued ``n`` around the best integer.  The continuous
+    maximum over real-valued ``n`` in ``[n - 1, n + 1]`` around the best
+    integer ``n`` with :func:`_narrow`, to a width of ``1e-9``.  The continuous
     maximum is what the analytic construction bounds from below — the
     integer-restricted maximum can dip beneath the locus value by the
     rounding loss — and the integer maximizer is still reported as
@@ -322,15 +330,10 @@ def numeric_envelope(
                 stacklevel=2,
             )
         elif best_n > 1:
-            refined = sp_optimize.minimize_scalar(
-                lambda nr: -float(
-                    rates_over_n(cfg, device, np.array([nr]), coeffs)[0]
-                ),
-                bounds=(best_n - 1.0, best_n + 1.0),
-                method="bounded",
-                options={"xatol": 1e-9},
-            )
-            best_rate = max(best_rate, -float(refined.fun))
+            n_star = _narrow(lambda nr: -rates_over_n(cfg, device, nr, coeffs),
+                             best_n - 1.0, best_n + 1.0, 1e-9)
+            polished = rates_over_n(cfg, device, np.array([n_star]), coeffs)[0]
+            best_rate = max(best_rate, float(polished))
         points.append(
             EnvelopePoint(l_km=float(l_km), rate_bits_per_mode=best_rate, n_opt=best_n)
         )
@@ -369,34 +372,27 @@ def crossover_analytic(
 ) -> float:
     """Range where ``D * eta**s`` first exceeds ``r_direct``, by root finding.
 
-    Scans a logarithmic grid for the first sign change of the log-ratio and
-    polishes it with Brent's method.  Raises :class:`NoCrossoverError` when
-    the envelope never wins on ``[l_lo, l_hi]`` (e.g. when ``s >= 1``).
+    Scores the log-ratio on a logarithmic grid for its first sign change and
+    narrows that grid cell with :func:`_narrow` to a width of ``1e-6`` km.
+    Raises :class:`NoCrossoverError` when the envelope never wins on
+    ``[l_lo, l_hi]`` (e.g. when ``s >= 1``).
     """
-
     if env.d_coeff <= 0.0 or not math.isfinite(env.s_exp):
         raise NoCrossoverError(
             f"degenerate envelope (D={env.d_coeff:.4g}, s={env.s_exp:.4g}) "
             "never reaches the direct bound"
         )
 
-    def log_r_direct(l_km: float) -> float:
-        # -log2(1 - eta) ~ eta / ln 2 once eta is tiny; the exact expression
-        # underflows to 0 around alpha * L ~ 700
-        if alpha * l_km > 27.0:
-            return -alpha * l_km - math.log(math.log(2.0))
-        return math.log(r_direct(l_km, alpha))
-
-    def log_ratio(l_km: float) -> float:
-        return (
-            math.log(env.d_coeff)
-            - env.s_exp * alpha * l_km
-            - log_r_direct(l_km)
-        )
+    def log_ratio(l_km: np.ndarray) -> np.ndarray:
+        # ln r_direct tends to -alpha L - ln ln 2 as eta -> 0; the exact form
+        # underflows to ln 0 near alpha L ~ 37, so it is only evaluated up to 27
+        a_l = alpha * l_km
+        exact = np.log(-np.log(-np.expm1(-np.minimum(a_l, 27.0))))
+        log_direct = np.where(a_l > 27.0, -a_l, exact) - math.log(math.log(2.0))
+        return math.log(env.d_coeff) - env.s_exp * a_l - log_direct
 
     grid = np.geomspace(l_lo, l_hi, 4096)
-    values = np.array([log_ratio(l) for l in grid])
-    above = np.nonzero(values >= 0.0)[0]
+    above = np.nonzero(log_ratio(grid) >= 0.0)[0]
     if above.size == 0:
         raise NoCrossoverError(
             f"envelope (D={env.d_coeff:.4g}, s={env.s_exp:.4g}) never reaches the "
@@ -405,4 +401,4 @@ def crossover_analytic(
     first = int(above[0])
     if first == 0:
         return float(grid[0])
-    return float(sp_optimize.brentq(log_ratio, grid[first - 1], grid[first], xtol=1e-6))
+    return _narrow(log_ratio, grid[first - 1], grid[first], 1e-6, root=True)

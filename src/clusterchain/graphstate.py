@@ -69,7 +69,7 @@ def local_complement(g: nx.Graph, v: Hashable) -> nx.Graph:
     Returns a new graph; ``g`` is not modified.
     """
     if v not in g:
-        raise ValueError(f"vertex {v!r} not in graph")
+        raise InvalidConfigurationError(f"vertex {v!r} not in graph")
     out = g.copy()
     neighbors = list(g.neighbors(v))
     for i, a in enumerate(neighbors):
@@ -101,7 +101,7 @@ def measure_graph(
     corrections, which are not tracked.
     """
     if v not in g:
-        raise ValueError(f"vertex {v!r} not in graph")
+        raise InvalidConfigurationError(f"vertex {v!r} not in graph")
     basis = basis.upper()
     if basis == "Z":
         out = g.copy()
@@ -112,7 +112,7 @@ def measure_graph(
         out.remove_node(v)
         return out
     if basis != "X":
-        raise ValueError(f"basis must be one of 'X', 'Y', 'Z', got {basis!r}")
+        raise InvalidConfigurationError(f"basis must be one of 'X', 'Y', 'Z', got {basis!r}")
     neighbors = list(g.neighbors(v))
     if not neighbors:
         out = g.copy()
@@ -121,7 +121,7 @@ def measure_graph(
     if special_neighbor is None:
         special_neighbor = min(neighbors)
     elif special_neighbor not in neighbors:
-        raise ValueError(
+        raise InvalidConfigurationError(
             f"special neighbor {special_neighbor!r} is not adjacent to {v!r}"
         )
     out = local_complement(g, special_neighbor)
@@ -137,7 +137,7 @@ def tree_graph(branches: Sequence[int], root: Hashable = 0) -> nx.Graph:
     order.
     """
     if any(b < 1 for b in branches):
-        raise ValueError("branch counts must be >= 1")
+        raise InvalidConfigurationError("branch counts must be >= 1")
     g = nx.Graph()
     g.add_node(root)
     frontier = [root]
@@ -191,7 +191,7 @@ def check_tree_attachment(
     onto the cluster side.
     """
     if cluster_neighbors < 1:
-        raise ValueError("the cluster vertex needs at least one other neighbor")
+        raise InvalidConfigurationError("the cluster vertex needs at least one other neighbor")
     g = tree_graph(branches, root=0)
     tree_children = list(g.neighbors(0))
     p = max(g.nodes) + 1
@@ -238,13 +238,13 @@ class SmallState:
         amplitudes = np.asarray(amplitudes, dtype=complex)
         q = amplitudes.ndim
         if q < 1 or q > _MAX_QUBITS or amplitudes.shape != (2,) * q:
-            raise ValueError(
+            raise InvalidConfigurationError(
                 f"amplitudes must have shape (2,)*q with 1 <= q <= {_MAX_QUBITS}, "
                 f"got {amplitudes.shape}"
             )
         norm = np.linalg.norm(amplitudes)
         if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"state norm {norm!r} differs from 1 beyond 1e-10")
+            raise InvalidConfigurationError(f"state norm {norm!r} differs from 1 beyond 1e-10")
         self._amps = amplitudes
 
     @property
@@ -292,9 +292,9 @@ class SmallState:
         """
         basis = basis.upper()
         if basis not in _BASIS_KETS:
-            raise ValueError(f"basis must be one of 'X', 'Y', 'Z', got {basis!r}")
+            raise InvalidConfigurationError(f"basis must be one of 'X', 'Y', 'Z', got {basis!r}")
         if not 0 <= q < self.qubits:
-            raise ValueError(f"qubit {q} out of range for {self.qubits}-qubit state")
+            raise InvalidConfigurationError(f"qubit {q} out of range for {self.qubits} qubits")
         branches: list[tuple[int, float, np.ndarray | None]] = []
         for outcome, ket in enumerate(_BASIS_KETS[basis]):
             post = np.tensordot(ket.conj(), self._amps, axes=([0], [q]))

@@ -450,6 +450,25 @@ class TestErrorHandling:
         assert code == 2
         assert err.startswith("error: config:")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sources", ["100.7", "100:101:0.5", "1e20"],
+                             ids=["fractional", "half_step", "beyond_int64"])
+    def test_non_integer_source_count_is_config_error(self, capsys, sources):
+        code, out, err = run_cli(
+            capsys, "resources", "--k", "3", "--m", "1", "--n", "1", "--sources", sources,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: config:")
+
+    @pytest.mark.parametrize("argv", [RATE_PREFIX, ("envelope", "--m", "4", "--b", "7,3")],
+                             ids=["rate", "envelope"])
+    def test_negative_range_is_config_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--L=-10:10:10")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: config:")
+
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_resources_non_positive_k_is_config_error(self, capsys, k):
         code, out, err = run_cli(

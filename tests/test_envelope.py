@@ -248,6 +248,17 @@ class TestCrossover:
             CROSSOVER_KM, rel=1e-6
         )
 
+    @pytest.mark.filterwarnings("error")
+    def test_analytic_asymptotic_branch(self, device):
+        # past alpha L > 27 the direct bound is eta / ln 2, so the crossover
+        # solves D eta**s = eta / ln 2 exactly
+        far = EnvelopeParams(
+            z=0.1, q1=0.5, q2=0.5, q3=0.5, d_coeff=1e-3, s_exp=0.8, l0_km=1.0
+        )
+        want = -math.log(far.d_coeff * math.log(2.0)) / ((1.0 - far.s_exp) * device.alpha)
+        assert device.alpha * want > 27.0
+        assert crossover_analytic(far, device.alpha) == pytest.approx(want, rel=1e-6)
+
     def test_numeric_agrees_with_analytic(self, device):
         grid = np.linspace(60.0, 120.0, 25)
         points = numeric_envelope(M, TREE, device, grid)

@@ -6,6 +6,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from clusterchain.errors import InvalidConfigurationError
 from clusterchain.graphstate import (
     SmallState,
     check_star_clique,
@@ -46,7 +47,7 @@ class TestLocalComplement:
         assert edges(g) == before
 
     def test_unknown_vertex(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfigurationError):
             local_complement(nx.path_graph(3), 99)
 
 
@@ -82,11 +83,11 @@ class TestMeasureGraph:
 
     def test_invalid_inputs(self):
         g = nx.path_graph(3)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfigurationError):
             measure_graph(g, 0, "W")
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfigurationError):
             measure_graph(g, 42, "Z")
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfigurationError):
             measure_graph(g, 0, "X", special_neighbor=2)  # not adjacent to 0
 
     def test_z_measurements_commute(self):
@@ -126,7 +127,7 @@ class TestTreeGraph:
         assert len(leaves) == 12
 
     def test_rejects_empty_branches(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfigurationError):
             tree_graph((2, 0))
 
 
@@ -144,7 +145,7 @@ class TestStructureChecks:
         assert result.passed, result.detail
 
     def test_tree_attachment_needs_a_cluster(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfigurationError):
             check_tree_attachment(cluster_neighbors=0)
 
     def test_full_battery(self):
@@ -197,16 +198,16 @@ class TestSmallState:
             np.testing.assert_allclose(post, want, atol=1e-12)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfigurationError):
             SmallState(np.ones((2, 3)) / np.sqrt(6.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfigurationError):
             SmallState(np.ones((2,) * 13) / 2.0**6.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfigurationError):
             SmallState(np.array([1.0, 1.0]))  # not normalised
         state = SmallState.computational([0, 1, 1])
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfigurationError):
             state.measure(3, "Z")
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfigurationError):
             state.measure(0, "Q")
 
     def test_twelve_qubits_supported(self):

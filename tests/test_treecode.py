@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterchain.errors import ConfigError, InvalidConfigurationError
 from clusterchain.treecode import (
@@ -88,6 +90,17 @@ class TestRecursion:
         pz = np.asarray(p_z_general(b, eps))
         assert np.all(np.diff(px) <= 1e-15)
         assert np.all(np.diff(pz) <= 1e-15)
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(branches=st.lists(st.integers(1, 8), min_size=1, max_size=4))
+    def test_xi_non_increasing_in_eps(self, branches):
+        # every depth index of trees with one to four levels, and P_Z; the
+        # 1e-15 allows for roundoff, as in test_monotone_in_eps
+        b = BranchingVector(branches)
+        eps = np.linspace(0.0, 1.0, 2001)
+        curves = [xi(i, b, eps) for i in range(b.depth + 1)] + [p_z_general(b, eps)]
+        for curve in curves:
+            assert np.all(np.diff(curve) <= 1e-15)
 
 
 class TestClosedForms:
