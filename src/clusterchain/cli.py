@@ -153,12 +153,22 @@ def _add_output_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output CSV path (default: stdout)")
 
 
-def _design_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--m", type=int, required=True, help="qubit channels per side")
-    parser.add_argument("--b", required=True, help="branching vector, e.g. 7,3")
+def _chain_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scheme", choices=SCHEMES, default="new")
     parser.add_argument("--p-cn", dest="p_cn", type=float, default=0.9,
                         help="chain-wide cluster-build probability budget")
+
+
+def _design_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--m", type=int, required=True, help="qubit channels per side")
+    parser.add_argument("--b", required=True, help="branching vector, e.g. 7,3")
+    _chain_args(parser)
+
+
+def _factory_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--method", choices=("auto", "exact", "mc"), default="auto")
+    parser.add_argument("--trials", type=int, default=10**5)
+    parser.add_argument("--seed", type=int, default=0)
 
 
 def cmd_constants(args: argparse.Namespace) -> int:
@@ -350,9 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True, help="qubit channels per side")
     p.add_argument("--n", type=int, required=True, help="major node count")
     p.add_argument("--sources", required=True, help="source-count sweep, lo:hi:step")
-    p.add_argument("--method", choices=("auto", "exact", "mc"), default="auto")
-    p.add_argument("--trials", type=int, default=10**5)
-    p.add_argument("--seed", type=int, default=0)
+    _factory_args(p)
     _add_output_flag(p)
     p.set_defaults(func=cmd_resources)
 
@@ -360,16 +368,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_device_flags(p)
     p.add_argument("--L", required=True, help="total range in km")
     p.add_argument("--k", required=True, help="cluster classes, e.g. 7,8,9,10")
-    p.add_argument("--scheme", choices=SCHEMES, default="new")
-    p.add_argument("--p-cn", dest="p_cn", type=float, default=0.9)
+    _chain_args(p)
     p.add_argument("--m-max", dest="m_max", type=int, default=16)
     p.add_argument("--branch-max", dest="branch_max", type=int, default=16)
     p.add_argument("--depths", default="2", help="tree depths to scan, e.g. 2,3")
     p.add_argument("--with-sources", dest="with_sources", action="store_true",
                    help="also search the minimum source count per design")
-    p.add_argument("--method", choices=("auto", "exact", "mc"), default="auto")
-    p.add_argument("--trials", type=int, default=10**5)
-    p.add_argument("--seed", type=int, default=0)
+    _factory_args(p)
     _add_output_flag(p)
     p.set_defaults(func=cmd_optimize)
 

@@ -42,7 +42,7 @@ from .errors import (
     InvalidConfigurationError,
     TargetUnreachableError,
 )
-from .montecarlo import mc_fractions
+from .montecarlo import _MAX_BLOCK_CELLS, mc_fractions
 from .params import DerivedConstants
 
 __all__ = [
@@ -63,6 +63,7 @@ __all__ = [
 _TAIL_MASS = 1e-12  # GHZ-success mass outside the exact window
 _EARLY_STOP = 1e-16  # largest change the exact sweep's early stop may skip
 _EXACT_BANK_LIMIT = 256  # largest 2**k the exact propagation is used for by default
+_MAX_LEVELS = _MAX_BLOCK_CELLS.bit_length() - 1  # largest k whose 2**k leaf banks fit one MC block
 _NAIVE_GRID = 200  # n_ghz and n_meas scanned on [1, _NAIVE_GRID] by the naive optimiser
 _SOURCE_CEILING = 10**15  # largest source count min_sources tries
 
@@ -138,10 +139,17 @@ def build_schedule(k: int, m: int, consts: DerivedConstants) -> FusionSchedule:
 
     Raises
     ------
+    InvalidConfigurationError
+        For ``m < 1``, or for ``k > 21``, whose ``2**k`` leaf banks no longer
+        fit one block of the Monte Carlo engine, before anything is allocated.
     DesignInfeasibleError
         When ``4m + 1 > 2**k`` so the leaves cannot host the measured
         photons one each.
     """
+    if k > _MAX_LEVELS:
+        raise InvalidConfigurationError(
+            f"k must be <= {_MAX_LEVELS} (2**k leaf banks per trial), got {k}"
+        )
     if m < 1:
         raise InvalidConfigurationError(f"channel count m must be >= 1, got {m}")
     leaves = 2**k

@@ -55,6 +55,7 @@ _Z_GRID_POINTS = 161
 _Z_LO, _Z_HI = 1e-3, 3.0  # bracket of the locus parameter z scanned by optimize_z
 _Z_XTOL = 1e-6  # width of the final z bracket, relative to z
 _N_MAX = 10**6  # largest node count numeric_envelope scans
+_L_LO, _L_HI = 1e-2, 5e4  # range bracket in km scanned by crossover_analytic
 _BRACKET_POINTS = 129  # grid points per _narrow step, ends included; odd keeps the centre
 
 
@@ -364,18 +365,13 @@ def crossover_distance(points: Sequence[EnvelopePoint], alpha: float) -> float:
     )
 
 
-def crossover_analytic(
-    env: EnvelopeParams,
-    alpha: float,
-    l_lo: float = 1e-2,
-    l_hi: float = 5e4,
-) -> float:
+def crossover_analytic(env: EnvelopeParams, alpha: float) -> float:
     """Range where ``D * eta**s`` first exceeds ``r_direct``, by root finding.
 
     Scores the log-ratio on a logarithmic grid for its first sign change and
     narrows that grid cell with :func:`_narrow` to a width of ``1e-6`` km.
     Raises :class:`NoCrossoverError` when the envelope never wins on
-    ``[l_lo, l_hi]`` (e.g. when ``s >= 1``).
+    ``[1e-2, 5e4]`` km (e.g. when ``s >= 1``).
     """
     if env.d_coeff <= 0.0 or not math.isfinite(env.s_exp):
         raise NoCrossoverError(
@@ -391,12 +387,12 @@ def crossover_analytic(
         log_direct = np.where(a_l > 27.0, -a_l, exact) - math.log(math.log(2.0))
         return math.log(env.d_coeff) - env.s_exp * a_l - log_direct
 
-    grid = np.geomspace(l_lo, l_hi, 4096)
+    grid = np.geomspace(_L_LO, _L_HI, 4096)
     above = np.nonzero(log_ratio(grid) >= 0.0)[0]
     if above.size == 0:
         raise NoCrossoverError(
             f"envelope (D={env.d_coeff:.4g}, s={env.s_exp:.4g}) never reaches the "
-            f"direct bound on [{l_lo:g}, {l_hi:g}] km"
+            f"direct bound on [{_L_LO:g}, {_L_HI:g}] km"
         )
     first = int(above[0])
     if first == 0:

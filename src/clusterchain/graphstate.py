@@ -4,7 +4,8 @@ The repeater's structural claims — measuring the star root in Y welds the
 logical qubits into a clique, X measurements splice a protection tree onto
 a cluster node, Z measurements prune spent qubits — are all instances of
 the standard graph-state measurement rules built on local complementation.
-This module implements those rules on plain ``networkx`` graphs (local
+This module implements those rules on graphs held as plain mappings
+``vertex -> frozenset(neighbours)``, each edge stored at both ends (local
 Clifford byproducts are deliberately not tracked; the claims verified here
 are about edge structure) and backs the outcome-sign bookkeeping the graph
 layer drops with a dense-statevector checker, :class:`SmallState`, capped
@@ -17,11 +18,11 @@ pass/fail table.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
-import networkx as nx
 import numpy as np
 
 from .errors import InvalidConfigurationError
@@ -62,31 +63,39 @@ class CheckResult:
 # graph layer
 # ---------------------------------------------------------------------------
 
+_Graph = dict[Hashable, frozenset]
 
-def local_complement(g: nx.Graph, v: Hashable) -> nx.Graph:
+
+def _graph(edges: Iterable[tuple[Hashable, Hashable]], vertices: Iterable = ()) -> _Graph:
+    """Graph on ``vertices`` and the endpoints of ``edges``, each edge stored both ways."""
+    g: dict[Hashable, set] = {v: set() for v in vertices}
+    for a, b in edges:
+        g.setdefault(a, set()).add(b)
+        g.setdefault(b, set()).add(a)
+    return {v: frozenset(n) for v, n in g.items()}
+
+
+def _delete(g: _Graph, v: Hashable) -> _Graph:
+    """``g`` without vertex ``v`` and its edges."""
+    return {u: n - {v} for u, n in g.items() if u != v}
+
+
+def local_complement(g: _Graph, v: Hashable) -> _Graph:
     """Toggle all edges among the neighbors of ``v``; everything else unchanged.
 
     Returns a new graph; ``g`` is not modified.
     """
     if v not in g:
         raise InvalidConfigurationError(f"vertex {v!r} not in graph")
-    out = g.copy()
-    neighbors = list(g.neighbors(v))
-    for i, a in enumerate(neighbors):
-        for b in neighbors[i + 1 :]:
-            if out.has_edge(a, b):
-                out.remove_edge(a, b)
-            else:
-                out.add_edge(a, b)
-    return out
+    return {u: n ^ (g[v] - {u}) if u in g[v] else n for u, n in g.items()}
 
 
 def measure_graph(
-    g: nx.Graph,
+    g: _Graph,
     v: Hashable,
     basis: str,
     special_neighbor: Hashable | None = None,
-) -> nx.Graph:
+) -> _Graph:
     """Graph left after a Pauli measurement of vertex ``v``.
 
     * ``Z``: delete ``v``.
@@ -98,72 +107,49 @@ def measure_graph(
       the ``Z`` rule.
 
     The result is the post-measurement graph up to local Clifford
-    corrections, which are not tracked.
+    corrections, which are not tracked; ``g`` is not modified.
     """
     if v not in g:
         raise InvalidConfigurationError(f"vertex {v!r} not in graph")
     basis = basis.upper()
-    if basis == "Z":
-        out = g.copy()
-        out.remove_node(v)
-        return out
-    if basis == "Y":
-        out = local_complement(g, v)
-        out.remove_node(v)
-        return out
-    if basis != "X":
+    if basis not in ("X", "Y", "Z"):
         raise InvalidConfigurationError(f"basis must be one of 'X', 'Y', 'Z', got {basis!r}")
-    neighbors = list(g.neighbors(v))
-    if not neighbors:
-        out = g.copy()
-        out.remove_node(v)
-        return out
+    if basis == "Z" or not g[v]:
+        return _delete(g, v)
+    if basis == "Y":
+        return _delete(local_complement(g, v), v)
     if special_neighbor is None:
-        special_neighbor = min(neighbors)
-    elif special_neighbor not in neighbors:
+        special_neighbor = min(g[v])
+    elif special_neighbor not in g[v]:
         raise InvalidConfigurationError(
             f"special neighbor {special_neighbor!r} is not adjacent to {v!r}"
         )
-    out = local_complement(g, special_neighbor)
-    out = local_complement(out, v)
-    out.remove_node(v)
-    return local_complement(out, special_neighbor)
+    out = local_complement(local_complement(g, special_neighbor), v)
+    return local_complement(_delete(out, v), special_neighbor)
 
 
-def tree_graph(branches: Sequence[int], root: Hashable = 0) -> nx.Graph:
+def tree_graph(branches: Sequence[int]) -> _Graph:
     """Balanced tree with ``branches[d]`` children per depth-``d`` vertex.
 
-    Vertices are labelled ``root`` (must be an int) upward in breadth-first
-    order.
+    Vertices are labelled ``0`` (the root) upward in breadth-first order.
     """
     if any(b < 1 for b in branches):
         raise InvalidConfigurationError("branch counts must be >= 1")
-    g = nx.Graph()
-    g.add_node(root)
-    frontier = [root]
-    next_label = root + 1
+    edges: list[tuple[int, int]] = []
+    frontier = range(1)  # the root
     for b in branches:
-        new_frontier = []
-        for parent in frontier:
-            for _ in range(b):
-                g.add_edge(parent, next_label)
-                new_frontier.append(next_label)
-                next_label += 1
-        frontier = new_frontier
-    return g
+        children = range(frontier.stop, frontier.stop + b * len(frontier))
+        edges.extend((frontier[i // b], c) for i, c in enumerate(children))
+        frontier = children
+    return _graph(edges, vertices=(0,))
 
 
 def check_star_clique(max_leaves: int = 10) -> CheckResult:
     """Y measurement of a star's center must leave a clique on the leaves."""
     for leaves in range(2, max_leaves + 1):
-        star = nx.star_graph(leaves)  # center 0, leaves 1..leaves
-        after = measure_graph(star, 0, "Y")
-        want = leaves * (leaves - 1) // 2
-        if after.number_of_edges() != want or not all(
-            after.has_edge(a, b)
-            for a in range(1, leaves + 1)
-            for b in range(a + 1, leaves + 1)
-        ):
+        star = _graph((0, leaf) for leaf in range(1, leaves + 1))
+        clique = _graph(itertools.combinations(range(1, leaves + 1), 2))
+        if measure_graph(star, 0, "Y") != clique:
             return CheckResult(
                 "star -> clique under Y",
                 False,
@@ -192,20 +178,18 @@ def check_tree_attachment(
     """
     if cluster_neighbors < 1:
         raise InvalidConfigurationError("the cluster vertex needs at least one other neighbor")
-    g = tree_graph(branches, root=0)
-    tree_children = list(g.neighbors(0))
-    p = max(g.nodes) + 1
-    g.add_edge(p, 0)
-    cluster = [p + 1 + i for i in range(cluster_neighbors)]
-    for c in cluster:
-        g.add_edge(p, c)
+    tree = tree_graph(branches)
+    p = len(tree)
+    cluster = range(p + 1, p + 1 + cluster_neighbors)
+    tree_edges = [(u, w) for u, n in tree.items() for w in n]
+    g = _graph([*tree_edges, (p, 0), *((p, c) for c in cluster)])
     after = measure_graph(g, p, "X", special_neighbor=cluster[0])
     after = measure_graph(after, 0, "X", special_neighbor=cluster[0])
     missing = [
         (c, t)
         for c in cluster
-        for t in tree_children
-        if not after.has_edge(c, t)
+        for t in sorted(tree[0])
+        if t not in after[c]
     ]
     if missing:
         return CheckResult(

@@ -469,7 +469,8 @@ class TestErrorHandling:
         assert out == ""
         assert err.startswith("error: config:")
 
-    @pytest.mark.parametrize("k", ["0", "-1"])
+    # k=30 would allocate 2**30 leaf banks; k > 21 is refused before that
+    @pytest.mark.parametrize("k", ["0", "-1", "30"])
     def test_resources_non_positive_k_is_config_error(self, capsys, k):
         code, out, err = run_cli(
             capsys, "resources", "--k", k, "--m", "1", "--n", "1", "--sources", "600",

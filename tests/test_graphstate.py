@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
-import networkx as nx
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterchain.errors import InvalidConfigurationError
 from clusterchain.graphstate import (
@@ -19,70 +22,117 @@ from clusterchain.graphstate import (
 )
 
 
-def edges(g: nx.Graph) -> set[tuple[int, int]]:
-    return {tuple(sorted(e)) for e in g.edges}
+def graph(edge_list, vertices=()) -> dict:
+    """Neighbour-set mapping on ``vertices`` and the endpoints of ``edge_list``."""
+    g = {v: set() for v in vertices}
+    for a, b in edge_list:
+        g.setdefault(a, set()).add(b)
+        g.setdefault(b, set()).add(a)
+    return {v: frozenset(n) for v, n in g.items()}
+
+
+def star(leaves: int) -> dict:
+    return graph((0, leaf) for leaf in range(1, leaves + 1))  # center 0
+
+
+def path(n: int) -> list[tuple[int, int]]:
+    return [(i, i + 1) for i in range(n - 1)]
+
+
+def cycle(n: int) -> list[tuple[int, int]]:
+    return path(n) + [(n - 1, 0)]
+
+
+def edges(g: dict) -> set[tuple[int, int]]:
+    return {tuple(sorted((u, w))) for u, n in g.items() for w in n}
+
+
+@st.composite
+def graph_and_vertex(draw):
+    n = draw(st.integers(1, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = graph([e for e, k in zip(pairs, keep) if k], vertices=range(n))
+    return g, draw(st.integers(0, n - 1))
+
+
+def adjacency(g: dict) -> np.ndarray:
+    a = np.zeros((len(g), len(g)), dtype=np.uint8)
+    for u, n in g.items():
+        a[u, list(n)] = 1
+    return a
 
 
 class TestLocalComplement:
     def test_star_closes_into_clique(self):
-        star = nx.star_graph(3)  # center 0
-        out = local_complement(star, 0)
+        out = local_complement(star(3), 0)
         assert edges(out) == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
 
     def test_involution(self):
-        g = nx.cycle_graph(5)
-        g.add_edge(0, 2)
+        g = graph(cycle(5) + [(0, 2)])
         twice = local_complement(local_complement(g, 0), 0)
         assert edges(twice) == edges(g)
 
     def test_triangle_opens_to_path(self):
-        g = nx.complete_graph(3)
+        g = graph(itertools.combinations(range(3), 2))
         out = local_complement(g, 0)
         assert edges(out) == {(0, 1), (0, 2)}
 
     def test_original_untouched(self):
-        g = nx.star_graph(2)
+        g = star(2)
         before = edges(g)
         local_complement(g, 0)
         assert edges(g) == before
 
     def test_unknown_vertex(self):
         with pytest.raises(InvalidConfigurationError):
-            local_complement(nx.path_graph(3), 99)
+            local_complement(graph(path(3)), 99)
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(case=graph_and_vertex())
+    def test_matches_gf2_rule(self, case):
+        # A' = A + a_v a_v^T over GF(2) with the diagonal cleared, where a_v
+        # is column v of the adjacency matrix; a second application undoes it
+        g, v = case
+        a = adjacency(g)
+        want = (a + np.outer(a[:, v], a[:, v])) % 2
+        np.fill_diagonal(want, 0)
+        out = local_complement(g, v)
+        np.testing.assert_array_equal(adjacency(out), want)
+        assert local_complement(out, v) == g
 
 
 class TestMeasureGraph:
     def test_z_deletes(self):
-        g = nx.path_graph(4)  # 0-1-2-3
+        g = graph(path(4))  # 0-1-2-3
         out = measure_graph(g, 1, "Z")
-        assert set(out.nodes) == {0, 2, 3}
+        assert set(out) == {0, 2, 3}
         assert edges(out) == {(2, 3)}
 
     def test_y_on_star_center(self):
-        out = measure_graph(nx.star_graph(3), 0, "Y")
+        out = measure_graph(star(3), 0, "Y")
         assert edges(out) == {(1, 2), (1, 3), (2, 3)}
 
     def test_x_on_path_middle(self):
         # X on the middle of a 3-chain fuses the ends into a Bell pair
-        out = measure_graph(nx.path_graph(3), 1, "X")
+        out = measure_graph(graph(path(3)), 1, "X")
         assert edges(out) == {(0, 2)}
 
     def test_x_on_path_end(self):
         # X on an end of a 3-chain leaves a product state: projecting the
         # end onto |+> forces its neighbor into a Z eigenstate
-        out = measure_graph(nx.path_graph(3), 0, "X")
-        assert set(out.nodes) == {1, 2}
+        out = measure_graph(graph(path(3)), 0, "X")
+        assert set(out) == {1, 2}
         assert edges(out) == set()
 
     def test_x_isolated_degenerates_to_z(self):
-        g = nx.path_graph(2)
-        g.add_node(9)
+        g = graph(path(2), vertices=[9])
         out = measure_graph(g, 9, "X")
-        assert set(out.nodes) == {0, 1}
+        assert set(out) == {0, 1}
         assert edges(out) == {(0, 1)}
 
     def test_invalid_inputs(self):
-        g = nx.path_graph(3)
+        g = graph(path(3))
         with pytest.raises(InvalidConfigurationError):
             measure_graph(g, 0, "W")
         with pytest.raises(InvalidConfigurationError):
@@ -91,8 +141,7 @@ class TestMeasureGraph:
             measure_graph(g, 0, "X", special_neighbor=2)  # not adjacent to 0
 
     def test_z_measurements_commute(self):
-        g = nx.cycle_graph(6)
-        g.add_edge(0, 3)
+        g = graph(cycle(6) + [(0, 3)])
         ab = measure_graph(measure_graph(g, 0, "Z"), 3, "Z")
         ba = measure_graph(measure_graph(g, 3, "Z"), 0, "Z")
         assert edges(ab) == edges(ba)
@@ -100,12 +149,10 @@ class TestMeasureGraph:
     def test_distant_edges_ignore_special_choice(self):
         # the X rule's freedom in the special neighbor only moves edges
         # within the measured vertex's neighborhood
-        g = nx.cycle_graph(7)
-        g.add_edge(1, 6)
-        g.add_edge(2, 5)
+        g = graph(cycle(7) + [(1, 6), (2, 5)])
         v = 0
-        neighbors = set(g.neighbors(v))
-        far = set(g.nodes) - neighbors - {v}
+        neighbors = set(g[v])
+        far = set(g) - neighbors - {v}
         choices = [
             measure_graph(g, v, "X", special_neighbor=w) for w in sorted(neighbors)
         ]
@@ -120,10 +167,10 @@ class TestMeasureGraph:
 class TestTreeGraph:
     def test_bfs_layout(self):
         g = tree_graph((3, 2, 2))
-        assert g.number_of_nodes() == 1 + 3 + 6 + 12 == 22
-        assert sorted(g.neighbors(0)) == [1, 2, 3]
-        assert sorted(g.neighbors(1)) == [0, 4, 5]
-        leaves = [v for v in g.nodes if g.degree(v) == 1]
+        assert len(g) == 1 + 3 + 6 + 12 == 22
+        assert sorted(g[0]) == [1, 2, 3]
+        assert sorted(g[1]) == [0, 4, 5]
+        leaves = [v for v in g if len(g[v]) == 1]
         assert len(leaves) == 12
 
     def test_rejects_empty_branches(self):

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 import types
 
 import pytest
@@ -27,3 +30,17 @@ def test_all_names_resolve(name):
     module = importlib.import_module(f"clusterchain.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_cli_runs_without_networkx():
+    # a None entry in sys.modules makes any import of networkx fail
+    script = (
+        "import sys\n"
+        "sys.modules['networkx'] = None\n"
+        "from clusterchain.cli import main\n"
+        "sys.exit(main(['verify', '--samples', '5']))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(clusterchain.__file__))}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
