@@ -55,10 +55,12 @@ from .treecode import BranchingVector
 __all__ = ["main"]
 
 _DEVICE_FIELDS = [f.name for f in dataclasses.fields(DeviceParams)]
+_MAX_RANGE_POINTS = 10**6  # largest lo:hi:step grid a range may ask for
 
 
 def _parse_range(text: str) -> np.ndarray:
-    """Parse ``lo:hi:step`` (inclusive, step dividing the span) or one number, all >= 0."""
+    """Parse ``lo:hi:step`` (inclusive, step dividing the span, at most 10**6 points)
+    or one number, all >= 0."""
     try:
         values = [float(p) for p in text.split(":")]
     except ValueError as exc:
@@ -75,6 +77,8 @@ def _parse_range(text: str) -> np.ndarray:
     steps = (hi - lo) / step
     if not (math.isfinite(steps) and math.isclose(steps, round(steps), rel_tol=1e-9)):
         raise ConfigError(f"range step must divide hi - lo, got {text!r}")
+    if steps >= _MAX_RANGE_POINTS:
+        raise ConfigError(f"range {text!r} has more than {_MAX_RANGE_POINTS} points")
     return lo + step * np.arange(round(steps) + 1)
 
 

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from .errors import (
     CapTooSmallError,
@@ -62,7 +61,7 @@ __all__ = [
 
 _TAIL_MASS = 1e-12  # GHZ-success mass outside the exact window
 _EARLY_STOP = 1e-16  # largest change the exact sweep's early stop may skip
-_EXACT_BANK_LIMIT = 256  # largest 2**k the exact propagation is used for by default
+_EXACT_BANK_LIMIT = 1024  # largest 2**k the exact propagation is used for by default
 _MAX_LEVELS = _MAX_BLOCK_CELLS.bit_length() - 1  # largest k whose 2**k leaf banks fit one MC block
 _NAIVE_GRID = 200  # n_ghz and n_meas scanned on [1, _NAIVE_GRID] by the naive optimiser
 _SOURCE_CEILING = 10**15  # largest source count min_sources tries
@@ -376,16 +375,27 @@ def _survival_matrix(cap_in: int, cap_out: int, p: float) -> np.ndarray:
     """Non-negative ``M`` with ``(S @ M)[c] = P[Bin(Y, p) >= c]`` for ``S[y] = P[Y >= y]``.
 
     ``M[y, c] = p Binom(c-1; y-1, p)``, the step ``P[Bin(y, p) >= c] -
-    P[Bin(y-1, p) >= c]`` summed by parts, and ``M[0, 0] = 1``.  Every entry
-    depends on ``(y, c, p)`` alone, so a smaller matrix is the top-left
-    corner of a larger one.
+    P[Bin(y-1, p) >= c]`` summed by parts, and ``M[0, 0] = 1``.  Rows are
+    built by Pascal's rule, ``M[y, c] = (1-p) M[y-1, c] + p M[y-1, c-1]``,
+    which only adds non-negative terms and reads no column right of ``c``,
+    so a smaller matrix is the top-left corner of a larger one.
     """
     matrix = np.zeros((cap_in + 1, cap_out + 1))
     matrix[0, 0] = 1.0
-    matrix[1:, 1:] = p * sp_stats.binom.pmf(
-        np.arange(cap_out)[None, :], np.arange(cap_in)[:, None], p
-    )
+    for y in range(1, cap_in + 1):  # row 1 is p at c = 1, from M[0, 0]
+        matrix[y, 1:] = (1.0 - p) * matrix[y - 1, 1:] + p * matrix[y - 1, :-1]
     return matrix
+
+
+def _upper_tail(n: int, p: float, c: int) -> float:
+    """Chernoff bound on ``P[Bin(n, p) >= c]``: ``exp(-n KL(c/n || p))`` above the mean."""
+    if c <= n * p:
+        return 1.0
+    if c > n or p <= 0.0:
+        return 0.0
+    a = c / n
+    kl = a * math.log(a / p) + ((1.0 - a) * math.log((1.0 - a) / (1.0 - p)) if a < 1.0 else 0.0)
+    return math.exp(-n * kl)
 
 
 _X_BLOCK = 256  # GHZ-success counts x per memo block of the exact factory
@@ -414,17 +424,17 @@ class _ExactFactory:
         self.cap = cap
         self.banks_per_level = 2.0 ** np.arange(sched.k - 1, -1, -1)
         self.blocks: dict[int, tuple[np.ndarray, float, float]] = {}  # j -> block(j)
-        self.matrices: dict[int, np.ndarray] = {}  # level -> largest _survival_matrix so far
+        self.matrices: dict[float, np.ndarray] = {}  # p -> largest _survival_matrix so far
 
-    def _matrix(self, level: int, cap_in: int, cap_out: int) -> np.ndarray:
-        """Level ``level``'s survival matrix, a corner of the largest built so far."""
-        held = self.matrices.get(level)
+    def _matrix(self, p: float, cap_in: int, cap_out: int) -> np.ndarray:
+        """The survival matrix of thinning by ``p``, a corner of the largest built so far."""
+        held = self.matrices.get(p)
         if held is None or held.shape[0] <= cap_in or held.shape[1] <= cap_out:
             # a quarter headroom: an upward sweep's caps grow block by block
             rows, cols = (cap_in * 5) // 4, (cap_out * 5) // 4
             if held is not None:
                 rows, cols = max(rows, held.shape[0] - 1), max(cols, held.shape[1] - 1)
-            held = self.matrices[level] = _survival_matrix(rows, cols, self.probs[level])
+            held = self.matrices[p] = _survival_matrix(rows, cols, p)
         return held[: cap_in + 1, : cap_out + 1]
 
     def block(self, j: int) -> tuple[np.ndarray, float, float]:
@@ -452,8 +462,10 @@ class _ExactFactory:
             spread = math.sqrt(max(caps[-1] * p_level * (1.0 - p_level), 1.0))
             caps.append(min(caps[-1], math.ceil(centre + 10.0 * spread) + 5))
         # a level-l cut moves one of its 2**(k-l) banks only when its count
-        # exceeds caps[l], which has probability <= P[Bin(caps[l-1], p_l) > caps[l]]
-        cut = float(self.banks_per_level @ sp_stats.binom.sf(caps[1:], caps[:-1], self.probs))
+        # exceeds caps[l], which has probability <= P[Bin(caps[l-1], p_l) > caps[l]],
+        # itself bounded by _upper_tail
+        cut = sum(banks * _upper_tail(n, p, c + 1) for banks, n, p, c in zip(
+            self.banks_per_level, caps, self.probs, caps[1:]))
 
         # Identical subtrees share one survival row: leaves are numbered by
         # their (count, measured) key, each level by its pair of child ids.
@@ -461,16 +473,14 @@ class _ExactFactory:
         ids = ids.reshape(alloc.shape)
         counts, thinned = keys // 2, keys % 2 == 1
         survival = (np.arange(cap + 1) <= counts[:, None]).astype(float)  # exactly y states
-        survival[thinned, 1:] = sp_stats.binom.sf(
-            np.arange(cap)[None, :], counts[thinned, None], self.thin_p
-        )
-        for level, (cap_in, cap_out) in enumerate(zip(caps, caps[1:])):
+        survival[thinned] = survival[thinned] @ self._matrix(self.thin_p, cap, cap)
+        for p_level, cap_in, cap_out in zip(self.probs, caps, caps[1:]):
             pairs, ids = np.unique(
                 ids[:, 0::2] * len(survival) + ids[:, 1::2], return_inverse=True
             )
             ids = ids.reshape(len(alloc), -1)
             left, right = np.divmod(pairs, len(survival))
-            survival = (survival[left] * survival[right]) @ self._matrix(level, cap_in, cap_out)
+            survival = (survival[left] * survival[right]) @ self._matrix(p_level, cap_in, cap_out)
         f = survival[ids[:, 0], 1]
         self.blocks[j] = f[:-1], float(f[-1]), cut
         return self.blocks[j]
@@ -484,18 +494,22 @@ class _ExactFactory:
             lo = hi = n_attempts
             px = np.array([1.0])
         else:
-            dist = sp_stats.binom(n_attempts, self.p_ghz)
-            mean = n_attempts * self.p_ghz
-            sd = math.sqrt(max(mean * (1.0 - self.p_ghz), 1.0))
+            p, q = self.p_ghz, 1.0 - self.p_ghz
+            mean = n_attempts * p
+            sd = math.sqrt(max(mean * q, 1.0))
             half_width = 8.5 * sd
             lo = max(0, math.floor(mean - half_width))
             hi = min(n_attempts, math.ceil(mean + half_width))
-            while dist.cdf(hi) - (dist.cdf(lo - 1) if lo > 0 else 0.0) < 1.0 - _TAIL_MASS:
+            while (_upper_tail(n_attempts, p, hi + 1)
+                   + _upper_tail(n_attempts, q, n_attempts - lo + 1)) > _TAIL_MASS:
                 lo = max(0, lo - math.ceil(4 * sd))
                 hi = min(n_attempts, hi + math.ceil(4 * sd))
                 if lo == 0 and hi == n_attempts:
                     break
-            px = dist.pmf(np.arange(lo, hi + 1))
+            # ln pmf(c+1) - ln pmf(c) = ln((n-c) p / ((c+1) q)), summed up from lo
+            c = np.arange(lo, hi)
+            log_px = np.concatenate(([0.0], np.cumsum(np.log((n_attempts - c) * p / ((c + 1) * q)))))
+            px = np.exp(log_px - log_px.max())
             px = px / px.sum()
 
         overflow = 0.0
@@ -541,13 +555,14 @@ def improved_pc1_exact(
     Conditions on the number ``x`` of heralded GHZ states: given ``x`` the
     largest-remainder allocation is deterministic and every subsequent
     thinning and fusion draw is independent across banks, so each bank's
-    survival ``S[c] = P[Y >= c]`` propagates exactly: a measured leaf holding
-    ``n`` states starts from ``P[Bin(n, p_chip eta_ghz) >= c]``, ``min(Y1,
-    Y2)`` has survival ``S1 * S2`` and a level's binomial thinning is one
-    non-negative matrix, so no step subtracts.  The root's ``S[1]`` is the
-    conditional success ``f(x)``; averaging it over the GHZ-success
-    distribution (truncated to a window holding all but ``1e-12`` of the
-    mass, then renormalised) gives ``P_c1``.
+    survival ``S[c] = P[Y >= c]`` propagates exactly: a binomial thinning,
+    of a measured leaf by ``p_chip eta_ghz`` or of a fusion level by
+    ``p_l``, is one non-negative matrix (:func:`_survival_matrix`) and
+    ``min(Y1, Y2)`` has survival ``S1 * S2``, so no step subtracts.  The
+    root's ``S[1]`` is the conditional success ``f(x)``; averaging it over
+    the GHZ-success distribution gives ``P_c1``.  That pmf is built from the
+    ratios of neighbouring terms over a window whose two tails hold at most
+    ``1e-12`` by a Chernoff bound, then renormalised.
 
     ``f`` is computed for aligned blocks of 256 consecutive ``x``.  Within a
     block most banks hold the same count, so the leaves are numbered by

@@ -392,9 +392,9 @@ class TestErrorHandling:
     @pytest.mark.parametrize(
         "bad_range",
         ["300:100:50", "100:200:0", "1:2:3:4", "nan", "inf", "1:nan:1", "1:x:1",
-         "0:11:4"],
+         "0:11:4", "0:1e12:1"],
         ids=["reversed", "zero_step", "too_many_parts", "nan", "inf", "nan_end",
-             "non_numeric", "step_not_dividing"],
+             "non_numeric", "step_not_dividing", "too_many_points"],
     )
     def test_bad_range_is_config_error(self, capsys, bad_range):
         code, _, err = run_cli(capsys, *self.RATE_PREFIX, "--L", bad_range)

@@ -297,11 +297,44 @@ class TestExactPropagation:
             2000, sched, consts
         )
 
+    @pytest.mark.parametrize("mask", [[True, False], [True, False, False, True]],
+                             ids=["k1", "k2"])
+    def test_attempts_average_ghz_source_results(self, consts, mask):
+        # 360 sources make 60 GHZ attempts; given x heralded states the
+        # factory is the GHZ-source factory at x, weighted by Bin(60, p_ghz)
+        sched = masked_schedule(mask, consts)
+        p = consts.p_ghz
+        expected = sum(
+            math.comb(60, x) * p**x * (1.0 - p) ** (60 - x)
+            * improved_pc1_exact(x, sched, consts, ghz_source=True)
+            for x in range(61)
+        )
+        assert abs(improved_pc1_exact(360, sched, consts) - expected) <= 1e-12
+
     def test_wrong_probability_count(self, consts):
         with pytest.raises(InvalidConfigurationError):
             improved_pc1_exact(
                 100, plain_schedule(2), consts, fusion_probs=[0.5], ghz_source=True
             )
+
+
+class TestBinomialKernels:
+    def test_survival_matrix_matches_comb_oracle(self, consts):
+        for p in [consts.p_chip * consts.eta_ghz, *fusion_probabilities(3, consts)]:
+            matrix = clusterbuild._survival_matrix(60, 60, p)
+            assert matrix[0, 0] == 1.0 and not matrix[0, 1:].any() and not matrix[1:, 0].any()
+            for y, c in itertools.product(range(1, 61), repeat=2):
+                oracle = p * math.comb(y - 1, c - 1) * p ** (c - 1) * (1.0 - p) ** (y - c)
+                assert matrix[y, c] == pytest.approx(oracle, rel=1e-13, abs=0.0)
+            # a smaller matrix is the top-left corner of a larger one
+            assert np.array_equal(clusterbuild._survival_matrix(40, 25, p), matrix[:41, :26])
+
+    @PROPERTY
+    @given(n=st.integers(1, 200), p=st.floats(0.0, 1.0), c=st.integers(0, 201))
+    def test_tail_bound_is_an_upper_bound(self, n, p, c):
+        tail = sum(math.comb(n, j) * p**j * (1.0 - p) ** (n - j) for j in range(c, n + 1))
+        # the bound is attained at c = n (it is p**n there), so allow roundoff
+        assert clusterbuild._upper_tail(n, p, c) >= tail * (1.0 - 1e-12)
 
 
 class TestExactMemo:
@@ -468,3 +501,9 @@ class TestPcnCurve:
         assert np.all(np.diff(curve) > 0)
         direct = pcn(improved_pc1_exact(1200, sched, consts), 5)
         assert curve[1] == pytest.approx(direct, rel=1e-12)
+
+    def test_auto_is_exact_at_k9(self, consts):
+        def curve(method):
+            return pcn_curve("improved", 9, 4, 300, consts, [22_000_000], method=method)
+
+        assert curve("auto").tolist() == curve("exact").tolist()

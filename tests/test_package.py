@@ -32,13 +32,18 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
-def test_cli_runs_without_networkx():
-    # a None entry in sys.modules makes any import of networkx fail
+@pytest.mark.parametrize("blocked, argv", [
+    ("networkx", ["verify", "--samples", "5"]),
+    ("scipy", ["resources", "--k", "3", "--m", "1", "--n", "5",
+               "--sources", "600:2400:600", "--method", "exact"]),
+], ids=["networkx", "scipy"])
+def test_cli_runs_without(blocked, argv):
+    # a None entry in sys.modules makes any import of the blocked module fail
     script = (
         "import sys\n"
-        "sys.modules['networkx'] = None\n"
+        f"sys.modules[{blocked!r}] = None\n"
         "from clusterchain.cli import main\n"
-        "sys.exit(main(['verify', '--samples', '5']))\n"
+        f"sys.exit(main({argv!r}))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(clusterchain.__file__))}
     done = subprocess.run([sys.executable, "-c", script], env=env,
