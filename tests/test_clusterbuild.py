@@ -502,8 +502,14 @@ class TestPcnCurve:
         direct = pcn(improved_pc1_exact(1200, sched, consts), 5)
         assert curve[1] == pytest.approx(direct, rel=1e-12)
 
-    def test_auto_is_exact_at_k9(self, consts):
+    @pytest.mark.parametrize(
+        "k, m, n, n_s, same_as",
+        [(9, 4, 300, 22_000_000, "exact"), (10, 8, 1, 8_000_000, "exact"),
+         (11, 8, 1, 80_000_000, "mc")],
+        ids=["k9", "k10", "k11"],
+    )
+    def test_auto_is_exact_through_k10_only(self, consts, k, m, n, n_s, same_as):
         def curve(method):
-            return pcn_curve("improved", 9, 4, 300, consts, [22_000_000], method=method)
+            return pcn_curve("improved", k, m, n, consts, [n_s], method=method, trials=256, seed=3)
 
-        assert curve("auto").tolist() == curve("exact").tolist()
+        assert curve("auto").tolist() == curve(same_as).tolist()
