@@ -13,7 +13,8 @@ where ``q1 = p_z**(2(m-1)) * p_x**2``, ``q2 = 1 - (1 - p_b)**m`` and
 ``q3 = p_end**2`` are the chain factors evaluated on the locus.  They are
 not re-derived here: the locus is the chain-factor kernel of
 :mod:`clusterchain.ratemodel` called at ``eta_link = (A B**2)**(-z)``, on
-one ``z`` or on a whole grid at once.  Minimising
+one ``z`` or on a whole grid at once, for one design or for a block of
+designs of one tree depth.  Minimising
 ``s`` over ``z`` gives the flattest attainable power law; the corresponding
 repeater spacing ``L/n = z* ln(A B**2) / alpha`` is a constant independent
 of the total range.
@@ -65,7 +66,8 @@ class EnvelopeParams:
 
     ``q1``, ``q2``, ``q3`` are the locus-evaluated chain factors;
     ``l0_km`` is the repeater spacing ``z * ln(A B**2) / alpha`` implied by
-    the locus.
+    the locus.  For a block of designs (see :func:`optimize_z`) every field
+    is an array over the block.
     """
 
     z: float
@@ -95,18 +97,32 @@ class EnvelopePoint:
 
 
 def _require_locus(coeffs: ChainCoefficients) -> None:
-    if coeffs.ab_squared <= 1.0:
+    if np.any(coeffs.ab_squared <= 1.0):
         raise LocusInvalidError(
-            f"A*B^2 = {coeffs.ab_squared:.6g} <= 1: the optimal-design locus is undefined"
+            f"A*B^2 = {np.min(coeffs.ab_squared):.6g} <= 1: the optimal-design locus is undefined"
         )
 
 
-def _locus(z, m: int, tree: BranchingVector, coeffs: ChainCoefficients, scheme: str) -> tuple:
+def _columns(m, tree, coeffs: ChainCoefficients, keep=slice(None)) -> tuple:
+    """``(m, tree, coeffs)`` as per-design columns of shape ``(designs, 1)``, rows ``keep``.
+
+    ``tree`` is a :class:`BranchingVector` or one column of child counts per
+    level; a scalar is shared by every design.
+    """
+    levels = tree.branches if isinstance(tree, BranchingVector) else tuple(tree)
+    values = (m, *levels, coeffs.a_coeff, coeffs.b_coeff, coeffs.c_coeff)
+    columns = np.broadcast_arrays(*(np.reshape(v, (-1, 1)) for v in values))
+    m, *levels, a, b, c = (column[keep] for column in columns)
+    return m, tuple(levels), ChainCoefficients(a_coeff=a, b_coeff=b, c_coeff=c)
+
+
+def _locus(z, m, tree, coeffs: ChainCoefficients, scheme: str) -> tuple:
     """``(kernel outputs, log factors, s)`` on the locus, array-native in ``z > 0``.
 
-    ``s = inf`` wherever ``p_b > 1`` or a factor vanishes.
+    ``s = inf`` wherever ``p_b > 1`` or a factor vanishes.  The design may be
+    per-design columns (see :func:`_columns`) that broadcast against ``z``.
     """
-    log_ab2 = math.log(coeffs.ab_squared)
+    log_ab2 = np.log(coeffs.ab_squared)
     probs = chain_probs(coeffs.ab_squared ** -np.asarray(z), m, tree, coeffs, scheme)
     with np.errstate(invalid="ignore"):  # ln q2 is undefined where p_b > 1
         logs = log_chain_factors(*probs, m)
@@ -114,26 +130,38 @@ def _locus(z, m: int, tree: BranchingVector, coeffs: ChainCoefficients, scheme: 
     return probs, logs, s
 
 
-def _narrow(f, lo: float, hi: float, tol: float, root: bool = False) -> float:
-    """Centre of ``[lo, hi]`` narrowed to width ``<= tol`` around a minimum or a root.
+def _narrow(f, lo, hi, tol, root: bool = False):
+    """Centres of brackets ``[lo, hi]``, each narrowed to width ``<= tol`` around a minimum or a root.
 
-    ``f`` takes an array.  Each step scores it on the interior of
-    ``np.linspace(lo, hi, _BRACKET_POINTS)`` and keeps the two cells around
-    the lowest score (``f`` unimodal), or with ``root`` the cell where ``f``
-    first reaches ``>= 0`` (``f(lo) < 0 <= f(hi)``).  It also stops where
-    floating point cannot narrow the bracket further.
+    ``lo``, ``hi`` and ``tol`` are scalars (one bracket, ``f`` takes a 1-D
+    array and a float is returned) or 1-D arrays (a bracket per row, ``f``
+    takes a ``(rows, points)`` array).  Each step scores every bracket on the
+    interior of ``np.linspace(lo, hi, _BRACKET_POINTS)`` and keeps the two
+    cells around the lowest score (``f`` unimodal), or with ``root`` the cell
+    where ``f`` first reaches ``>= 0`` (``f(lo) < 0 <= f(hi)``).  A bracket
+    stops at its own tolerance or where floating point cannot narrow it
+    further; the others go on in lockstep.
     """
-    while hi - lo > tol:
-        x = np.linspace(lo, hi, _BRACKET_POINTS)
-        y = f(x[1:-1])
+    one = np.ndim(lo) == 0
+    lo, hi, tol = (np.array(v, dtype=float, ndmin=1) for v in (lo, hi, tol))
+    rows = np.arange(lo.size)
+    active = hi - lo > tol
+    steps = np.arange(float(_BRACKET_POINTS))
+    while active.any():
+        # np.linspace(lo, hi, _BRACKET_POINTS) per row, without its axis handling
+        x = steps * ((hi - lo) / (_BRACKET_POINTS - 1))[:, None] + lo[:, None]
+        x[:, -1] = hi
+        y = np.reshape(f(x[0, 1:-1] if one else x[:, 1:-1]), (lo.size, -1))
         if root:
-            i, cells = int(np.argmax(np.append(y >= 0.0, True))), 1
+            i, cells = np.argmax(np.append(y >= 0.0, np.ones((lo.size, 1), bool), axis=1), axis=1), 1
         else:
-            i, cells = int(np.argmin(y)), 2
-        if x[i + cells] - x[i] >= hi - lo:
-            break
-        lo, hi = x[i], x[i + cells]
-    return float(0.5 * (lo + hi))
+            i, cells = np.argmin(y, axis=1), 2
+        new_lo, new_hi = x[rows, i], x[rows, i + cells]
+        active &= new_hi - new_lo < hi - lo
+        lo, hi = np.where(active, new_lo, lo), np.where(active, new_hi, hi)
+        active &= hi - lo > tol
+    mid = 0.5 * (lo + hi)
+    return float(mid[0]) if one else mid
 
 
 def _locus_factors(
@@ -141,12 +169,14 @@ def _locus_factors(
 ) -> tuple:
     """:func:`_locus` at one ``z``, raising :class:`LocusInvalidError` off the locus."""
     _require_locus(coeffs)
-    if z <= 0.0:
-        raise LocusInvalidError(f"locus parameter z must be > 0, got {z!r}")
+    if np.any(z <= 0.0):
+        raise LocusInvalidError(f"locus parameter z must be > 0, got {np.min(z)!r}")
     probs, logs, s = _locus(z, m, tree, coeffs, scheme)
-    if probs[2] > 1.0:
+    if np.any(probs[2] > 1.0):
+        i = np.argmax(np.ravel(probs[2]))
         raise LocusInvalidError(
-            f"locus Bell probability {float(probs[2]):.6g} exceeds 1 at z={z:.6g}, m={m}"
+            f"locus Bell probability {np.ravel(probs[2])[i]:.6g} exceeds 1 at "
+            f"z={np.ravel(z)[i]:.6g}, m={np.ravel(m)[i]}"
         )
     return probs, logs, s
 
@@ -174,15 +204,18 @@ def locus_probs(
 
 
 def analytic_lb(
-    z: float,
-    m: int,
-    tree: BranchingVector,
+    z: float | np.ndarray,
+    m: int | np.ndarray,
+    tree,
     device: DeviceParams,
     coeffs: ChainCoefficients,
     p_cn: float = 0.9,
     scheme: str = "new",
 ) -> EnvelopeParams:
     """Envelope parameters at locus position ``z``.
+
+    For a block of designs (see :func:`optimize_z`) ``z`` holds one position
+    per design and the fields of the result are arrays over the block.
 
     Returns
     -------
@@ -195,67 +228,91 @@ def analytic_lb(
     ------
     InvalidConfigurationError
         If ``p_cn`` lies outside ``(0, 1]``.
+    LocusInvalidError
+        If some design has no locus at ``z``.
     """
     if not 0.0 < p_cn <= 1.0:
         raise InvalidConfigurationError(f"p_cn must lie in (0, 1], got {p_cn!r}")
+    one = isinstance(tree, BranchingVector)
+    if not one:
+        m, tree, coeffs = _columns(m, tree, coeffs)
+        z = np.reshape(z, (-1, 1))
     _, logs, s = _locus_factors(z, m, tree, coeffs, scheme)
-    q1, q2, q3 = (math.exp(float(v)) for v in logs)
-    d_coeff = q3 * p_cn / (mode_divisor(m, tree, scheme) * q2) if q2 > 0.0 else 0.0
-    return EnvelopeParams(
-        z=z,
-        q1=q1,
-        q2=q2,
-        q3=q3,
-        d_coeff=d_coeff,
-        s_exp=float(s),
-        l0_km=repeater_spacing(z, coeffs, device.alpha),
-    )
+    q1, q2, q3 = (np.exp(v) for v in logs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_coeff = np.where(q2 > 0.0, q3 * p_cn / (mode_divisor(m, tree, scheme) * q2), 0.0)
+    fields = (z, q1, q2, q3, d_coeff, s, repeater_spacing(z, coeffs, device.alpha))
+    return EnvelopeParams(*(float(v) if one else np.ravel(v) for v in fields))
 
 
 def optimize_z(
-    m: int,
-    tree: BranchingVector,
+    m: int | np.ndarray,
+    tree,
     device: DeviceParams,
     coeffs: ChainCoefficients,
     scheme: str = "new",
-) -> float:
+) -> float | np.ndarray:
     """Locus parameter minimising the envelope exponent ``s``.
 
     A coarse logarithmic grid scan of ``z`` in ``[1e-3, 3]`` locates the
     bracket (guarding against multimodality), then :func:`_narrow` shrinks
     it around the minimum to a width of ``1e-6`` relative to ``z``.
 
+    ``m``, ``tree`` and ``coeffs`` are one design, or a block of designs of
+    one tree depth: ``m`` and the fields of ``coeffs`` are then 1-D arrays
+    over the block (or scalars it shares) and ``tree`` holds one such array
+    of child counts per level.  A block is scored in one grid call and
+    narrowed in lockstep; it gives an array of ``z`` that is NaN for each
+    design on which a one-design call would raise.
+
     Raises
     ------
     LocusInvalidError
-        If ``A B**2 <= 1`` so no locus exists at all.
+        If ``A B**2 <= 1`` so no locus exists at all (one design).
     NoInteriorMinimumError
         If ``s(z)`` is monotone on the scanned range (minimum at a boundary),
-        finite nowhere on the grid, or not finite at the refined minimum.
+        finite nowhere on the grid, or not finite at the refined minimum
+        (one design).
     """
-    _require_locus(coeffs)
-
-    def exponent(z):
-        return _locus(z, m, tree, coeffs, scheme)[2]
+    one = isinstance(tree, BranchingVector)
+    if one:  # the design keeps its scalars and scores as one row
+        _require_locus(coeffs)
+        design, rows, z = (m, tree, coeffs), np.zeros(1, dtype=int), np.full(1, np.nan)
+    else:
+        design = _columns(m, tree, coeffs)
+        z = np.full(len(design[0]), np.nan)
+        rows = np.flatnonzero(design[2].ab_squared[:, 0] > 1.0)
+        design = _columns(*design, keep=rows)
     grid = np.geomspace(_Z_LO, _Z_HI, _Z_GRID_POINTS)
-    values = exponent(grid)
-    if not np.isfinite(values).any():
+    values = np.atleast_2d(_locus(grid, *design, scheme)[2])
+    best = np.argmin(values, axis=1)
+    nowhere = ~np.isfinite(values).any(axis=1)
+    edge = (best == 0) | (best == len(grid) - 1)
+    if one and nowhere[0]:
         raise NoInteriorMinimumError("exponent s(z) is nowhere finite on the search bracket")
-    best = int(np.argmin(values))
-    if best in (0, len(grid) - 1):
+    if one and edge[0]:
         raise NoInteriorMinimumError(
-            f"s(z) is minimised at the bracket edge z={grid[best]:.6g}; no interior minimum"
+            f"s(z) is minimised at the bracket edge z={grid[best[0]]:.6g}; no interior minimum"
         )
-    z_star = _narrow(exponent, grid[best - 1], grid[best + 1], _Z_XTOL * grid[best])
-    if not np.isfinite(exponent(z_star)):
-        raise NoInteriorMinimumError(f"s(z) is not finite at the refined minimum z={z_star:.6g}")
-    return z_star
+    interior = ~(nowhere | edge)
+    rows, best = rows[interior], best[interior]
+    if not one:
+        design = _columns(*design, keep=interior)
+    z_star = _narrow(lambda x: _locus(x, *design, scheme)[2],
+                     grid[best - 1], grid[best + 1], _Z_XTOL * grid[best])
+    finite = np.isfinite(_locus(z_star[:, None], *design, scheme)[2][:, 0])
+    if one and not finite[0]:
+        raise NoInteriorMinimumError(
+            f"s(z) is not finite at the refined minimum z={z_star[0]:.6g}"
+        )
+    z[rows] = np.where(finite, z_star, np.nan)
+    return float(z[0]) if one else z
 
 
 def spacing_unit(coeffs: ChainCoefficients, alpha: float) -> float:
     """The length scale ``ln(A B**2) / alpha`` of the locus, in km."""
     _require_locus(coeffs)
-    return math.log(coeffs.ab_squared) / alpha
+    return np.log(coeffs.ab_squared) / alpha
 
 
 def repeater_spacing(z_star: float, coeffs: ChainCoefficients, alpha: float) -> float:

@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .clusterbuild import min_sources
 from .envelope import EnvelopeParams, analytic_lb, optimize_z
-from .errors import EmptyFeasibleSetError, InvalidConfigurationError, LocusInvalidError, NoInteriorMinimumError
-from .params import DeviceParams, chain_coefficients, derive_constants
+from .errors import EmptyFeasibleSetError, InvalidConfigurationError
+from .params import ChainCoefficients, DeviceParams, chain_coefficients, derive_constants
 from .ratemodel import cluster_photons, k_of_design
 from .treecode import BranchingVector
 
@@ -38,6 +38,11 @@ __all__ = [
     "fitted_exponent",
 ]
 
+# Designs design_envelopes scores per kernel call: 50 designs x 161 z grid
+# points keeps each call near 2**13 cells, so the scan's temporaries stay
+# small whatever the class size.
+_BLOCK_DESIGNS = 50
+
 
 @dataclass(frozen=True)
 class SearchBounds:
@@ -52,6 +57,8 @@ class SearchBounds:
             raise InvalidConfigurationError("search bounds must be >= 1")
         if not self.depths or any(d < 1 for d in self.depths):
             raise InvalidConfigurationError("tree depths must be a non-empty tuple of >= 1")
+        if len(set(self.depths)) != len(self.depths):
+            raise InvalidConfigurationError(f"tree depths must not repeat, got {self.depths}")
 
 
 @dataclass(frozen=True)
@@ -97,13 +104,35 @@ class FamilyCurve:
 
 
 def iter_designs(k: int, bounds: SearchBounds = SearchBounds()) -> Iterator[tuple[int, BranchingVector]]:
-    """All ``(m, tree)`` pairs within ``bounds`` whose photon count needs ``k`` fusion levels."""
+    """All ``(m, tree)`` pairs within ``bounds`` whose photon count needs ``k`` fusion levels.
+
+    Ordered by depth as listed in ``bounds``, then by ``m``, then by the
+    branches in lexicographic order.  The photon count grows with ``m`` and
+    with every branch entry, so only trees that can still land in class
+    ``k`` are visited.
+    """
     for depth in bounds.depths:
         for m in range(1, bounds.m_max + 1):
-            for branches in itertools.product(range(1, bounds.branch_max + 1), repeat=depth):
-                tree = BranchingVector(branches)
-                if k_of_design(m, tree) == k:
-                    yield m, tree
+            if k_of_design(m, BranchingVector((1,) * depth)) > k:
+                break
+            yield from _class_trees(k, m, (), depth, bounds.branch_max)
+
+
+def _class_trees(
+    k: int, m: int, prefix: tuple[int, ...], depth: int, branch_max: int
+) -> Iterator[tuple[int, BranchingVector]]:
+    """Class-``k`` designs with ``m`` channels whose branches start with ``prefix``."""
+    rest = depth - len(prefix) - 1
+    for b in range(1, branch_max + 1):
+        smallest = BranchingVector(prefix + (b,) + (1,) * rest)
+        k_smallest = k_of_design(m, smallest)
+        if k_smallest > k:
+            break  # so are all later siblings
+        if rest == 0:
+            if k_smallest == k:
+                yield m, smallest
+        elif k_of_design(m, BranchingVector(prefix + (b,) + (branch_max,) * rest)) >= k:
+            yield from _class_trees(k, m, prefix + (b,), depth, branch_max)
 
 
 def design_envelopes(
@@ -116,7 +145,9 @@ def design_envelopes(
     """Optimised envelope parameters for every feasible design in the class.
 
     Designs whose locus is invalid everywhere or whose exponent has no
-    interior minimum are dropped.
+    interior minimum are dropped; the rest come in :func:`iter_designs`
+    order.  Designs of one tree depth are optimised in blocks of
+    ``_BLOCK_DESIGNS``, one kernel call per grid scan and narrowing step.
 
     Raises
     ------
@@ -124,21 +155,42 @@ def design_envelopes(
         When no design in the class admits a valid envelope.
     """
     consts = derive_constants(device)
+    coeffs = {
+        m: chain_coefficients(consts, device, m, k, boosted=(scheme == "new"))
+        for m in range(1, bounds.m_max + 1)
+    }
     out: list[tuple[int, BranchingVector, EnvelopeParams]] = []
-    for m, tree in iter_designs(k, bounds):
-        coeffs = chain_coefficients(consts, device, m, k, boosted=(scheme == "new"))
-        try:
-            z_star = optimize_z(m, tree, device, coeffs, scheme=scheme)
-            env = analytic_lb(z_star, m, tree, device, coeffs, p_cn=p_cn, scheme=scheme)
-        except (LocusInvalidError, NoInteriorMinimumError):
-            continue
-        out.append((m, tree, env))
+    for _, group in itertools.groupby(iter_designs(k, bounds), key=lambda d: d[1].depth):
+        while block := list(itertools.islice(group, _BLOCK_DESIGNS)):
+            out += _block_envelopes(block, coeffs, device, p_cn, scheme)
     if not out:
         raise EmptyFeasibleSetError(
             f"no feasible design with k={k} within m <= {bounds.m_max}, "
             f"branches <= {bounds.branch_max}, depths {bounds.depths}"
         )
     return out
+
+
+def _block_envelopes(
+    block: list[tuple[int, BranchingVector]],
+    coeffs: dict[int, ChainCoefficients],
+    device: DeviceParams,
+    p_cn: float,
+    scheme: str,
+) -> list[tuple[int, BranchingVector, EnvelopeParams]]:
+    """Envelopes of the feasible designs in a block of one tree depth."""
+    m = np.array([mi for mi, _ in block])
+    tree = np.array([ti.branches for _, ti in block]).T  # one column per level
+    # B and C depend on the class only; A carries the factor m
+    a_coeff = np.array([coeffs[mi].a_coeff for mi, _ in block])
+    block_coeffs = replace(coeffs[block[0][0]], a_coeff=a_coeff)
+    z = optimize_z(m, tree, device, block_coeffs, scheme=scheme)
+    ok = ~np.isnan(z)
+    env = analytic_lb(z[ok], m[ok], tree[:, ok], device, replace(block_coeffs, a_coeff=a_coeff[ok]),
+                      p_cn=p_cn, scheme=scheme)
+    rows = np.column_stack(astuple(env)).tolist()
+    return [(mi, ti, EnvelopeParams(*row))
+            for (mi, ti), row in zip(itertools.compress(block, ok), rows)]
 
 
 def _design_point(
@@ -228,8 +280,10 @@ def rate_family(
 ) -> list[FamilyCurve]:
     """Per-class best-design envelope rates over a shared range grid."""
     grid = np.asarray(l_km, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or np.any(grid <= 0):
-        raise InvalidConfigurationError("range grid must be a non-empty 1-D array of positive km")
+    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid) & (grid > 0)):
+        raise InvalidConfigurationError(
+            "range grid must be a non-empty 1-D array of positive, finite km"
+        )
     curves = []
     for k in ks:
         candidates = design_envelopes(k, device, p_cn, scheme, bounds)
@@ -251,6 +305,8 @@ def fitted_exponent(l_km: np.ndarray, rates: np.ndarray, alpha: float) -> float:
     """
     l_km = np.asarray(l_km, dtype=float)
     rates = np.asarray(rates, dtype=float)
+    if not (np.all(np.isfinite(l_km)) and np.all(np.isfinite(rates))):
+        raise InvalidConfigurationError("ranges and rates to fit must be finite")
     keep = rates > 0
     if keep.sum() < 2:
         raise InvalidConfigurationError("need at least two positive rates to fit an exponent")

@@ -182,8 +182,8 @@ def coefficients_for(cfg: ChainConfig, device: DeviceParams) -> ChainCoefficient
 
 def chain_probs(
     eta_link: float | np.ndarray,
-    m: int,
-    tree: BranchingVector,
+    m: int | np.ndarray,
+    tree,
     coeffs: ChainCoefficients,
     scheme: str = "new",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -191,6 +191,9 @@ def chain_probs(
 
     ``eta_link`` (scalar or array) is ``exp(-alpha L / n)`` for a chain and
     ``(A B**2)**(-z)`` on the envelope locus.  ``P_B`` is returned unchecked.
+    For a block of designs of one tree depth, ``m``, the branch columns of
+    ``tree`` (see :func:`clusterchain.treecode.xi`) and the fields of
+    ``coeffs`` are per-design columns that broadcast against ``eta_link``.
     """
     if scheme not in SCHEMES:
         raise InvalidConfigurationError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
@@ -201,16 +204,16 @@ def chain_probs(
 
 
 def log_chain_factors(
-    p_x: np.ndarray, p_z: np.ndarray, p_b: np.ndarray, p_end: np.ndarray, m: int
+    p_x: np.ndarray, p_z: np.ndarray, p_b: np.ndarray, p_end: np.ndarray, m: int | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(ln q1, ln q2, ln q3)`` from the kernel outputs, for ``P_B <= 1``.
 
     ``q1 = P_Z**(2(m-1)) * P_X**2``, ``q2 = 1 - (1 - P_B)**m`` and
     ``q3 = P_end**2``.  A vanishing factor gives ``-inf``, never NaN; ``P_Z``
-    does not enter ``q1`` at ``m = 1``.
+    does not enter ``q1`` at ``m = 1``.  ``m`` may be a per-design column.
     """
-    with np.errstate(divide="ignore"):
-        ln_q1 = 2.0 * np.log(p_x) + (2.0 * (m - 1) * np.log(p_z) if m > 1 else 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 * ln 0 at m = 1 is not taken
+        ln_q1 = 2.0 * np.log(p_x) + np.where(m > 1, 2.0 * (m - 1) * np.log(p_z), 0.0)
         return ln_q1, np.log(_any_of(p_b, m)), 2.0 * np.log(p_end)
 
 

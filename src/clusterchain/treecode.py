@@ -131,16 +131,41 @@ class MCMeasurementEstimate:
     p_z_err: float
 
 
-def tree_size(b: BranchingVector) -> int:
-    """Photon count of the tree: ``1 + b0 + b0*b1 + ... + b0*...*bd``."""
+def tree_size(b) -> int | np.ndarray:
+    """Photon count of the tree: ``1 + b0 + b0*b1 + ... + b0*...*bd``.
+
+    ``b`` may also be per-design branch columns (see :func:`xi`).
+    """
     total, level = 1, 1
-    for count in b.branches:
+    for count in _levels(b):
         level *= count
         total += level
     return total
 
 
-def xi(i: int, b: BranchingVector, eps: float | np.ndarray) -> float | np.ndarray:
+def _levels(b) -> tuple:
+    """Per-level child counts of ``b``: a vector's entries, or per-design columns."""
+    if isinstance(b, BranchingVector):
+        return b.branches
+    levels = tuple(np.asarray(column) for column in b)
+    if not levels or any(np.any(column < 1) for column in levels):
+        raise InvalidConfigurationError("branch columns must be non-empty with entries >= 1")
+    return levels
+
+
+def _power(base: np.ndarray, count):
+    """``base ** count`` for a branch count or column, the same for every block shape.
+
+    numpy squares exactly where the exponent 2 is one number but calls
+    ``pow`` for an exponent array, so rows with ``count == 2`` are squared
+    here: a design's value then does not depend on the block it is in.
+    """
+    if np.ndim(count) == 0:
+        return base**count
+    return np.where(count == 2, base * base, base**count)
+
+
+def xi(i: int, b, eps: float | np.ndarray) -> float | np.ndarray:
     """Success probability of an indirect Z measurement at depth ``i``.
 
     Evaluates the recursion iteratively from the deepest level upward, so
@@ -150,47 +175,48 @@ def xi(i: int, b: BranchingVector, eps: float | np.ndarray) -> float | np.ndarra
     Parameters
     ----------
     i : int
-        Depth index, ``0 <= i <= b.depth``.
-    b : BranchingVector
+        Depth index, from 0 to the depth of ``b``.
+    b : BranchingVector or sequence of arrays
+        One tree, or a block of trees of one depth given as one column of
+        child counts per level, each broadcasting against ``eps`` (shape
+        ``(designs, 1)`` against ``eps`` of shape ``(designs, points)``).
     eps : float or ndarray
         Photon loss probability in [0, 1].
 
     Returns
     -------
     float or ndarray
+        A float when ``eps`` and the branch counts are scalars.
     """
-    if not 0 <= i <= b.depth:
+    br = _levels(b)
+    depth = len(br) - 1
+    if not 0 <= i <= depth:
         raise InvalidConfigurationError(f"depth index {i} out of range for {b}")
     eps_arr = np.asarray(eps, dtype=float)
-    br = b.branches
     ones = np.ones_like(eps_arr)
     xi_next = np.zeros_like(eps_arr)  # xi_{j+1}
     xi_next2 = np.zeros_like(eps_arr)  # xi_{j+2}
     value = ones
-    for j in range(b.depth, i - 1, -1):
-        b_below = br[j + 1] if j + 1 <= b.depth else 0
-        inner = (1.0 - eps_arr + eps_arr * xi_next2) ** b_below if b_below else ones
-        value = 1.0 - (1.0 - (1.0 - eps_arr) * inner) ** br[j]
+    for j in range(depth, i - 1, -1):
+        inner = _power(1.0 - eps_arr + eps_arr * xi_next2, br[j + 1]) if j < depth else ones
+        value = 1.0 - _power(1.0 - (1.0 - eps_arr) * inner, br[j])
         xi_next2 = xi_next
         xi_next = value
-    if np.isscalar(eps) or np.ndim(eps) == 0:
-        return float(value)
-    return value
+    return float(value) if np.ndim(value) == 0 else value
 
 
-def p_x_general(b: BranchingVector, eps: float | np.ndarray) -> float | np.ndarray:
-    """Logical X success probability ``P_X = xi_0`` for any tree depth."""
+def p_x_general(b, eps: float | np.ndarray) -> float | np.ndarray:
+    """Logical X success probability ``P_X = xi_0`` for any tree depth (see :func:`xi`)."""
     return xi(0, b, eps)
 
 
-def p_z_general(b: BranchingVector, eps: float | np.ndarray) -> float | np.ndarray:
-    """Logical Z success probability ``P_Z = (1 - eps + eps*xi_1) ** b_0``."""
+def p_z_general(b, eps: float | np.ndarray) -> float | np.ndarray:
+    """Logical Z success probability ``P_Z = (1 - eps + eps*xi_1) ** b_0`` (see :func:`xi`)."""
+    br = _levels(b)
     eps_arr = np.asarray(eps, dtype=float)
-    xi_1 = xi(1, b, eps_arr) if b.depth >= 1 else np.zeros_like(eps_arr)
-    value = (1.0 - eps_arr + eps_arr * xi_1) ** b.branches[0]
-    if np.isscalar(eps) or np.ndim(eps) == 0:
-        return float(value)
-    return value
+    xi_1 = xi(1, b, eps_arr) if len(br) > 1 else np.zeros_like(eps_arr)
+    value = _power(1.0 - eps_arr + eps_arr * xi_1, br[0])
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def p_x_depth2(

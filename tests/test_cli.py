@@ -14,6 +14,7 @@ import dataclasses
 import io
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -306,6 +307,24 @@ class TestOptimize:
         assert row[4] == "" or int(row[4]) >= 1  # depth-2 winner leaves b2 blank
         # the scan includes the best depth-2 design, so it can only improve
         assert float(row[6 - 1]) >= K7_RATE * (1 - 1e-3)
+
+    def test_repeated_depths_are_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "optimize", "--L", "300", "--k", "7", "--depths", "2,2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: config:")
+
+    def test_deep_trees_scan_in_seconds(self, capsys):
+        # the class is enumerated by pruning on tree size; filtering every
+        # (m, tree) tuple would walk 16 * 16**6 of them
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "optimize", "--L", "300", "--k", "7", "--depths", "6")
+        assert time.perf_counter() - start < 20.0
+        assert code == 0
+        _, header, rows, _ = parse_csv(out)
+        assert header[2:8] == [f"b{i}" for i in range(6)]
+        (row,) = rows
+        assert all(int(b) >= 1 for b in row[2:8])
 
     def test_with_sources_adds_counts(self, capsys):
         code, out, err = run_cli(

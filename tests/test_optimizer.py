@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from clusterchain.clusterbuild import build_schedule, improved_pc1_exact, pcn
-from clusterchain.envelope import EnvelopeParams
-from clusterchain.errors import EmptyFeasibleSetError, InvalidConfigurationError
+from clusterchain.envelope import EnvelopeParams, analytic_lb, optimize_z
+from clusterchain.errors import (EmptyFeasibleSetError, InvalidConfigurationError,
+                                 LocusInvalidError, NoInteriorMinimumError)
 from clusterchain.optimizer import (
     SearchBounds,
     design_envelopes,
@@ -19,7 +21,7 @@ from clusterchain.optimizer import (
     optimize_design,
     rate_family,
 )
-from clusterchain.params import derive_constants
+from clusterchain.params import ChainCoefficients, chain_coefficients, derive_constants
 from clusterchain.ratemodel import k_of_design
 from clusterchain.treecode import BranchingVector
 
@@ -45,6 +47,7 @@ class TestSearchBounds:
             {"branch_max": 0},
             {"depths": ()},
             {"depths": (0,)},
+            {"depths": (2, 2)},
         ],
     )
     def test_validation(self, kwargs):
@@ -62,10 +65,76 @@ class TestIterDesigns:
     def test_contains_reference_design(self):
         assert (4, BranchingVector((4, 2))) in iter_designs(7)
 
+    @pytest.mark.parametrize("depths", [(1,), (2,), (3,), (3, 1, 2)])
+    def test_pruned_enumeration_matches_filtering_every_tuple(self, depths):
+        bounds = SearchBounds(m_max=5, branch_max=5, depths=depths)
+        for k in range(3, 11):
+            every = [
+                (m, BranchingVector(branches))
+                for depth in depths
+                for m in range(1, 6)
+                for branches in itertools.product(range(1, 6), repeat=depth)
+                if k_of_design(m, BranchingVector(branches)) == k
+            ]
+            assert list(iter_designs(k, bounds)) == every
+
     def test_classes_partition_the_grid(self):
         bounds = SearchBounds(m_max=4, branch_max=4)
         total = sum(len(list(iter_designs(k, bounds))) for k in range(1, 12))
         assert total == 4 * 4 * 4  # every (m, b0, b1) lands in exactly one class
+
+
+def _one_design_at_a_time(k, device, scheme, bounds):
+    """The class scanned design by design through ``optimize_z`` and ``analytic_lb``."""
+    consts = derive_constants(device)
+    out = []
+    for m, tree in iter_designs(k, bounds):
+        coeffs = chain_coefficients(consts, device, m, k, boosted=(scheme == "new"))
+        try:
+            z_star = optimize_z(m, tree, device, coeffs, scheme=scheme)
+            out.append((m, tree, analytic_lb(z_star, m, tree, device, coeffs, scheme=scheme)))
+        except (LocusInvalidError, NoInteriorMinimumError):
+            continue
+    return out
+
+
+class TestDesignEnvelopes:
+    @pytest.mark.parametrize(
+        "scheme,k,depths",
+        [(scheme, k, (2,)) for scheme in ("new", "naive") for k in (7, 8, 9, 10)]
+        + [("new", 9, (3,))],
+    )
+    def test_blocks_match_the_one_design_path(self, device, scheme, k, depths):
+        bounds = SearchBounds(depths=depths)
+        blocked = design_envelopes(k, device, scheme=scheme, bounds=bounds)
+        single = _one_design_at_a_time(k, device, scheme, bounds)
+        assert [(m, tree) for m, tree, _ in blocked] == [(m, tree) for m, tree, _ in single]
+        for (_, _, got), (_, _, want) in zip(blocked, single):
+            for field in ("z", "s_exp", "d_coeff", "l0_km"):
+                assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-9)
+
+    def test_one_design_block_matches_optimize_z(self, device, consts):
+        coeffs = chain_coefficients(consts, device, 4, 7)
+        z_one = optimize_z(4, BranchingVector((4, 2)), device, coeffs)
+        z_block = optimize_z(np.array([4]), np.array([[4], [2]]), device, coeffs)
+        assert z_block.tolist() == [z_one]
+
+    def test_block_marks_a_design_without_a_locus(self, device, consts):
+        # m=1 has A B^2 <= 1: alone it raises, in a block it reads NaN
+        one, four = (chain_coefficients(consts, device, m, 7) for m in (1, 4))
+        tree = BranchingVector((4, 2))
+        with pytest.raises(LocusInvalidError):
+            optimize_z(1, tree, device, one)
+        block = ChainCoefficients(np.array([one.a_coeff, four.a_coeff]), four.b_coeff, four.c_coeff)
+        z = optimize_z(np.array([1, 4]), np.array([[4, 4], [2, 2]]), device, block)
+        assert np.isnan(z[0])
+        assert z[1] == optimize_z(4, tree, device, four)
+
+    def test_deeper_trees_never_lose_to_depth_two(self, device):
+        shallow = optimize_design(5000.0, 10, device)
+        mixed = optimize_design(5000.0, 10, device, bounds=SearchBounds(depths=(2, 3)))
+        assert mixed.rate_bits_per_mode >= shallow.rate_bits_per_mode
+        assert (mixed.m, mixed.tree.branches) == (9, (4, 6, 1))
 
 
 class TestOptimizeDesign:
@@ -163,6 +232,11 @@ class TestRateFamily:
         with pytest.raises(InvalidConfigurationError):
             rate_family(np.array([-5.0, 10.0]), [7], device)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_range_is_refused(self, device, bad):
+        with pytest.raises(InvalidConfigurationError):
+            rate_family(np.array([100.0, bad]), [7], device)
+
 
 class TestFittedExponent:
     def test_recovers_synthetic_power_law(self, device):
@@ -185,3 +259,12 @@ class TestFittedExponent:
             fitted_exponent(
                 np.array([100.0, 200.0]), np.array([0.0, 1e-3]), device.alpha
             )
+
+    @pytest.mark.parametrize("column", ["l_km", "rates"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_is_refused(self, device, capfd, column, bad):
+        data = {"l_km": np.array([100.0, 200.0, 300.0]), "rates": np.array([1e-2, 1e-3, 1e-4])}
+        data[column][1] = bad
+        with pytest.raises(InvalidConfigurationError):
+            fitted_exponent(data["l_km"], data["rates"], device.alpha)
+        assert capfd.readouterr().err == ""

@@ -72,6 +72,22 @@ class TestRecursion:
         assert p_x_general(b, 1.0) == pytest.approx(0.0)
         assert p_z_general(b, 1.0) == pytest.approx(0.0)
 
+    def test_branch_columns_match_one_tree_per_row(self):
+        trees = [(4, 2), (7, 3), (2, 16), (1, 1)]
+        columns = np.array(trees).T[:, :, None]  # one (designs, 1) column per level
+        eps = np.linspace(0.01, 0.6, 9)
+        for fn in (p_x_general, p_z_general):
+            block = fn(columns, eps)
+            for row, tree in zip(block, trees):
+                np.testing.assert_array_equal(row, fn(BranchingVector(tree), eps))
+        np.testing.assert_array_equal(
+            tree_size(np.array(trees).T), [tree_size(BranchingVector(t)) for t in trees]
+        )
+
+    def test_branch_columns_reject_counts_below_one(self):
+        with pytest.raises(InvalidConfigurationError):
+            xi(0, [np.array([3, 0])], 0.1)
+
     def test_xi_accepts_arrays(self):
         b = BranchingVector((4, 2))
         eps = np.linspace(0.0, 0.9, 7)
