@@ -130,20 +130,18 @@ def _locus(z, m, tree, coeffs: ChainCoefficients, scheme: str) -> tuple:
     return probs, logs, s
 
 
-def _narrow(f, lo, hi, tol, root: bool = False):
+def _narrow(f, lo, hi, tol, root: bool = False) -> np.ndarray:
     """Centres of brackets ``[lo, hi]``, each narrowed to width ``<= tol`` around a minimum or a root.
 
-    ``lo``, ``hi`` and ``tol`` are scalars (one bracket, ``f`` takes a 1-D
-    array and a float is returned) or 1-D arrays (a bracket per row, ``f``
-    takes a ``(rows, points)`` array).  Each step scores every bracket on the
-    interior of ``np.linspace(lo, hi, _BRACKET_POINTS)`` and keeps the two
-    cells around the lowest score (``f`` unimodal), or with ``root`` the cell
-    where ``f`` first reaches ``>= 0`` (``f(lo) < 0 <= f(hi)``).  A bracket
-    stops at its own tolerance or where floating point cannot narrow it
-    further; the others go on in lockstep.
+    ``lo`` and ``hi`` are 1-D arrays with a bracket per row, ``tol`` broadcasts
+    against them, and ``f`` maps a ``(rows, points)`` array to scores of that
+    shape.  Each step scores every bracket on the interior of
+    ``np.linspace(lo, hi, _BRACKET_POINTS)`` and keeps the two cells around the
+    lowest score (``f`` unimodal), or with ``root`` the cell where ``f`` first
+    reaches ``>= 0`` (``f(lo) < 0 <= f(hi)``).  A bracket stops at its own
+    tolerance or where floating point cannot narrow it further; the others go
+    on in lockstep.
     """
-    one = np.ndim(lo) == 0
-    lo, hi, tol = (np.array(v, dtype=float, ndmin=1) for v in (lo, hi, tol))
     rows = np.arange(lo.size)
     active = hi - lo > tol
     steps = np.arange(float(_BRACKET_POINTS))
@@ -151,7 +149,7 @@ def _narrow(f, lo, hi, tol, root: bool = False):
         # np.linspace(lo, hi, _BRACKET_POINTS) per row, without its axis handling
         x = steps * ((hi - lo) / (_BRACKET_POINTS - 1))[:, None] + lo[:, None]
         x[:, -1] = hi
-        y = np.reshape(f(x[0, 1:-1] if one else x[:, 1:-1]), (lo.size, -1))
+        y = f(x[:, 1:-1])
         if root:
             i, cells = np.argmax(np.append(y >= 0.0, np.ones((lo.size, 1), bool), axis=1), axis=1), 1
         else:
@@ -160,14 +158,11 @@ def _narrow(f, lo, hi, tol, root: bool = False):
         active &= new_hi - new_lo < hi - lo
         lo, hi = np.where(active, new_lo, lo), np.where(active, new_hi, hi)
         active &= hi - lo > tol
-    mid = 0.5 * (lo + hi)
-    return float(mid[0]) if one else mid
+    return 0.5 * (lo + hi)
 
 
-def _locus_factors(
-    z: float, m: int, tree: BranchingVector, coeffs: ChainCoefficients, scheme: str
-) -> tuple:
-    """:func:`_locus` at one ``z``, raising :class:`LocusInvalidError` off the locus."""
+def _locus_factors(z, m, tree, coeffs: ChainCoefficients, scheme: str) -> tuple:
+    """:func:`_locus` at one ``z`` per design, raising :class:`LocusInvalidError` off the locus."""
     _require_locus(coeffs)
     if np.any(z <= 0.0):
         raise LocusInvalidError(f"locus parameter z must be > 0, got {np.min(z)!r}")
@@ -199,8 +194,9 @@ def locus_probs(
     leaves [0, 1].
     """
     coeffs = ChainCoefficients(a_coeff=a_coeff, b_coeff=b_coeff, c_coeff=c_coeff)
-    probs, _, _ = _locus_factors(z, m, BranchingVector((b0, b1)), coeffs, scheme)
-    return tuple(float(p) for p in probs)
+    design = _columns(m, BranchingVector((b0, b1)), coeffs)
+    probs, _, _ = _locus_factors(np.reshape(z, (-1, 1)), *design, scheme)
+    return tuple(p.item() for p in probs)
 
 
 def analytic_lb(
@@ -215,7 +211,8 @@ def analytic_lb(
     """Envelope parameters at locus position ``z``.
 
     For a block of designs (see :func:`optimize_z`) ``z`` holds one position
-    per design and the fields of the result are arrays over the block.
+    per design and the fields of the result are arrays over the block; one
+    design is scored as a block of one and gives floats.
 
     Returns
     -------
@@ -234,15 +231,14 @@ def analytic_lb(
     if not 0.0 < p_cn <= 1.0:
         raise InvalidConfigurationError(f"p_cn must lie in (0, 1], got {p_cn!r}")
     one = isinstance(tree, BranchingVector)
-    if not one:
-        m, tree, coeffs = _columns(m, tree, coeffs)
-        z = np.reshape(z, (-1, 1))
+    m, tree, coeffs = _columns(m, tree, coeffs)
+    z = np.reshape(z, (-1, 1))
     _, logs, s = _locus_factors(z, m, tree, coeffs, scheme)
     q1, q2, q3 = (np.exp(v) for v in logs)
     with np.errstate(divide="ignore", invalid="ignore"):
         d_coeff = np.where(q2 > 0.0, q3 * p_cn / (mode_divisor(m, tree, scheme) * q2), 0.0)
     fields = (z, q1, q2, q3, d_coeff, s, repeater_spacing(z, coeffs, device.alpha))
-    return EnvelopeParams(*(float(v) if one else np.ravel(v) for v in fields))
+    return EnvelopeParams(*(v.item() if one else np.ravel(v) for v in fields))
 
 
 def optimize_z(
@@ -263,7 +259,8 @@ def optimize_z(
     over the block (or scalars it shares) and ``tree`` holds one such array
     of child counts per level.  A block is scored in one grid call and
     narrowed in lockstep; it gives an array of ``z`` that is NaN for each
-    design on which a one-design call would raise.
+    design on which a one-design call would raise.  One design is scored as
+    a block of one, so its ``z`` has the same bits as inside any block.
 
     Raises
     ------
@@ -275,38 +272,29 @@ def optimize_z(
         (one design).
     """
     one = isinstance(tree, BranchingVector)
-    if one:  # the design keeps its scalars and scores as one row
+    if one:
         _require_locus(coeffs)
-        design, rows, z = (m, tree, coeffs), np.zeros(1, dtype=int), np.full(1, np.nan)
-    else:
-        design = _columns(m, tree, coeffs)
-        z = np.full(len(design[0]), np.nan)
-        rows = np.flatnonzero(design[2].ab_squared[:, 0] > 1.0)
-        design = _columns(*design, keep=rows)
+    design = _columns(m, tree, coeffs)
+    z = np.full(len(design[0]), np.nan)
+    rows = np.flatnonzero(design[2].ab_squared[:, 0] > 1.0)
+    design = _columns(*design, keep=rows)
     grid = np.geomspace(_Z_LO, _Z_HI, _Z_GRID_POINTS)
-    values = np.atleast_2d(_locus(grid, *design, scheme)[2])
+    values = _locus(grid, *design, scheme)[2]
     best = np.argmin(values, axis=1)
-    nowhere = ~np.isfinite(values).any(axis=1)
-    edge = (best == 0) | (best == len(grid) - 1)
-    if one and nowhere[0]:
-        raise NoInteriorMinimumError("exponent s(z) is nowhere finite on the search bracket")
-    if one and edge[0]:
-        raise NoInteriorMinimumError(
-            f"s(z) is minimised at the bracket edge z={grid[best[0]]:.6g}; no interior minimum"
-        )
-    interior = ~(nowhere | edge)
+    interior = np.isfinite(values).any(axis=1) & (best > 0) & (best < len(grid) - 1)
     rows, best = rows[interior], best[interior]
-    if not one:
-        design = _columns(*design, keep=interior)
+    design = _columns(*design, keep=interior)
     z_star = _narrow(lambda x: _locus(x, *design, scheme)[2],
                      grid[best - 1], grid[best + 1], _Z_XTOL * grid[best])
     finite = np.isfinite(_locus(z_star[:, None], *design, scheme)[2][:, 0])
-    if one and not finite[0]:
-        raise NoInteriorMinimumError(
-            f"s(z) is not finite at the refined minimum z={z_star[0]:.6g}"
-        )
     z[rows] = np.where(finite, z_star, np.nan)
-    return float(z[0]) if one else z
+    if not one:
+        return z
+    if np.isnan(z[0]):
+        raise NoInteriorMinimumError(
+            f"s(z) has no finite interior minimum on the bracket z in [{_Z_LO:g}, {_Z_HI:g}]"
+        )
+    return float(z[0])
 
 
 def spacing_unit(coeffs: ChainCoefficients, alpha: float) -> float:
@@ -388,9 +376,9 @@ def numeric_envelope(
                 stacklevel=2,
             )
         elif best_n > 1:
-            n_star = _narrow(lambda nr: -rates_over_n(cfg, device, nr, coeffs),
-                             best_n - 1.0, best_n + 1.0, 1e-9)
-            polished = rates_over_n(cfg, device, np.array([n_star]), coeffs)[0]
+            n_star = _narrow(lambda nr: -rates_over_n(cfg, device, nr[0], coeffs)[None],
+                             np.array([best_n - 1.0]), np.array([best_n + 1.0]), 1e-9)
+            polished = rates_over_n(cfg, device, n_star, coeffs)[0]
             best_rate = max(best_rate, float(polished))
         points.append(
             EnvelopePoint(l_km=float(l_km), rate_bits_per_mode=best_rate, n_opt=best_n)
@@ -454,4 +442,5 @@ def crossover_analytic(env: EnvelopeParams, alpha: float) -> float:
     first = int(above[0])
     if first == 0:
         return float(grid[0])
-    return _narrow(log_ratio, grid[first - 1], grid[first], 1e-6, root=True)
+    root = _narrow(log_ratio, grid[first - 1:first], grid[first:first + 1], 1e-6, root=True)
+    return float(root[0])

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -319,20 +319,30 @@ def _branches_match(
     return True
 
 
-def _identity_inputs(seed: int = 7, samples: int = 100) -> list[SmallState]:
-    """Computational basis states on 1-3 qubits plus seeded random 2-qubit states."""
+# (name, gate on the measured qubit, ((basis after the gate, basis without it,
+# outcome flipped), ...)): an identity holds when each pair gives the same branches
+_IDENTITIES = (
+    ("conditional Z past M_X/M_Y flips outcome", SmallState.apply_z,
+     (("X", "X", True), ("Y", "Y", True))),
+    ("Z before M_Z is absorbed", SmallState.apply_z, (("Z", "Z", False),)),
+    ("H exchanges M_X/M_Z and flips M_Y", SmallState.apply_h,
+     (("X", "Z", False), ("Z", "X", False), ("Y", "Y", True))),
+)
+
+
+def _identity_inputs(seed: int = 7, samples: int = 100) -> Iterator[SmallState]:
+    """Computational basis states on 1-3 qubits, then seeded random 2-qubit states, made lazily."""
     if seed < 0 or samples < 0:
         raise InvalidConfigurationError(
             f"seed and samples must be >= 0, got seed={seed}, samples={samples}"
         )
-    states = []
-    for qubits in (1, 2, 3):
-        for index in range(2**qubits):
-            bits = [(index >> (qubits - 1 - j)) & 1 for j in range(qubits)]
-            states.append(SmallState.computational(bits))
+    basis = (
+        SmallState.computational([(index >> (qubits - 1 - j)) & 1 for j in range(qubits)])
+        for qubits in (1, 2, 3)
+        for index in range(2**qubits)
+    )
     rng = np.random.default_rng(seed)
-    states.extend(SmallState.random(2, rng) for _ in range(samples))
-    return states
+    return itertools.chain(basis, (SmallState.random(2, rng) for _ in range(samples)))
 
 
 def verify_reordering_identities(seed: int = 7, samples: int = 100) -> list[CheckResult]:
@@ -347,41 +357,16 @@ def verify_reordering_identities(seed: int = 7, samples: int = 100) -> list[Chec
     at ``1e-12``.  Returns one pass/fail row per identity; never raises on
     a failed identity.
     """
-    inputs = _identity_inputs(seed=seed, samples=samples)
-    z_flip_ok = True
-    z_absorb_ok = True
-    h_exchange_ok = True
-    for state in inputs:
+    passed = [True] * len(_IDENTITIES)
+    for count, state in enumerate(_identity_inputs(seed=seed, samples=samples), 1):
         for q in range(state.qubits):
-            flipped = state.apply_z(q)
-            for basis in ("X", "Y"):
-                if not _branches_match(
-                    flipped.measure(q, basis), state.measure(q, basis), flip=True
-                ):
-                    z_flip_ok = False
-            if not _branches_match(
-                flipped.measure(q, "Z"), state.measure(q, "Z"), flip=False
-            ):
-                z_absorb_ok = False
-            rotated = state.apply_h(q)
-            if not _branches_match(
-                rotated.measure(q, "X"), state.measure(q, "Z"), flip=False
-            ):
-                h_exchange_ok = False
-            if not _branches_match(
-                rotated.measure(q, "Z"), state.measure(q, "X"), flip=False
-            ):
-                h_exchange_ok = False
-            if not _branches_match(
-                rotated.measure(q, "Y"), state.measure(q, "Y"), flip=True
-            ):
-                h_exchange_ok = False
-    detail = f"{len(inputs)} states, every qubit, tolerance {_PHASE_TOL:g}"
-    return [
-        CheckResult("conditional Z past M_X/M_Y flips outcome", z_flip_ok, detail),
-        CheckResult("Z before M_Z is absorbed", z_absorb_ok, detail),
-        CheckResult("H exchanges M_X/M_Z and flips M_Y", h_exchange_ok, detail),
-    ]
+            plain = {basis: state.measure(q, basis) for basis in "XYZ"}
+            for row, (_, gate, pairs) in enumerate(_IDENTITIES):
+                gated = gate(state, q)
+                passed[row] &= all(_branches_match(gated.measure(q, after), plain[before], flip)
+                                   for after, before, flip in pairs)
+    detail = f"{count} states, every qubit, tolerance {_PHASE_TOL:g}"
+    return [CheckResult(name, ok, detail) for (name, _, _), ok in zip(_IDENTITIES, passed)]
 
 
 def run_structure_checks(seed: int = 7, samples: int = 100) -> list[CheckResult]:

@@ -220,23 +220,18 @@ def optimize_design(
 
     Rate ties are broken toward the smaller cluster, then the smaller
     channel count.  Pass ``candidates`` (from :func:`design_envelopes`) to
-    amortise the scan across ranges.
+    amortise the scan across ranges; an empty list raises
+    :class:`EmptyFeasibleSetError`.
     """
     if not (math.isfinite(l_km) and l_km > 0):
         raise InvalidConfigurationError(f"range must be positive and finite, got {l_km!r}")
     if candidates is None:
         candidates = design_envelopes(k, device, p_cn, scheme, bounds)
-    best: DesignPoint | None = None
-    for m, tree, env in candidates:
-        point = _design_point(m, tree, k, env, l_km, device.alpha)
-        if best is None:
-            best = point
-            continue
-        key = (-point.rate_bits_per_mode, point.n_cluster, point.m, point.tree.branches)
-        best_key = (-best.rate_bits_per_mode, best.n_cluster, best.m, best.tree.branches)
-        if key < best_key:
-            best = point
-    assert best is not None  # candidates is non-empty by construction
+    points = (_design_point(m, tree, k, env, l_km, device.alpha) for m, tree, env in candidates)
+    best = min(points, key=lambda p: (-p.rate_bits_per_mode, p.n_cluster, p.m, p.tree.branches),
+               default=None)
+    if best is None:
+        raise EmptyFeasibleSetError(f"no candidate design for k={k} at {l_km:g} km")
     return best
 
 

@@ -247,7 +247,7 @@ def load_device_params(
     ------
     ConfigError
         If the document is not an object, contains an unknown key, or holds
-        a non-numeric value.
+        a non-numeric value or a number too large for a float.
     InvalidConfigurationError
         If a value is outside its physical domain.
     """
@@ -259,7 +259,7 @@ def load_device_params(
                 doc = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read device file {source!s}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also not UTF-8, or an integer past the digit limit
             raise ConfigError(f"device file {source!s} is not valid JSON: {exc}") from exc
     else:
         doc = dict(source)
@@ -274,7 +274,10 @@ def load_device_params(
     for key, raw in doc.items():
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise ConfigError(f"device parameter '{key}' must be a number, got {raw!r}")
-        values[key] = float(raw)
+        try:
+            values[key] = float(raw)
+        except OverflowError as exc:
+            raise ConfigError(f"device parameter '{key}' is too large for a float") from exc
 
     params = replace(DeviceParams(), **values)
     defaults = DeviceParams()

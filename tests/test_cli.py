@@ -562,6 +562,21 @@ class TestErrorHandling:
         assert code == 2
         assert "not valid JSON" in err
 
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"alpha": 1' + b"0" * 400 + b"}", b'{"alpha": 1' + b"0" * 5000 + b"}",
+         b'{"alpha": "\xff"}'],
+        ids=["past_float", "past_int_digit_limit", "not_utf8"],
+    )
+    def test_unreadable_config_is_config_error(self, capsys, tmp_path, content):
+        config = tmp_path / "device.json"
+        config.write_bytes(content)
+        code, out, err = run_cli(capsys, "constants", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: config:")
+        assert "Traceback" not in err
+
     def test_flag_overrides_config_file(self, capsys, tmp_path, device):
         config = tmp_path / "device.json"
         config.write_text(json.dumps({"alpha": 0.1}))

@@ -274,6 +274,12 @@ class TestReorderingIdentities:
         results = verify_reordering_identities(samples=30)
         assert [r.passed for r in results] == [True, True, True]
 
+    @pytest.mark.parametrize("samples", [0, 5])
+    def test_detail_counts_basis_and_random_states(self, samples):
+        # 2 + 4 + 8 computational basis states, then the random ones
+        for result in verify_reordering_identities(samples=samples):
+            assert result.detail.startswith(f"{14 + samples} states,")
+
     def test_names_are_stable(self):
         names = [r.name for r in verify_reordering_identities(samples=1)]
         assert names == [
