@@ -61,6 +61,8 @@ __all__ = [
 
 _TAIL_MASS = 1e-12  # GHZ-success mass outside the exact window
 _EARLY_STOP = 1e-16  # largest change the exact sweep's early stop may skip
+_LEVEL_CUT = 1e-20  # largest survival a fusion level's cut drops from any row
+_EXACT_COUNT_LIMIT = 2**12  # largest per-bank GHZ count the exact factory holds
 _EXACT_BANK_LIMIT = 1024  # largest 2**k the exact propagation is used for by default
 _MAX_LEVELS = _MAX_BLOCK_CELLS.bit_length() - 1  # largest k whose 2**k leaf banks fit one MC block
 _NAIVE_GRID = 200  # n_ghz and n_meas scanned on [1, _NAIVE_GRID] by the naive optimiser
@@ -426,16 +428,14 @@ class _ExactFactory:
         self.blocks: dict[int, tuple[np.ndarray, float, float]] = {}  # j -> block(j)
         self.matrices: dict[float, np.ndarray] = {}  # p -> largest _survival_matrix so far
 
-    def _matrix(self, p: float, cap_in: int, cap_out: int) -> np.ndarray:
-        """The survival matrix of thinning by ``p``, a corner of the largest built so far."""
+    def _matrix(self, p: float, n: int) -> np.ndarray:
+        """Thinning by ``p`` as a survival matrix over ``0..n``, a corner of the largest so far."""
         held = self.matrices.get(p)
-        if held is None or held.shape[0] <= cap_in or held.shape[1] <= cap_out:
-            # a quarter headroom: an upward sweep's caps grow block by block
-            rows, cols = (cap_in * 5) // 4, (cap_out * 5) // 4
-            if held is not None:
-                rows, cols = max(rows, held.shape[0] - 1), max(cols, held.shape[1] - 1)
-            held = self.matrices[p] = _survival_matrix(rows, cols, p)
-        return held[: cap_in + 1, : cap_out + 1]
+        if held is None or len(held) <= n:
+            # a quarter headroom: an upward sweep's supports grow block by block
+            size = (n * 5) // 4
+            held = self.matrices[p] = _survival_matrix(size, size, p)
+        return held[: n + 1, : n + 1]
 
     def block(self, j: int) -> tuple[np.ndarray, float, float]:
         """``f`` over ``x`` in ``[j B, (j + 1) B)``, a lower bound on ``f`` beyond
@@ -453,19 +453,6 @@ class _ExactFactory:
         cap = int(alloc.max()) if self.cap is None else min(self.cap, int(alloc.max()))
         cap = max(cap, 1)  # the root's column 1, P[Y >= 1], must exist
         alloc = np.minimum(alloc, cap)
-        # Counts concentrate near (previous count) * p_level after each fusion
-        # thinning, so each level's support is cut 10 sigma above that mean;
-        # the mass above a cut is lumped at it, which only understates success.
-        caps = [cap]
-        for p_level in self.probs:
-            centre = caps[-1] * p_level
-            spread = math.sqrt(max(caps[-1] * p_level * (1.0 - p_level), 1.0))
-            caps.append(min(caps[-1], math.ceil(centre + 10.0 * spread) + 5))
-        # a level-l cut moves one of its 2**(k-l) banks only when its count
-        # exceeds caps[l], which has probability <= P[Bin(caps[l-1], p_l) > caps[l]],
-        # itself bounded by _upper_tail
-        cut = sum(banks * _upper_tail(n, p, c + 1) for banks, n, p, c in zip(
-            self.banks_per_level, caps, self.probs, caps[1:]))
 
         # Identical subtrees share one survival row: leaves are numbered by
         # their (count, measured) key, each level by its pair of child ids.
@@ -473,14 +460,20 @@ class _ExactFactory:
         ids = ids.reshape(alloc.shape)
         counts, thinned = keys // 2, keys % 2 == 1
         survival = (np.arange(cap + 1) <= counts[:, None]).astype(float)  # exactly y states
-        survival[thinned] = survival[thinned] @ self._matrix(self.thin_p, cap, cap)
-        for p_level, cap_in, cap_out in zip(self.probs, caps, caps[1:]):
+        survival[thinned] = survival[thinned] @ self._matrix(self.thin_p, cap)
+        cut = 0.0
+        for p_level, banks in zip(self.probs, self.banks_per_level):
             pairs, ids = np.unique(
                 ids[:, 0::2] * len(survival) + ids[:, 1::2], return_inverse=True
             )
             ids = ids.reshape(len(alloc), -1)
             left, right = np.divmod(pairs, len(survival))
-            survival = (survival[left] * survival[right]) @ self._matrix(p_level, cap_in, cap_out)
+            product = survival[left] * survival[right]
+            # keep the support some row still reaches and lump larger counts at
+            # its top; a bank is lumped with probability product[:, keep + 1]
+            keep = max(int(np.flatnonzero((product > _LEVEL_CUT).any(axis=0))[-1]), 1)
+            cut += banks * float(product[:, keep + 1 :].max(initial=0.0))
+            survival = product[:, : keep + 1] @ self._matrix(p_level, keep)
         f = survival[ids[:, 0], 1]
         self.blocks[j] = f[:-1], float(f[-1]), cut
         return self.blocks[j]
@@ -490,11 +483,9 @@ class _ExactFactory:
         n_attempts = _ghz_attempts(n_s, self.ghz_source)
         if n_attempts < 1:
             return 0.0
-        if self.ghz_source:
-            lo = hi = n_attempts
-            px = np.array([1.0])
-        else:
-            p, q = self.p_ghz, 1.0 - self.p_ghz
+        p, q = self.p_ghz, 1.0 - self.p_ghz
+        lo = hi = n_attempts  # GHZ sources make n_attempts states for certain
+        if not self.ghz_source:
             mean = n_attempts * p
             sd = math.sqrt(max(mean * q, 1.0))
             half_width = 8.5 * sd
@@ -506,11 +497,18 @@ class _ExactFactory:
                 hi = min(n_attempts, hi + math.ceil(4 * sd))
                 if lo == 0 and hi == n_attempts:
                     break
-            # ln pmf(c+1) - ln pmf(c) = ln((n-c) p / ((c+1) q)), summed up from lo
-            c = np.arange(lo, hi)
-            log_px = np.concatenate(([0.0], np.cumsum(np.log((n_attempts - c) * p / ((c + 1) * q)))))
-            px = np.exp(log_px - log_px.max())
-            px = px / px.sum()
+        # the level matrices grow as the square of the largest bank count
+        largest = int(allocate_ghz_counts(np.array([hi]), self.weights).max())
+        if largest > _EXACT_COUNT_LIMIT:
+            raise InvalidConfigurationError(
+                f"exact factory would hold {largest} GHZ states in one bank, above its "
+                f"limit of {_EXACT_COUNT_LIMIT}; use --method mc"
+            )
+        # ln pmf(c+1) - ln pmf(c) = ln((n-c) p / ((c+1) q)), summed up from lo
+        c = np.arange(lo, hi)
+        log_px = np.concatenate(([0.0], np.cumsum(np.log((n_attempts - c) * p / ((c + 1) * q)))))
+        px = np.exp(log_px - log_px.max())
+        px = px / px.sum()
 
         overflow = 0.0
         if self.cap is not None:
@@ -573,10 +571,13 @@ def improved_pc1_exact(
     :func:`pcn_curve`) holds the blocks; a single call keeps them only for
     itself.  A block's cap is the largest count its own allocation grants
     (or a smaller user ``cap``), which is lossless because counts never grow
-    along the cascade; each fusion level's support is then cut 10 sigma
-    above its mean, with the mass above the cut lumped at it, which only
-    understates success.  Caps and cuts come from the block alone, so
-    ``f(x)`` has the same bits whichever window first reached its block.
+    along the cascade.  Each fusion level keeps the counts some input row
+    still reaches with survival above ``1e-20`` and lumps larger ones at the
+    top kept count, which only understates success; its cut, the chance that
+    one of its banks is lumped, is bounded by the bank count times the
+    largest survival just above the kept support.  Supports and cuts come
+    from the block alone, so ``f(x)`` has the same bits whichever window
+    first reached its block.
 
     ``f`` is not monotone in ``x``: largest remainder can take a state from
     a bank when ``x`` grows.  Every bank does keep the floor of its share,
@@ -591,6 +592,9 @@ def improved_pc1_exact(
 
     Raises
     ------
+    InvalidConfigurationError
+        When the window's top grants one bank more than ``2**12`` states, whose
+        square the matrices would need; :func:`improved_pc1_mc` has no limit.
     CapTooSmallError
         When a user-supplied ``cap`` would truncate more than ``1e-9``
         probability mass at the allocation stage.

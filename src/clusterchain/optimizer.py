@@ -11,10 +11,11 @@ cheap exponential comparisons.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import astuple, dataclass, replace
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -155,10 +156,10 @@ def design_envelopes(
         When no design in the class admits a valid envelope.
     """
     consts = derive_constants(device)
-    coeffs = {
-        m: chain_coefficients(consts, device, m, k, boosted=(scheme == "new"))
-        for m in range(1, bounds.m_max + 1)
-    }
+    # built on first use: the scan stops at the first m that leaves the class
+    coeffs = functools.cache(
+        lambda m: chain_coefficients(consts, device, m, k, boosted=(scheme == "new"))
+    )
     out: list[tuple[int, BranchingVector, EnvelopeParams]] = []
     for _, group in itertools.groupby(iter_designs(k, bounds), key=lambda d: d[1].depth):
         while block := list(itertools.islice(group, _BLOCK_DESIGNS)):
@@ -173,7 +174,7 @@ def design_envelopes(
 
 def _block_envelopes(
     block: list[tuple[int, BranchingVector]],
-    coeffs: dict[int, ChainCoefficients],
+    coeffs: Callable[[int], ChainCoefficients],
     device: DeviceParams,
     p_cn: float,
     scheme: str,
@@ -182,8 +183,8 @@ def _block_envelopes(
     m = np.array([mi for mi, _ in block])
     tree = np.array([ti.branches for _, ti in block]).T  # one column per level
     # B and C depend on the class only; A carries the factor m
-    a_coeff = np.array([coeffs[mi].a_coeff for mi, _ in block])
-    block_coeffs = replace(coeffs[block[0][0]], a_coeff=a_coeff)
+    a_coeff = np.array([coeffs(mi).a_coeff for mi, _ in block])
+    block_coeffs = replace(coeffs(block[0][0]), a_coeff=a_coeff)
     z = optimize_z(m, tree, device, block_coeffs, scheme=scheme)
     ok = ~np.isnan(z)
     env = analytic_lb(z[ok], m[ok], tree[:, ok], device, replace(block_coeffs, a_coeff=a_coeff[ok]),

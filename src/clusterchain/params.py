@@ -24,7 +24,7 @@ import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import IO, Any, Mapping
+from typing import Any, Mapping
 
 from .errors import ConfigError, InvalidConfigurationError
 
@@ -219,25 +219,18 @@ def chain_coefficients(
     )
 
 
-def load_device_params(
-    source: str | Path | Mapping[str, Any],
-    diagnostics: IO[str] | None = None,
-) -> DeviceParams:
+def load_device_params(source: str | Path | Mapping[str, Any]) -> DeviceParams:
     """Read device parameters from a JSON document.
 
     The document must be a JSON object whose keys are a subset of the eight
     :class:`DeviceParams` field names.  Missing fields take the reference
-    defaults, and every default applied is echoed to ``diagnostics`` (stderr
-    unless overridden) so a partial configuration is never silently
-    completed.
+    defaults, and every default applied is echoed to stderr so a partial
+    configuration is never silently completed.
 
     Parameters
     ----------
     source
         Path to a JSON file, or an already-parsed mapping.
-    diagnostics
-        Stream receiving one line per defaulted field; ``None`` means
-        ``sys.stderr``.
 
     Returns
     -------
@@ -251,8 +244,6 @@ def load_device_params(
     InvalidConfigurationError
         If a value is outside its physical domain.
     """
-    if diagnostics is None:
-        diagnostics = sys.stderr
     if isinstance(source, (str, Path)):
         try:
             with open(source, "r", encoding="utf-8") as fh:
@@ -286,6 +277,6 @@ def load_device_params(
             print(
                 f"device parameter '{f.name}' not given; using default "
                 f"{getattr(defaults, f.name):g}",
-                file=diagnostics,
+                file=sys.stderr,
             )
     return params

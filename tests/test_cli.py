@@ -264,6 +264,15 @@ class TestResources:
         assert config["seed"] == 0
         assert config["command"] == "resources"
 
+    def test_exact_bank_count_beyond_limit_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "resources", "--k", "5", "--m", "1", "--n", "20",
+            "--sources", "10000000000000", "--method", "exact",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: config:") and "--method mc" in err
+
 
 class TestOptimize:
     def test_restricted_scan_recovers_reference_design(self, capsys):

@@ -317,6 +317,42 @@ class TestExactPropagation:
                 100, plain_schedule(2), consts, fusion_probs=[0.5], ghz_source=True
             )
 
+    def test_bank_count_beyond_limit_is_refused(self, consts, monkeypatch):
+        # 1e13 sources grant one k=5 bank about 1.7e9 states; the refusal
+        # must come before any matrix of that size is asked for
+        built = []
+        original = clusterbuild._survival_matrix
+        monkeypatch.setattr(
+            clusterbuild, "_survival_matrix", lambda *args: built.append(args) or original(*args)
+        )
+        with pytest.raises(InvalidConfigurationError, match="--method mc"):
+            improved_pc1_exact(10**13, build_schedule(5, 1, consts), consts)
+        assert built == []
+
+    def test_largest_count_in_use_is_admitted(self, consts):
+        # 20000 GHZ sources grant the k=3, m=1 heavy banks 2520 states each
+        sched = build_schedule(3, 1, consts)
+        assert allocate_ghz_counts(np.array([20000]), np.array(sched.weights)).max() == 2520
+        assert improved_pc1_exact(20000, sched, consts, ghz_source=True) == pytest.approx(1.0)
+
+
+class TestLevelCut:
+    @pytest.mark.parametrize("k,m,n_s", [(7, 4, 3_300_000), (5, 1, 60_000), (9, 4, 22_000_000)],
+                             ids=["k7", "k5", "k9"])
+    def test_looser_cut_stays_within_its_budget(self, consts, monkeypatch, k, m, n_s):
+        sched = build_schedule(k, m, consts)
+        factory = clusterbuild._ExactFactory(sched, consts, False, None, None)
+        default = factory.pc1(n_s)
+        # each of the 2**k - 1 fusions drops at most _LEVEL_CUT of survival
+        assert all(cut <= 2**k * clusterbuild._LEVEL_CUT for _, _, cut in factory.blocks.values())
+        for level_cut in (1e-6, 1e-3):
+            monkeypatch.setattr(clusterbuild, "_LEVEL_CUT", level_cut)
+            loose = clusterbuild._ExactFactory(sched, consts, False, None, None)
+            value = loose.pc1(n_s)
+            # lumping only understates success, by no more than the cut charged
+            assert value <= default
+            assert default - value <= max(cut for _, _, cut in loose.blocks.values())
+
 
 class TestBinomialKernels:
     def test_survival_matrix_matches_comb_oracle(self, consts):

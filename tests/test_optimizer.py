@@ -9,6 +9,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from clusterchain import optimizer
 from clusterchain.clusterbuild import build_schedule, improved_pc1_exact, pcn
 from clusterchain.envelope import EnvelopeParams, analytic_lb, optimize_z
 from clusterchain.errors import (EmptyFeasibleSetError, InvalidConfigurationError,
@@ -130,6 +131,15 @@ class TestDesignEnvelopes:
         z = optimize_z(np.array([1, 4]), np.array([[4, 4], [2, 2]]), device, block)
         assert np.isnan(z[0])
         assert z[1] == optimize_z(4, tree, device, four)
+
+    def test_coefficients_built_only_for_channel_counts_in_use(self, device, monkeypatch):
+        calls = []
+        original = optimizer.chain_coefficients
+        monkeypatch.setattr(optimizer, "chain_coefficients",
+                            lambda *args, **kw: calls.append(args) or original(*args, **kw))
+        wide = design_envelopes(7, device, bounds=SearchBounds(m_max=10**6))
+        assert len(calls) == len({m for m, _ in iter_designs(7, SearchBounds(m_max=10**6))})
+        assert wide == design_envelopes(7, device)
 
     def test_deeper_trees_never_lose_to_depth_two(self, device):
         shallow = optimize_design(5000.0, 10, device)

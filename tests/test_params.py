@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import json
 import math
 
@@ -116,35 +115,34 @@ class TestChainCoefficients:
 
 class TestLoadDeviceParams:
     def test_mapping_roundtrip(self):
-        loaded = load_device_params({"alpha": 0.05, "eta_c": 0.9}, diagnostics=io.StringIO())
+        loaded = load_device_params({"alpha": 0.05, "eta_c": 0.9})
         assert loaded.alpha == 0.05
         assert loaded.eta_c == 0.9
         assert loaded.beta == 0.62  # untouched default
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="alpha_db"):
-            load_device_params({"alpha_db": 0.2}, diagnostics=io.StringIO())
+            load_device_params({"alpha_db": 0.2})
 
     def test_non_numeric_rejected(self):
         with pytest.raises(ConfigError, match="eta_c"):
-            load_device_params({"eta_c": "high"}, diagnostics=io.StringIO())
+            load_device_params({"eta_c": "high"})
         with pytest.raises(ConfigError, match="eta_c"):
-            load_device_params({"eta_c": True}, diagnostics=io.StringIO())
+            load_device_params({"eta_c": True})
 
-    def test_missing_fields_echoed(self):
-        diag = io.StringIO()
-        load_device_params({"alpha": 0.05}, diagnostics=diag)
-        text = diag.getvalue()
+    def test_missing_fields_echoed(self, capsys):
+        load_device_params({"alpha": 0.05})
+        text = capsys.readouterr().err
         assert "beta" in text and "using default" in text
         assert "'alpha'" not in text  # the provided field is not echoed
 
     def test_json_file(self, tmp_path):
         path = tmp_path / "device.json"
         path.write_text(json.dumps({"alpha": 0.044, "c_f": 1.9e8}))
-        loaded = load_device_params(str(path), diagnostics=io.StringIO())
+        loaded = load_device_params(str(path))
         assert loaded.alpha == 0.044
         assert loaded.c_f == 1.9e8
 
     def test_invalid_values_still_validated(self):
         with pytest.raises(InvalidConfigurationError, match="alpha"):
-            load_device_params({"alpha": -1.0}, diagnostics=io.StringIO())
+            load_device_params({"alpha": -1.0})
