@@ -114,10 +114,6 @@ def _resolve_device(args: argparse.Namespace) -> DeviceParams:
     return device
 
 
-def _device_dict(device: DeviceParams) -> dict:
-    return dataclasses.asdict(device)
-
-
 def _emit(
     out_path: str | None,
     config: dict,
@@ -200,7 +196,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
     tree = BranchingVector.parse(args.b)
     grid = _parse_range(args.L)
     config = {
-        "command": "rate", "device": _device_dict(device),
+        "command": "rate", "device": dataclasses.asdict(device),
         "m": args.m, "b": str(tree), "n": args.n, "L": args.L,
         "p_cn": args.p_cn, "scheme": args.scheme,
     }
@@ -229,7 +225,7 @@ def cmd_envelope(args: argparse.Namespace) -> int:
     env = analytic_lb(z_star, args.m, tree, device, coeffs,
                       p_cn=args.p_cn, scheme=args.scheme)
     config = {
-        "command": "envelope", "device": _device_dict(device),
+        "command": "envelope", "device": dataclasses.asdict(device),
         "m": args.m, "b": str(tree), "L": args.L,
         "p_cn": args.p_cn, "scheme": args.scheme,
     }
@@ -254,7 +250,7 @@ def cmd_resources(args: argparse.Namespace) -> int:
         raise ConfigError(f"source counts must be integers below 2**63, got {args.sources!r}")
     grid = grid.astype(np.int64)
     config = {
-        "command": "resources", "device": _device_dict(device),
+        "command": "resources", "device": dataclasses.asdict(device),
         "k": args.k, "m": args.m, "n": args.n, "sources": args.sources,
         "method": args.method, "trials": args.trials, "seed": args.seed,
     }
@@ -279,7 +275,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         depths=tuple(_parse_int_list(args.depths)),
     )
     config = {
-        "command": "optimize", "device": _device_dict(device),
+        "command": "optimize", "device": dataclasses.asdict(device),
         "L": args.L, "k": args.k, "p_cn": args.p_cn, "scheme": args.scheme,
         "m_max": args.m_max, "branch_max": args.branch_max, "depths": args.depths,
         "with_sources": args.with_sources, "method": args.method,

@@ -125,10 +125,6 @@ class FusionSchedule:
     def leaf_banks(self) -> int:
         return 2**self.k
 
-    @property
-    def measured_leaves(self) -> int:
-        return sum(self.measured_mask)
-
 
 def build_schedule(k: int, m: int, consts: DerivedConstants) -> FusionSchedule:
     """Schedule with ``4m + 1`` measured leaves spread evenly over the banks.
@@ -337,7 +333,6 @@ def improved_pc1_mc(
     trials: int = 10**5,
     seed: int = 0,
     ghz_source: bool = False,
-    fusion_probs: Sequence[float] | None = None,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the banked scheme's ``P_c1``.
 
@@ -358,7 +353,7 @@ def improved_pc1_mc(
     (estimate, standard_error)
     """
     n_attempts = _ghz_attempts(n_s, ghz_source)
-    weights, measured, thin_p, probs = _banked_setup(sched, consts, fusion_probs)
+    weights, measured, thin_p, probs = _banked_setup(sched, consts, None)
 
     def draw(size: int, rng: np.random.Generator) -> tuple[int]:
         if ghz_source:
@@ -373,7 +368,7 @@ def improved_pc1_mc(
     return estimate, error
 
 
-def _survival_matrix(cap_in: int, cap_out: int, p: float) -> np.ndarray:
+def _survival_matrix(size: int, p: float) -> np.ndarray:
     """Non-negative ``M`` with ``(S @ M)[c] = P[Bin(Y, p) >= c]`` for ``S[y] = P[Y >= y]``.
 
     ``M[y, c] = p Binom(c-1; y-1, p)``, the step ``P[Bin(y, p) >= c] -
@@ -382,9 +377,9 @@ def _survival_matrix(cap_in: int, cap_out: int, p: float) -> np.ndarray:
     which only adds non-negative terms and reads no column right of ``c``,
     so a smaller matrix is the top-left corner of a larger one.
     """
-    matrix = np.zeros((cap_in + 1, cap_out + 1))
+    matrix = np.zeros((size + 1, size + 1))
     matrix[0, 0] = 1.0
-    for y in range(1, cap_in + 1):  # row 1 is p at c = 1, from M[0, 0]
+    for y in range(1, size + 1):  # row 1 is p at c = 1, from M[0, 0]
         matrix[y, 1:] = (1.0 - p) * matrix[y - 1, 1:] + p * matrix[y - 1, :-1]
     return matrix
 
@@ -434,7 +429,7 @@ class _ExactFactory:
         if held is None or len(held) <= n:
             # a quarter headroom: an upward sweep's supports grow block by block
             size = (n * 5) // 4
-            held = self.matrices[p] = _survival_matrix(size, size, p)
+            held = self.matrices[p] = _survival_matrix(size, p)
         return held[: n + 1, : n + 1]
 
     def block(self, j: int) -> tuple[np.ndarray, float, float]:
@@ -478,32 +473,42 @@ class _ExactFactory:
         self.blocks[j] = f[:-1], float(f[-1]), cut
         return self.blocks[j]
 
+    def _window(self, n_attempts: int) -> tuple[int, int]:
+        """GHZ-success counts ``[lo, hi]`` whose two tails hold at most ``_TAIL_MASS``."""
+        if self.ghz_source:
+            return n_attempts, n_attempts  # GHZ sources make n_attempts states for certain
+        p, q = self.p_ghz, 1.0 - self.p_ghz
+        mean = n_attempts * p
+        sd = math.sqrt(max(mean * q, 1.0))
+        half_width = 8.5 * sd
+        lo = max(0, math.floor(mean - half_width))
+        hi = min(n_attempts, math.ceil(mean + half_width))
+        while (_upper_tail(n_attempts, p, hi + 1)
+               + _upper_tail(n_attempts, q, n_attempts - lo + 1)) > _TAIL_MASS:
+            lo = max(0, lo - math.ceil(4 * sd))
+            hi = min(n_attempts, hi + math.ceil(4 * sd))
+            if lo == 0 and hi == n_attempts:
+                break
+        return lo, hi
+
+    def holds(self, n_s: int) -> bool:
+        """Whether the window's top grants no bank more than ``_EXACT_COUNT_LIMIT``
+        states; the level matrices grow as the square of the largest bank count."""
+        hi = self._window(_ghz_attempts(n_s, self.ghz_source))[1]
+        return int(allocate_ghz_counts(np.array([hi]), self.weights).max()) <= _EXACT_COUNT_LIMIT
+
     def pc1(self, n_s: int) -> float:
         """``P_c1(n_s)``: the GHZ-success pmf over its window dotted with ``f``."""
+        if not self.holds(n_s):
+            raise InvalidConfigurationError(
+                f"exact factory would hold more than {_EXACT_COUNT_LIMIT} GHZ states in "
+                f"one bank at {n_s} sources; use --method mc"
+            )
         n_attempts = _ghz_attempts(n_s, self.ghz_source)
         if n_attempts < 1:
             return 0.0
         p, q = self.p_ghz, 1.0 - self.p_ghz
-        lo = hi = n_attempts  # GHZ sources make n_attempts states for certain
-        if not self.ghz_source:
-            mean = n_attempts * p
-            sd = math.sqrt(max(mean * q, 1.0))
-            half_width = 8.5 * sd
-            lo = max(0, math.floor(mean - half_width))
-            hi = min(n_attempts, math.ceil(mean + half_width))
-            while (_upper_tail(n_attempts, p, hi + 1)
-                   + _upper_tail(n_attempts, q, n_attempts - lo + 1)) > _TAIL_MASS:
-                lo = max(0, lo - math.ceil(4 * sd))
-                hi = min(n_attempts, hi + math.ceil(4 * sd))
-                if lo == 0 and hi == n_attempts:
-                    break
-        # the level matrices grow as the square of the largest bank count
-        largest = int(allocate_ghz_counts(np.array([hi]), self.weights).max())
-        if largest > _EXACT_COUNT_LIMIT:
-            raise InvalidConfigurationError(
-                f"exact factory would hold {largest} GHZ states in one bank, above its "
-                f"limit of {_EXACT_COUNT_LIMIT}; use --method mc"
-            )
+        lo, hi = self._window(n_attempts)
         # ln pmf(c+1) - ln pmf(c) = ln((n-c) p / ((c+1) q)), summed up from lo
         c = np.arange(lo, hi)
         log_px = np.concatenate(([0.0], np.cumsum(np.log((n_attempts - c) * p / ((c + 1) * q)))))
@@ -634,20 +639,26 @@ def _pc1_evaluator(
         )
     sched = build_schedule(k, m, consts)
     ghz_source = scheme == "ghz_primitive"
-    if method == "auto":
-        method = "exact" if sched.leaf_banks <= _EXACT_BANK_LIMIT else "mc"
-    if method == "exact":
-        return _ExactFactory(sched, consts, ghz_source, None, None).pc1
-    if method == "mc":
-        def evaluate(n_s: int) -> float:
-            return improved_pc1_mc(
-                n_s, sched, consts, trials=trials, seed=seed, ghz_source=ghz_source
-            )[0]
+    if method not in ("auto", "exact", "mc"):
+        raise InvalidConfigurationError(
+            f"unknown method {method!r}; expected 'auto', 'exact' or 'mc'"
+        )
 
-        return evaluate
-    raise InvalidConfigurationError(
-        f"unknown method {method!r}; expected 'auto', 'exact' or 'mc'"
-    )
+    def monte_carlo(n_s: int) -> float:
+        return improved_pc1_mc(
+            n_s, sched, consts, trials=trials, seed=seed, ghz_source=ghz_source
+        )[0]
+
+    if method == "mc" or (method == "auto" and sched.leaf_banks > _EXACT_BANK_LIMIT):
+        return monte_carlo
+    exact = _ExactFactory(sched, consts, ghz_source, None, None)
+    if method == "exact":
+        return exact.pc1
+
+    def evaluate(n_s: int) -> float:
+        return exact.pc1(n_s) if exact.holds(n_s) else monte_carlo(n_s)
+
+    return evaluate
 
 
 def min_sources(
@@ -668,7 +679,10 @@ def min_sources(
     source is: single photons feeding GHZ factories (``"naive"`` and
     ``"improved"``) or deterministic 3-photon GHZ sources
     (``"ghz_primitive"``).  The naive scheme re-optimises its multiplexing
-    depths at every candidate budget.
+    depths at every candidate budget.  Under ``method="auto"`` the banked
+    schemes use the exact factory up to ``2**k = 1024`` banks, for each
+    count whose window grants no bank over ``2**12`` GHZ states, and Monte
+    Carlo otherwise.
 
     Raises
     ------

@@ -45,7 +45,6 @@ __all__ = [
     "locus_probs",
     "analytic_lb",
     "optimize_z",
-    "spacing_unit",
     "repeater_spacing",
     "numeric_envelope",
     "crossover_distance",
@@ -297,19 +296,14 @@ def optimize_z(
     return float(z[0])
 
 
-def spacing_unit(coeffs: ChainCoefficients, alpha: float) -> float:
-    """The length scale ``ln(A B**2) / alpha`` of the locus, in km."""
-    _require_locus(coeffs)
-    return np.log(coeffs.ab_squared) / alpha
-
-
 def repeater_spacing(z_star: float, coeffs: ChainCoefficients, alpha: float) -> float:
     """Optimal node spacing ``L/n = z* ln(A B**2) / alpha``, in km.
 
     Constant in the total range: on the locus, ``n`` scales linearly
     with ``L``.
     """
-    return z_star * spacing_unit(coeffs, alpha)
+    _require_locus(coeffs)
+    return z_star * (np.log(coeffs.ab_squared) / alpha)
 
 
 def numeric_envelope(
@@ -354,7 +348,6 @@ def numeric_envelope(
         best_rate = -math.inf
         best_n = 1
         start = 1
-        scanned_past_best = 0
         while start <= _N_MAX:
             stop = min(start + chunk - 1, _N_MAX)
             ns = np.arange(start, stop + 1)
@@ -363,10 +356,7 @@ def numeric_envelope(
             if rates[idx] > best_rate:
                 best_rate = float(rates[idx])
                 best_n = int(ns[idx])
-                scanned_past_best = len(ns) - idx - 1
-            else:
-                scanned_past_best += len(ns)
-            if scanned_past_best >= tail_needed:
+            if stop - best_n >= tail_needed:  # the scan is contiguous up to stop
                 break
             start = stop + 1
         if best_n == _N_MAX:

@@ -36,7 +36,6 @@ __all__ = [
     "optimize_design",
     "operating_point",
     "rate_family",
-    "fitted_exponent",
 ]
 
 # Designs design_envelopes scores per kernel call: 50 designs x 161 z grid
@@ -81,10 +80,6 @@ class DesignPoint:
     @property
     def parallel_channels(self) -> int:
         return 2 * self.m
-
-    @property
-    def spacing_km(self) -> float:
-        return self.envelope.l0_km
 
 
 @dataclass(frozen=True)
@@ -291,20 +286,3 @@ def rate_family(
             )
         curves.append(FamilyCurve(k=k, l_km=grid, rate_bits_per_mode=rates.max(axis=0)))
     return curves
-
-
-def fitted_exponent(l_km: np.ndarray, rates: np.ndarray, alpha: float) -> float:
-    """Effective loss exponent ``s`` from a log-linear fit of a rate curve.
-
-    Fits ``ln R = ln D - s * alpha * L`` by least squares and returns ``s``;
-    non-positive rates are excluded.
-    """
-    l_km = np.asarray(l_km, dtype=float)
-    rates = np.asarray(rates, dtype=float)
-    if not (np.all(np.isfinite(l_km)) and np.all(np.isfinite(rates))):
-        raise InvalidConfigurationError("ranges and rates to fit must be finite")
-    keep = rates > 0
-    if keep.sum() < 2:
-        raise InvalidConfigurationError("need at least two positive rates to fit an exponent")
-    slope, _ = np.polyfit(l_km[keep], np.log(rates[keep]), 1)
-    return -slope / alpha

@@ -49,7 +49,6 @@ __all__ = [
     "SCHEMES",
     "k_of_design",
     "cluster_photons",
-    "transmitted_photons",
     "mode_divisor",
     "coefficients_for",
     "chain_probs",
@@ -75,11 +74,6 @@ def cluster_photons(m: int, tree: BranchingVector) -> int:
     return (4 * m + 1) + 2 * m * tree_size(tree)
 
 
-def transmitted_photons(m: int, tree: BranchingVector) -> int:
-    """Photons a node sends into fiber per clock cycle: ``2m * tree_size``."""
-    return 2 * m * tree_size(tree)
-
-
 def k_of_design(m: int, tree: BranchingVector) -> int:
     """Fusion steps needed to assemble the node cluster.
 
@@ -92,11 +86,11 @@ def k_of_design(m: int, tree: BranchingVector) -> int:
 
 
 def mode_divisor(m: int, tree: BranchingVector, scheme: str = "new") -> int:
-    """Optical modes the rate is normalised by: ``2m`` or all transmitted photons."""
+    """Optical modes the rate is normalised by: ``2m``, or the ``2m * tree_size`` in fiber."""
     if scheme == "new":
         return 2 * m
     if scheme == "naive":
-        return transmitted_photons(m, tree)
+        return 2 * m * tree_size(tree)
     raise InvalidConfigurationError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
 
@@ -152,11 +146,6 @@ class ChainConfig:
     def k(self) -> int:
         """Fusion-step count implied by ``(m, tree)``."""
         return k_of_design(self.channels, self.tree)
-
-    @property
-    def n_cluster(self) -> int:
-        """Photon count of one node's cluster."""
-        return cluster_photons(self.channels, self.tree)
 
     @property
     def divisor(self) -> int:

@@ -26,7 +26,7 @@ engine (:mod:`clusterchain.montecarlo`), one tree photon per cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -264,32 +264,16 @@ def _simulate_tree(
     per-level arrays reshape into (parent, child) blocks.
     """
     widths = _level_widths(b)
-    depth = b.depth
     survive = [rng.random((samples, w)) >= eps for w in widths]
-
-    measurable_next = survive[depth + 1]  # leaves: no children, so M = S
-    measurable_next2: np.ndarray | None = None
-    indirect = np.zeros((samples, 1), dtype=bool)
-    z_success: np.ndarray | None = None
-    for j in range(depth, -1, -1):
-        if j == depth:
-            all_grandchildren = np.ones((samples, widths[j + 1]), dtype=bool)
-        else:
-            assert measurable_next2 is not None
-            all_grandchildren = measurable_next2.reshape(
-                samples, widths[j + 1], b.branches[j + 1]
-            ).all(axis=2)
-        child_ok = survive[j + 1] & all_grandchildren
+    measurable = list(survive)  # leaves have no children, so their M = S
+    for j in range(b.depth, -1, -1):
+        child_ok = survive[j + 1]
+        if j < b.depth:
+            grand = measurable[j + 2].reshape(samples, widths[j + 1], b.branches[j + 1])
+            child_ok = child_ok & grand.all(axis=2)
         indirect = child_ok.reshape(samples, widths[j], b.branches[j]).any(axis=2)
-        measurable = survive[j] | indirect
-        if j == 1:
-            z_success = measurable.all(axis=1)
-        measurable_next2 = measurable_next
-        measurable_next = measurable
-    if depth == 0:
-        z_success = survive[1].all(axis=1)
-    assert z_success is not None
-    return indirect[:, 0], z_success
+        measurable[j] = survive[j] | indirect
+    return indirect[:, 0], measurable[1].all(axis=1)
 
 
 def mc_xi(

@@ -264,6 +264,25 @@ class TestResources:
         assert config["seed"] == 0
         assert config["command"] == "resources"
 
+    NAIVE_SCALE = (
+        "resources", "--k", "7", "--m", "4", "--n", "250",
+        "--sources", "10000000000:30000000000:10000000000", "--trials", "200",
+    )
+
+    def test_auto_falls_back_to_mc_beyond_the_bank_limit(self, capsys, consts):
+        # 1e10 sources grant one k=7 bank about 1e5 GHZ states, past the exact limit
+        code, out, _ = run_cli(capsys, *self.NAIVE_SCALE)
+        assert code == 0
+        _, _, rows, _ = parse_csv(out)
+        grid = [10**10, 2 * 10**10, 3 * 10**10]
+        assert [int(row[0]) for row in rows] == grid
+        improved = pcn_curve("improved", 7, 4, 250, consts, grid, method="mc", trials=200)
+        for row, expected in zip(rows, improved):
+            assert math.isclose(float(row[2]), expected, rel_tol=1e-10)
+        code, out, err = run_cli(capsys, *self.NAIVE_SCALE, "--method", "exact")
+        assert (code, out) == (2, "")
+        assert "--method mc" in err
+
     def test_exact_bank_count_beyond_limit_exits_2(self, capsys):
         code, out, err = run_cli(
             capsys, "resources", "--k", "5", "--m", "1", "--n", "20",

@@ -17,7 +17,6 @@ from clusterchain.envelope import (
     numeric_envelope,
     optimize_z,
     repeater_spacing,
-    spacing_unit,
 )
 from clusterchain.errors import (
     InvalidConfigurationError,
@@ -172,14 +171,14 @@ class TestSpacing:
         assert repeater_spacing(Z_STAR, coeffs, device.alpha) == pytest.approx(
             env_star.l0_km, rel=1e-12
         )
-        assert spacing_unit(coeffs, device.alpha) == pytest.approx(
+        assert repeater_spacing(1.0, coeffs, device.alpha) == pytest.approx(
             env_star.l0_km / Z_STAR, rel=1e-12
         )
 
     def test_spacing_unit_needs_gain(self, device):
         weak = ChainCoefficients(a_coeff=0.5, b_coeff=1.0, c_coeff=1.0)
         with pytest.raises(LocusInvalidError):
-            spacing_unit(weak, device.alpha)
+            repeater_spacing(1.0, weak, device.alpha)
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,6 @@ from clusterchain.errors import (EmptyFeasibleSetError, InvalidConfigurationErro
 from clusterchain.optimizer import (
     SearchBounds,
     design_envelopes,
-    fitted_exponent,
     iter_designs,
     operating_point,
     optimize_design,
@@ -184,8 +183,7 @@ class TestOptimizeDesign:
         best = optimize_design(300.0, 7, device, candidates=candidates_by_k[7])
         assert best.n_cluster == 17 + 8 * 13 == 121
         assert best.parallel_channels == 8
-        assert best.spacing_km == best.envelope.l0_km
-        assert best.n_opt == max(1, round(300.0 / best.spacing_km))
+        assert best.n_opt == max(1, round(300.0 / best.envelope.l0_km))
 
     def test_rejects_nonpositive_range(self, device, candidates_by_k):
         with pytest.raises(InvalidConfigurationError):
@@ -251,35 +249,3 @@ class TestRateFamily:
     def test_non_finite_range_is_refused(self, device, bad):
         with pytest.raises(InvalidConfigurationError):
             rate_family(np.array([100.0, bad]), [7], device)
-
-
-class TestFittedExponent:
-    def test_recovers_synthetic_power_law(self, device):
-        grid = np.linspace(100.0, 500.0, 9)
-        s_true = 0.37
-        rates = 0.11 * np.exp(-s_true * device.alpha * grid)
-        assert fitted_exponent(grid, rates, device.alpha) == pytest.approx(
-            s_true, rel=1e-12
-        )
-
-    def test_ignores_nonpositive_rates(self, device):
-        grid = np.array([100.0, 200.0, 300.0])
-        rates = np.array([0.0, 1e-3, 1e-4])
-        fitted = fitted_exponent(grid, rates, device.alpha)
-        expected = math.log(1e-3 / 1e-4) / (device.alpha * 100.0)
-        assert fitted == pytest.approx(expected, rel=1e-12)
-
-    def test_needs_two_points(self, device):
-        with pytest.raises(InvalidConfigurationError):
-            fitted_exponent(
-                np.array([100.0, 200.0]), np.array([0.0, 1e-3]), device.alpha
-            )
-
-    @pytest.mark.parametrize("column", ["l_km", "rates"])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_input_is_refused(self, device, capfd, column, bad):
-        data = {"l_km": np.array([100.0, 200.0, 300.0]), "rates": np.array([1e-2, 1e-3, 1e-4])}
-        data[column][1] = bad
-        with pytest.raises(InvalidConfigurationError):
-            fitted_exponent(data["l_km"], data["rates"], device.alpha)
-        assert capfd.readouterr().err == ""

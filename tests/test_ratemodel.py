@@ -24,7 +24,6 @@ from clusterchain.ratemodel import (
     r_direct,
     rate_n,
     rates_over_n,
-    transmitted_photons,
 )
 from clusterchain.treecode import BranchingVector, p_x_general, p_z_general
 
@@ -44,7 +43,7 @@ class TestPhotonCounts:
     def test_cluster_photons(self):
         # 4m+1 = 17 core photons plus 2m = 8 trees of 29 photons each
         assert cluster_photons(4, BranchingVector((7, 3))) == 17 + 8 * 29 == 249
-        assert transmitted_photons(4, BranchingVector((7, 3))) == 232
+        assert mode_divisor(4, BranchingVector((7, 3)), "naive") == 232
 
     @pytest.mark.parametrize(
         "m,branches,k",
@@ -100,7 +99,7 @@ class TestChainConfig:
     def test_properties(self):
         cfg = cfg_73()
         assert cfg.k == 8
-        assert cfg.n_cluster == 249
+        assert cluster_photons(cfg.channels, cfg.tree) == 249
         assert cfg.divisor == 8
         assert cfg_73(scheme="naive").divisor == 232
 

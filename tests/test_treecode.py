@@ -165,6 +165,15 @@ class TestMonteCarlo:
         second = mc_measurement_probs(b, 0.3, samples=20_000, seed=5)
         assert first == second
 
+    def test_stream_is_pinned(self):
+        # hit counts recorded from the sampler's random stream; a sampler that
+        # draws a different stream would move the statistical checks as well
+        b = BranchingVector((7, 3))
+        est = mc_measurement_probs(b, 0.1, samples=20_000, seed=5)
+        assert (est.p_x, est.p_z) == (19_989 / 20_000, 19_989 / 20_000)
+        assert est.p_x_err == est.p_z_err == 0.00016578562965469148
+        assert mc_xi(1, b, 0.1, samples=20_000, seed=5) == (19_977 / 20_000, 0.00023965365634598447)
+
     def test_xi_is_subtree_p_x(self):
         b = BranchingVector((3, 2, 2))
         sub = mc_measurement_probs(BranchingVector((2, 2)), 0.2, samples=20_000, seed=6)
