@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -269,6 +269,18 @@ def allocate_ghz_counts(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     are proportional to ``weights`` with fractional remainders resolved
     largest-first (ties by bank index).
 
+    Banks of one share value form a class, and every bank of a class has the
+    same floor ``floor(x * share)`` and the same remainder, so the rule is
+    worked out per class.  Each row sorts its ``C`` class remainders and finds
+    the cut: the remainder of the bank that takes the last of the
+    ``x - sum(floors)`` leftover states in largest-first order.  Every bank
+    above the cut gets one more state, and so do the first banks at the cut
+    in index order, as many as are left; the classes at the cut are looked
+    up in a table of the distinct tied class sets, built once per call, that
+    lists each set's banks in index order.  Time is ``O(t banks + t C log C)``
+    and memory ``O(t banks)``: one int64 result, a few one-byte arrays of the
+    same shape, and ``(t, C)`` class arrays.
+
     Parameters
     ----------
     x : ndarray of int, shape (t,)
@@ -278,19 +290,53 @@ def allocate_ghz_counts(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     Returns
     -------
     ndarray of int64, shape (t, banks)
+
+    Raises
+    ------
+    InvalidConfigurationError
+        Unless ``weights`` is a non-empty 1-D array of positive, finite numbers.
     """
     x = np.asarray(x, dtype=np.int64)
     weights = np.asarray(weights, dtype=float)
-    share = weights / weights.sum()
-    exact = x[:, None] * share[None, :]
-    base = np.floor(exact).astype(np.int64)
-    deficit = x - base.sum(axis=1)
-    remainder = exact - base
+    if weights.ndim != 1 or weights.size == 0 or not np.all((weights > 0) & np.isfinite(weights)):
+        raise InvalidConfigurationError(
+            "allocation weights must be a non-empty 1-D array of positive, finite numbers"
+        )
+    shares, bank_class = np.unique(weights / weights.sum(), return_inverse=True)
+    sizes = np.bincount(bank_class, minlength=len(shares))
+    remainder = x[:, None] * shares[None, :]
+    base = np.floor(remainder).astype(np.int64)  # (t, C)
+    remainder -= base
+    deficit = x - base @ sizes
+    # the cut: the remainder of the bank that takes the last leftover state
+    rows = np.arange(len(x))
     order = np.argsort(-remainder, axis=1, kind="stable")
-    grant = np.arange(weights.size)[None, :] < deficit[:, None]
-    increment = np.zeros_like(base)
-    np.put_along_axis(increment, order, grant.astype(np.int64), axis=1)
-    return base + increment
+    taken = np.cumsum(sizes[order], axis=1)
+    cut_class = order[rows, np.minimum((taken < deficit[:, None]).sum(axis=1), len(shares) - 1)]
+    cut = remainder[rows, cut_class][:, None]
+    above, tied = remainder > cut, remainder == cut
+    left = deficit - above @ sizes  # grants for the banks at the cut
+    # The table: the banks of each class, then of each distinct set of two
+    # or more tied classes, in index order, one run per set.
+    multi = tied.sum(axis=1) > 1
+    multi_sets, multi_id = np.unique(tied[multi], axis=0, return_inverse=True)
+    set_sizes = np.concatenate([sizes, multi_sets @ sizes])
+    start = np.cumsum(set_sizes) - set_sizes
+    table = np.concatenate([
+        np.argsort(bank_class, kind="stable"), np.nonzero(multi_sets[:, bank_class])[1]
+    ])
+    set_id = cut_class  # the cut's own class, unless others tie with it
+    set_id[multi] = len(shares) + multi_id.reshape(-1)
+    take = np.clip(left, 0, set_sizes[set_id])
+    # the banks at the cut below index `stop` take one state each
+    last = table[start[set_id] + np.maximum(take, 1) - 1]
+    stop = np.where(take > 0, last + 1, 0)
+    # status 2 above the cut and 1 at it; a bank at it before `stop` reaches 2
+    status = np.take(2 * above.astype(np.int8) + tied, bank_class, axis=1)
+    status += np.arange(len(weights))[None, :] < stop[:, None]
+    counts = np.take(base, bank_class, axis=1)
+    counts += status >= 2
+    return counts
 
 
 def _banked_setup(
@@ -398,6 +444,19 @@ def _upper_tail(n: int, p: float, c: int) -> float:
 _X_BLOCK = 256  # GHZ-success counts x per memo block of the exact factory
 
 
+def _distinct(keys: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` for integer keys in ``[0, space)``,
+    by counting: the inverse has ``keys``' shape.  Needs ``space`` bytes for a
+    presence mask and ``space`` index entries, of which only those of the keys
+    present are written."""
+    present = np.zeros(space, dtype=bool)
+    present[keys] = True
+    distinct = np.flatnonzero(present)
+    index = np.empty(space, dtype=np.intp)
+    index[distinct] = np.arange(len(distinct))
+    return distinct, index[keys]
+
+
 class _ExactFactory:
     """``f(x) = P[root bank non-empty | x heralded GHZ states]`` for one schedule.
 
@@ -451,18 +510,18 @@ class _ExactFactory:
 
         # Identical subtrees share one survival row: leaves are numbered by
         # their (count, measured) key, each level by its pair of child ids.
-        keys, ids = np.unique(2 * alloc + self.measured, return_inverse=True)
-        ids = ids.reshape(alloc.shape)
+        keys, ids = _distinct(2 * alloc + self.measured, 2 * cap + 2)
         counts, thinned = keys // 2, keys % 2 == 1
         survival = (np.arange(cap + 1) <= counts[:, None]).astype(float)  # exactly y states
         survival[thinned] = survival[thinned] @ self._matrix(self.thin_p, cap)
         cut = 0.0
         for p_level, banks in zip(self.probs, self.banks_per_level):
-            pairs, ids = np.unique(
-                ids[:, 0::2] * len(survival) + ids[:, 1::2], return_inverse=True
-            )
-            ids = ids.reshape(len(alloc), -1)
-            left, right = np.divmod(pairs, len(survival))
+            # each side is renumbered first, so the pair keys span only the
+            # distinct left ids times the distinct right ids
+            lefts, left_ids = _distinct(ids[:, 0::2], len(survival))
+            rights, right_ids = _distinct(ids[:, 1::2], len(survival))
+            pairs, ids = _distinct(left_ids * len(rights) + right_ids, len(lefts) * len(rights))
+            left, right = lefts[pairs // len(rights)], rights[pairs % len(rights)]
             product = survival[left] * survival[right]
             # keep the support some row still reaches and lump larger counts at
             # its top; a bank is lumped with probability product[:, keep + 1]
@@ -491,24 +550,25 @@ class _ExactFactory:
                 break
         return lo, hi
 
-    def holds(self, n_s: int) -> bool:
-        """Whether the window's top grants no bank more than ``_EXACT_COUNT_LIMIT``
-        states; the level matrices grow as the square of the largest bank count."""
-        hi = self._window(_ghz_attempts(n_s, self.ghz_source))[1]
-        return int(allocate_ghz_counts(np.array([hi]), self.weights).max()) <= _EXACT_COUNT_LIMIT
+    def pc1(self, n_s: int, beyond_limit: Callable[[int], float] | None = None) -> float:
+        """``P_c1(n_s)``: the GHZ-success pmf over its window dotted with ``f``.
 
-    def pc1(self, n_s: int) -> float:
-        """``P_c1(n_s)``: the GHZ-success pmf over its window dotted with ``f``."""
-        if not self.holds(n_s):
+        When the window's top grants one bank more than ``_EXACT_COUNT_LIMIT``
+        states (the level matrices grow as the square of the largest bank
+        count), returns ``beyond_limit(n_s)`` instead, or raises without one.
+        """
+        n_attempts = _ghz_attempts(n_s, self.ghz_source)
+        lo, hi = self._window(n_attempts)
+        if int(allocate_ghz_counts(np.array([hi]), self.weights).max()) > _EXACT_COUNT_LIMIT:
+            if beyond_limit is not None:
+                return beyond_limit(n_s)
             raise InvalidConfigurationError(
                 f"exact factory would hold more than {_EXACT_COUNT_LIMIT} GHZ states in "
                 f"one bank at {n_s} sources; use --method mc"
             )
-        n_attempts = _ghz_attempts(n_s, self.ghz_source)
         if n_attempts < 1:
             return 0.0
         p, q = self.p_ghz, 1.0 - self.p_ghz
-        lo, hi = self._window(n_attempts)
         # ln pmf(c+1) - ln pmf(c) = ln((n-c) p / ((c+1) q)), summed up from lo
         c = np.arange(lo, hi)
         log_px = np.concatenate(([0.0], np.cumsum(np.log((n_attempts - c) * p / ((c + 1) * q)))))
@@ -570,8 +630,16 @@ def improved_pc1_exact(
     ``f`` is computed for aligned blocks of 256 consecutive ``x``.  Within a
     block most banks hold the same count, so the leaves are numbered by
     their ``(count, measured)`` key and each fusion level by its pair of
-    child ids (``np.unique``); only the distinct survival rows are
-    propagated.  Each block keeps its ``f``, so the windows of a source
+    child ids; only the distinct survival rows are propagated.  The
+    numbering counts instead of sorting: keys are small non-negative
+    integers, so a presence mask over their range lists the distinct keys
+    in order and an index array over the same range numbers them.  A leaf
+    key is below ``2 cap + 2``.  A level renumbers its left and its right
+    children apart before pairing them, so a pair key is below
+    ``n_left * n_right``, the distinct left times the distinct right
+    children, at most the square of the level below's distinct rows (the
+    searches at k = 7, 9 and 10 reach at most 319 rows and a key range of
+    25.4k).  Each block keeps its ``f``, so the windows of a source
     search share work when one evaluator (:func:`min_sources`,
     :func:`pcn_curve`) holds the blocks; a single call keeps them only for
     itself.  A block's cap is the largest count its own allocation grants
@@ -656,7 +724,7 @@ def _pc1_evaluator(
         return exact.pc1
 
     def evaluate(n_s: int) -> float:
-        return exact.pc1(n_s) if exact.holds(n_s) else monte_carlo(n_s)
+        return exact.pc1(n_s, beyond_limit=monte_carlo)
 
     return evaluate
 
@@ -686,6 +754,10 @@ def min_sources(
 
     Raises
     ------
+    InvalidConfigurationError
+        For a ``target_pcn`` outside ``(0, 1)``, or one whose per-node target
+        ``target_pcn ** (1/n)`` rounds to 1.0, before any evaluation: such a
+        search would stop at the first count whose estimate rounds to 1.
     TargetUnreachableError
         When the target is not met even at ``10**15`` sources.
     """
@@ -696,6 +768,11 @@ def min_sources(
     if n < 1:
         raise InvalidConfigurationError(f"n must be >= 1, got {n}")
     p_c1_target = target_pcn ** (1.0 / n)
+    if p_c1_target == 1.0:
+        raise InvalidConfigurationError(
+            f"target_pcn {target_pcn!r} over {n} nodes asks each node for "
+            f"P_c1 = target_pcn ** (1/n), which rounds to 1.0"
+        )
     evaluate = _pc1_evaluator(scheme, k, m, consts, method, trials, seed)
 
     def feasible(n_s: int) -> bool:

@@ -336,6 +336,16 @@ class TestOptimize:
         # the scan includes the best depth-2 design, so it can only improve
         assert float(row[6 - 1]) >= K7_RATE * (1 - 1e-3)
 
+    def test_source_target_rounding_to_one_exits_2(self, capsys):
+        # over the 313 nodes of the k=7 optimum each node would need P_c1 = 1.0
+        code, out, err = run_cli(
+            capsys, "optimize", "--L", "300", "--k", "7", "--m-max", "6", "--branch-max", "6",
+            "--with-sources", "--p-cn", "0.9999999999999998",
+        )
+        assert code == 2
+        assert out == ""
+        assert "error: config:" in err and "rounds to 1.0" in err
+
     def test_repeated_depths_are_config_error(self, capsys):
         code, out, err = run_cli(capsys, "optimize", "--L", "300", "--k", "7", "--depths", "2,2")
         assert code == 2

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +63,21 @@ def plain_schedule(k: int) -> FusionSchedule:
     return FusionSchedule(
         k=k, measured_mask=(False,) * leaves, weights=(1.0,) * leaves
     )
+
+
+def largest_remainder_oracle(x, weights) -> np.ndarray:
+    """Largest remainder bank by bank: each row sorts its banks' remainders
+    and grants one state to each of the first ``x - sum(floors)`` of them."""
+    x = np.asarray(x, dtype=np.int64)
+    weights = np.asarray(weights, dtype=float)
+    exact = x[:, None] * (weights / weights.sum())[None, :]
+    base = np.floor(exact).astype(np.int64)
+    deficit = x - base.sum(axis=1)
+    order = np.argsort(-(exact - base), axis=1, kind="stable")
+    grant = np.arange(weights.size)[None, :] < deficit[:, None]
+    increment = np.zeros_like(base)
+    np.put_along_axis(increment, order, grant.astype(np.int64), axis=1)
+    return base + increment
 
 
 class TestNaiveMultiplex:
@@ -149,6 +166,10 @@ class TestAllocation:
         # unit, granted to the first of the two largest remainders
         out = allocate_ghz_counts(np.array([19]), np.array([2.0, 1.0, 2.0, 1.0]))
         assert out.tolist() == [[7, 3, 6, 3]]
+        # shares (1/8, 3/8, 1/8, 3/8) of 4: every remainder is 0.5, so the
+        # two leftover units go to banks 0 and 1, across the two classes
+        out = allocate_ghz_counts(np.array([4]), np.array([1.0, 3.0, 1.0, 3.0]))
+        assert out.tolist() == [[1, 2, 0, 1]]
 
     def test_exact_division(self):
         out = allocate_ghz_counts(np.array([8]), np.ones(4))
@@ -179,6 +200,63 @@ class TestAllocation:
         np.testing.assert_array_equal(out.sum(axis=1), x)
         floor = np.floor(x[:, None] * (weights / weights.sum())[None, :])
         assert np.isin(out - floor, (0, 1)).all()
+
+    @pytest.mark.parametrize("weights", [[], [1.0, 0.0], [1.0, -2.0], [1.0, math.nan], [1.0, math.inf]],
+                             ids=["empty", "zero", "negative", "nan", "inf"])
+    def test_bad_weights_are_refused(self, weights):
+        with pytest.raises(InvalidConfigurationError):
+            allocate_ghz_counts(np.array([5]), np.array(weights))
+
+    @PROPERTY
+    @given(
+        x=st.lists(st.one_of(st.integers(0, 12), st.integers(0, 10**7)), min_size=1, max_size=24),
+        weights=st.one_of(
+            # few values, so remainders tie within and across classes
+            st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 1 / 0.7]), min_size=1, max_size=40),
+            # continuous, so nearly every bank is its own class
+            st.lists(st.floats(0.01, 100.0), min_size=1, max_size=80),
+        ),
+    )
+    def test_matches_bank_by_bank_oracle(self, x, weights):
+        x, weights = np.array(x), np.array(weights)
+        out = allocate_ghz_counts(x, weights)
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, largest_remainder_oracle(x, weights))
+
+    @pytest.mark.parametrize("weights", [(1, 3, 1, 3), (5, 1, 3, 1, 3, 3), (2, 1, 1, 2, 1, 1, 4, 4)],
+                             ids=["two_classes", "three_classes", "interleaved"])
+    def test_remainders_tied_across_classes_match_oracle(self, weights):
+        # shares are multiples of 1/16, so remainders tie exactly across
+        # classes and the leftover states go to the tied banks in index
+        # order whatever their class
+        x = np.arange(200)
+        out = allocate_ghz_counts(x, np.array(weights, dtype=float))
+        np.testing.assert_array_equal(out, largest_remainder_oracle(x, weights))
+
+    @pytest.mark.parametrize("k", range(3, 11))
+    def test_matches_oracle_on_built_schedules(self, consts, k):
+        # m = k - 2 covers the k = 9, m = 7 and k = 10, m = 8 searches
+        weights = np.array(build_schedule(k, min(k - 2, (2**k - 1) // 4), consts).weights)
+        x = np.arange(0, 300_000, 7)
+        for rows in np.array_split(x, max(1, x.size * 2**k // 2**21)):
+            np.testing.assert_array_equal(
+                allocate_ghz_counts(rows, weights), largest_remainder_oracle(rows, weights)
+            )
+
+    def test_many_classes_stay_within_row_memory(self):
+        # 1024 classes of two banks each over 2048 rows: a (t, C, C) array
+        # alone would take 2 GiB, 64 times the 32 MiB result
+        rng = np.random.default_rng(4)
+        weights = np.repeat(rng.uniform(0.1, 10.0, size=1024), 2)
+        x = rng.integers(0, 10**6, size=2048)
+        tracemalloc.start()
+        try:
+            out = allocate_ghz_counts(x, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * out.nbytes
+        np.testing.assert_array_equal(out, largest_remainder_oracle(x, weights))
 
 
 class TestSchedule:
@@ -334,6 +412,28 @@ class TestExactPropagation:
         sched = build_schedule(3, 1, consts)
         assert allocate_ghz_counts(np.array([20000]), np.array(sched.weights)).max() == 2520
         assert improved_pc1_exact(20000, sched, consts, ghz_source=True) == pytest.approx(1.0)
+
+
+class TestRecordedOutputs:
+    """Outputs recorded before the allocation and the subtree numbering
+    stopped sorting; both must keep every bit."""
+
+    @pytest.mark.parametrize("k,n_s,expected", [
+        (7, 2_700_000, "0.9976651563569179"),
+        (7, 3_300_000, "0.9996223877990926"),
+        (9, 21_000_000, "0.9918700042037257"),
+        (9, 26_000_000, "0.9985048972923102"),
+    ], ids=["k7_low", "k7_high", "k9_low", "k9_high"])
+    def test_exact_pc1(self, consts, k, n_s, expected):
+        assert repr(improved_pc1_exact(n_s, build_schedule(k, 4, consts), consts)) == expected
+
+    def test_monte_carlo_stream(self, consts):
+        got = improved_pc1_mc(3_600_000, build_schedule(7, 4, consts), consts, trials=20000, seed=5)
+        assert got == (0.9998, 9.998999949994449e-05)
+
+    @pytest.mark.parametrize("k,m,expected", [(7, 4, 3268608), (8, 5, 9928704)], ids=["k7", "k8"])
+    def test_min_sources(self, consts, k, m, expected):
+        assert min_sources("improved", k, m, 250, 0.9, consts, method="exact") == expected
 
 
 class TestLevelCut:
@@ -526,6 +626,15 @@ class TestMinSources:
             min_sources("unknown", 7, 4, 250, 0.9, consts)
         with pytest.raises(InvalidConfigurationError):
             min_sources("improved", 7, 4, 250, 0.9, consts, method="guess")
+
+    def test_per_node_target_rounding_to_one_is_refused(self, consts):
+        # 0.9999999999 ** (1 / 10**7) is 1.0 in floating point: a search
+        # would stop where a Monte Carlo estimate first reads 1, not at the
+        # target, so it must be refused before any evaluation
+        start = time.perf_counter()
+        with pytest.raises(InvalidConfigurationError, match="rounds to 1.0"):
+            min_sources("ghz_primitive", 3, 1, 10**7, 0.9999999999, consts)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestPcnCurve:
