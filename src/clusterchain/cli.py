@@ -92,8 +92,6 @@ def _parse_int_list(text: str) -> list[int]:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return "%.12g" % float(value)
@@ -112,6 +110,19 @@ def _resolve_device(args: argparse.Namespace) -> DeviceParams:
     if overrides:
         device = dataclasses.replace(device, **overrides)
     return device
+
+
+def _config_record(
+    args: argparse.Namespace, device: DeviceParams, tree: BranchingVector | None = None
+) -> dict:
+    """The ``# config:`` record: every parsed flag but ``--config``, ``--out`` and
+    the device fields, which enter resolved as ``device``; ``b`` as ``str(tree)``."""
+    skip = {"func", "config", "out", *_DEVICE_FIELDS}
+    record = {name: value for name, value in vars(args).items() if name not in skip}
+    record["device"] = dataclasses.asdict(device)
+    if tree is not None:
+        record["b"] = str(tree)
+    return record
 
 
 def _emit(
@@ -195,11 +206,6 @@ def cmd_rate(args: argparse.Namespace) -> int:
     device = _resolve_device(args)
     tree = BranchingVector.parse(args.b)
     grid = _parse_range(args.L)
-    config = {
-        "command": "rate", "device": dataclasses.asdict(device),
-        "m": args.m, "b": str(tree), "n": args.n, "L": args.L,
-        "p_cn": args.p_cn, "scheme": args.scheme,
-    }
     rows = []
     for l_km in grid:
         cfg = ChainConfig(
@@ -209,7 +215,8 @@ def cmd_rate(args: argparse.Namespace) -> int:
         point = rate_n(cfg, device)
         rows.append((point.range_km, point.rate_bits_per_mode,
                      r_direct(float(l_km), device.alpha)))
-    _emit(args.out, config, ("l_km", "rate_bits_per_mode", "r_direct"), rows)
+    _emit(args.out, _config_record(args, device, tree),
+          ("l_km", "rate_bits_per_mode", "r_direct"), rows)
     return 0
 
 
@@ -224,11 +231,6 @@ def cmd_envelope(args: argparse.Namespace) -> int:
     z_star = optimize_z(args.m, tree, device, coeffs, scheme=args.scheme)
     env = analytic_lb(z_star, args.m, tree, device, coeffs,
                       p_cn=args.p_cn, scheme=args.scheme)
-    config = {
-        "command": "envelope", "device": dataclasses.asdict(device),
-        "m": args.m, "b": str(tree), "L": args.L,
-        "p_cn": args.p_cn, "scheme": args.scheme,
-    }
     rows = []
     for l_km in grid:
         rows.append((float(l_km), env.rate_at(float(l_km), device.alpha),
@@ -236,7 +238,8 @@ def cmd_envelope(args: argparse.Namespace) -> int:
     trailer = (
         f"# D={_fmt(env.d_coeff)}, s={_fmt(env.s_exp)}, L0_km={_fmt(env.l0_km)}"
     )
-    _emit(args.out, config, ("l_km", "rate_bits_per_mode", "n_opt"), rows, trailer)
+    _emit(args.out, _config_record(args, device, tree),
+          ("l_km", "rate_bits_per_mode", "n_opt"), rows, trailer)
     if args.out is not None:
         print(trailer.lstrip("# "))
     return 0
@@ -249,11 +252,6 @@ def cmd_resources(args: argparse.Namespace) -> int:
     if not np.all((grid == np.floor(grid)) & (grid < 2.0**63)):
         raise ConfigError(f"source counts must be integers below 2**63, got {args.sources!r}")
     grid = grid.astype(np.int64)
-    config = {
-        "command": "resources", "device": dataclasses.asdict(device),
-        "k": args.k, "m": args.m, "n": args.n, "sources": args.sources,
-        "method": args.method, "trials": args.trials, "seed": args.seed,
-    }
     naive = pcn_curve("naive", args.k, args.m, args.n, consts, grid,
                       method=args.method, trials=args.trials, seed=args.seed)
     improved = pcn_curve("improved", args.k, args.m, args.n, consts, grid,
@@ -263,7 +261,8 @@ def cmd_resources(args: argparse.Namespace) -> int:
         for n_s, p_naive, p_improved in zip(grid, naive, improved)
     ]
     print(f"seed: {args.seed}", file=sys.stderr)
-    _emit(args.out, config, ("n_sources", "p_cn_naive", "p_cn_improved"), rows)
+    _emit(args.out, _config_record(args, device),
+          ("n_sources", "p_cn_naive", "p_cn_improved"), rows)
     return 0
 
 
@@ -274,13 +273,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         m_max=args.m_max, branch_max=args.branch_max,
         depths=tuple(_parse_int_list(args.depths)),
     )
-    config = {
-        "command": "optimize", "device": dataclasses.asdict(device),
-        "L": args.L, "k": args.k, "p_cn": args.p_cn, "scheme": args.scheme,
-        "m_max": args.m_max, "branch_max": args.branch_max, "depths": args.depths,
-        "with_sources": args.with_sources, "method": args.method,
-        "trials": args.trials, "seed": args.seed,
-    }
     if args.with_sources:
         print(f"seed: {args.seed}", file=sys.stderr)
     grid = _parse_range(args.L)
@@ -305,7 +297,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         ))
     header = ("k", "m", *branch_cols, "n_opt", "rate_bits_per_mode",
               "n_sources", "parallel_channels")
-    _emit(args.out, config, header, rows)
+    _emit(args.out, _config_record(args, device), header, rows)
     return 0
 
 

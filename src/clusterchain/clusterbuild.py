@@ -516,13 +516,9 @@ class _ExactFactory:
         survival[thinned] = survival[thinned] @ self._matrix(self.thin_p, cap)
         cut = 0.0
         for p_level, banks in zip(self.probs, self.banks_per_level):
-            # each side is renumbered first, so the pair keys span only the
-            # distinct left ids times the distinct right ids
-            lefts, left_ids = _distinct(ids[:, 0::2], len(survival))
-            rights, right_ids = _distinct(ids[:, 1::2], len(survival))
-            pairs, ids = _distinct(left_ids * len(rights) + right_ids, len(lefts) * len(rights))
-            left, right = lefts[pairs // len(rights)], rights[pairs % len(rights)]
-            product = survival[left] * survival[right]
+            rows = len(survival)
+            pairs, ids = _distinct(ids[:, 0::2] * rows + ids[:, 1::2], rows * rows)
+            product = survival[pairs // rows] * survival[pairs % rows]
             # keep the support some row still reaches and lump larger counts at
             # its top; a bank is lumped with probability product[:, keep + 1]
             keep = max(int(np.flatnonzero((product > _LEVEL_CUT).any(axis=0))[-1]), 1)
@@ -536,6 +532,8 @@ class _ExactFactory:
         """GHZ-success counts ``[lo, hi]`` whose two tails hold at most ``_TAIL_MASS``."""
         if self.ghz_source:
             return n_attempts, n_attempts  # GHZ sources make n_attempts states for certain
+        if self.p_ghz == 0.0:
+            return 0, 0  # an underflowed p_ghz heralds no GHZ state
         p, q = self.p_ghz, 1.0 - self.p_ghz
         mean = n_attempts * p
         sd = math.sqrt(max(mean * q, 1.0))
@@ -634,12 +632,11 @@ def improved_pc1_exact(
     numbering counts instead of sorting: keys are small non-negative
     integers, so a presence mask over their range lists the distinct keys
     in order and an index array over the same range numbers them.  A leaf
-    key is below ``2 cap + 2``.  A level renumbers its left and its right
-    children apart before pairing them, so a pair key is below
-    ``n_left * n_right``, the distinct left times the distinct right
-    children, at most the square of the level below's distinct rows (the
-    searches at k = 7, 9 and 10 reach at most 319 rows and a key range of
-    25.4k).  Each block keeps its ``f``, so the windows of a source
+    key is below ``2 cap + 2``.  A pair key is the left child's id times
+    the level below's distinct rows plus the right child's id, so it is
+    below the square of those rows (the searches at k = 7, 9 and 10 reach
+    at most 319 rows, which bounds the pair keys below 319**2, about
+    102k).  Each block keeps its ``f``, so the windows of a source
     search share work when one evaluator (:func:`min_sources`,
     :func:`pcn_curve`) holds the blocks; a single call keeps them only for
     itself.  A block's cap is the largest count its own allocation grants
@@ -696,6 +693,10 @@ def _pc1_evaluator(
     seed: int,
 ):
     """Build a ``p_c1(n_s)`` callable for one scheme; see :func:`min_sources`."""
+    if method not in ("auto", "exact", "mc"):
+        raise InvalidConfigurationError(
+            f"unknown method {method!r}; expected 'auto', 'exact' or 'mc'"
+        )
     if scheme == "naive":
         def evaluate(n_s: int) -> float:
             return optimize_naive_multiplex(n_s, k, m, consts)[1]
@@ -707,10 +708,6 @@ def _pc1_evaluator(
         )
     sched = build_schedule(k, m, consts)
     ghz_source = scheme == "ghz_primitive"
-    if method not in ("auto", "exact", "mc"):
-        raise InvalidConfigurationError(
-            f"unknown method {method!r}; expected 'auto', 'exact' or 'mc'"
-        )
 
     def monte_carlo(n_s: int) -> float:
         return improved_pc1_mc(

@@ -8,8 +8,8 @@ This module implements those rules on graphs held as plain mappings
 ``vertex -> frozenset(neighbours)``, each edge stored at both ends (local
 Clifford byproducts are deliberately not tracked; the claims verified here
 are about edge structure) and backs the outcome-sign bookkeeping the graph
-layer drops with a dense-statevector checker, :class:`SmallState`, capped
-at 12 qubits.
+layer drops with dense-statevector checks on plain ``(2,)*q`` complex
+arrays of one to three qubits.
 
 The ``check_*`` functions and :func:`verify_reordering_identities` return
 :class:`CheckResult` rows; the CLI ``verify`` subcommand prints them as a
@@ -34,12 +34,10 @@ __all__ = [
     "tree_graph",
     "check_star_clique",
     "check_tree_attachment",
-    "SmallState",
     "verify_reordering_identities",
     "run_structure_checks",
 ]
 
-_MAX_QUBITS = 12
 _PHASE_TOL = 1e-12
 
 # single-qubit measurement bases: rows are the outcome-0 / outcome-1 eigenkets
@@ -210,86 +208,32 @@ def check_tree_attachment(
 # ---------------------------------------------------------------------------
 
 
-class SmallState:
-    """Dense statevector on at most 12 qubits, stored with shape ``(2,)*q``.
+def _apply(gate: np.ndarray, amps: np.ndarray, q: int) -> np.ndarray:
+    """``gate`` applied to qubit ``q`` of amplitudes shaped ``(2,)*n``."""
+    moved = np.tensordot(gate, np.moveaxis(amps, q, 0), axes=([1], [0]))
+    return np.moveaxis(moved, 0, q)
 
-    Supports just enough — single-qubit H and Z, and projective X/Y/Z
-    measurement returning both outcome branches — to verify measurement
-    reordering identities exactly.
+
+def _measure(amps: np.ndarray, q: int, basis: str) -> list[tuple[int, float, np.ndarray | None]]:
+    """Both branches of a projective ``basis`` measurement of qubit ``q``.
+
+    Returns ``[(outcome, probability, post_amplitudes), ...]`` for outcomes
+    0 and 1 (the +1/-1 eigenstates of the basis operator).
+    ``post_amplitudes`` has the measured axis removed — for a one-qubit
+    state it is a length-1 array holding the branch phase — and is ``None``
+    on (numerically) zero-probability branches.
     """
-
-    def __init__(self, amplitudes: np.ndarray):
-        amplitudes = np.asarray(amplitudes, dtype=complex)
-        q = amplitudes.ndim
-        if q < 1 or q > _MAX_QUBITS or amplitudes.shape != (2,) * q:
-            raise InvalidConfigurationError(
-                f"amplitudes must have shape (2,)*q with 1 <= q <= {_MAX_QUBITS}, "
-                f"got {amplitudes.shape}"
-            )
-        norm = np.linalg.norm(amplitudes)
-        if abs(norm - 1.0) > 1e-10:
-            raise InvalidConfigurationError(f"state norm {norm!r} differs from 1 beyond 1e-10")
-        self._amps = amplitudes
-
-    @property
-    def qubits(self) -> int:
-        return self._amps.ndim
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return self._amps
-
-    @classmethod
-    def computational(cls, bits: Iterable[int]) -> "SmallState":
-        """Basis state ``|b_0 b_1 ...>``."""
-        bits = tuple(bits)
-        amps = np.zeros((2,) * len(bits), dtype=complex)
-        amps[bits] = 1.0
-        return cls(amps)
-
-    @classmethod
-    def random(cls, qubits: int, rng: np.random.Generator) -> "SmallState":
-        """Haar-ish random state: complex normal amplitudes, normalised."""
-        amps = rng.normal(size=(2,) * qubits) + 1j * rng.normal(size=(2,) * qubits)
-        return cls(amps / np.linalg.norm(amps))
-
-    def _apply_single(self, gate: np.ndarray, q: int) -> "SmallState":
-        moved = np.moveaxis(self._amps, q, 0)
-        moved = np.tensordot(gate, moved, axes=([1], [0]))
-        return SmallState(np.moveaxis(moved, 0, q))
-
-    def apply_z(self, q: int) -> "SmallState":
-        return self._apply_single(np.diag([1.0, -1.0]).astype(complex), q)
-
-    def apply_h(self, q: int) -> "SmallState":
-        h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-        return self._apply_single(h, q)
-
-    def measure(self, q: int, basis: str) -> list[tuple[int, float, np.ndarray | None]]:
-        """Both branches of a projective measurement of qubit ``q``.
-
-        Returns ``[(outcome, probability, post_amplitudes), ...]`` for
-        outcomes 0 and 1 (the +1/-1 eigenstates of the basis operator).
-        ``post_amplitudes`` has the measured axis removed — for a one-qubit
-        state it is a length-1 array holding the branch phase — and is
-        ``None`` on (numerically) zero-probability branches.
-        """
-        basis = basis.upper()
-        if basis not in _BASIS_KETS:
-            raise InvalidConfigurationError(f"basis must be one of 'X', 'Y', 'Z', got {basis!r}")
-        if not 0 <= q < self.qubits:
-            raise InvalidConfigurationError(f"qubit {q} out of range for {self.qubits} qubits")
-        branches: list[tuple[int, float, np.ndarray | None]] = []
-        for outcome, ket in enumerate(_BASIS_KETS[basis]):
-            post = np.tensordot(ket.conj(), self._amps, axes=([0], [q]))
-            if post.ndim == 0:
-                post = post[None]
-            prob = float(np.vdot(post, post).real)
-            if prob < 1e-28:
-                branches.append((outcome, 0.0, None))
-            else:
-                branches.append((outcome, prob, post / math.sqrt(prob)))
-        return branches
+    branches: list[tuple[int, float, np.ndarray | None]] = []
+    for outcome, ket in enumerate(_BASIS_KETS[basis]):
+        post = np.tensordot(ket.conj(), amps, axes=([0], [q]))
+        if post.ndim == 0:
+            post = post[None]
+        prob = float(np.vdot(post, post).real)
+        if prob < 1e-28:
+            branches.append((outcome, 0.0, None))
+        else:
+            branches.append((outcome, prob, post / math.sqrt(prob)))
+    return branches
 
 
 def _same_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = _PHASE_TOL) -> bool:
@@ -319,30 +263,38 @@ def _branches_match(
     return True
 
 
+_Z = np.diag([1.0, -1.0]).astype(complex)
+_H = _BASIS_KETS["X"]  # the Hadamard's rows are the X eigenkets
+
 # (name, gate on the measured qubit, ((basis after the gate, basis without it,
 # outcome flipped), ...)): an identity holds when each pair gives the same branches
 _IDENTITIES = (
-    ("conditional Z past M_X/M_Y flips outcome", SmallState.apply_z,
-     (("X", "X", True), ("Y", "Y", True))),
-    ("Z before M_Z is absorbed", SmallState.apply_z, (("Z", "Z", False),)),
-    ("H exchanges M_X/M_Z and flips M_Y", SmallState.apply_h,
+    ("conditional Z past M_X/M_Y flips outcome", _Z, (("X", "X", True), ("Y", "Y", True))),
+    ("Z before M_Z is absorbed", _Z, (("Z", "Z", False),)),
+    ("H exchanges M_X/M_Z and flips M_Y", _H,
      (("X", "Z", False), ("Z", "X", False), ("Y", "Y", True))),
 )
 
 
-def _identity_inputs(seed: int = 7, samples: int = 100) -> Iterator[SmallState]:
-    """Computational basis states on 1-3 qubits, then seeded random 2-qubit states, made lazily."""
+def _identity_inputs(seed: int = 7, samples: int = 100) -> Iterator[np.ndarray]:
+    """Computational basis states on 1-3 qubits, then seeded random 2-qubit
+    states (complex normal amplitudes, normalised), made lazily."""
     if seed < 0 or samples < 0:
         raise InvalidConfigurationError(
             f"seed and samples must be >= 0, got seed={seed}, samples={samples}"
         )
     basis = (
-        SmallState.computational([(index >> (qubits - 1 - j)) & 1 for j in range(qubits)])
+        np.eye(2**qubits, dtype=complex)[index].reshape((2,) * qubits)
         for qubits in (1, 2, 3)
         for index in range(2**qubits)
     )
     rng = np.random.default_rng(seed)
-    return itertools.chain(basis, (SmallState.random(2, rng) for _ in range(samples)))
+
+    def random_state() -> np.ndarray:
+        amps = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        return amps / np.linalg.norm(amps)
+
+    return itertools.chain(basis, (random_state() for _ in range(samples)))
 
 
 def verify_reordering_identities(seed: int = 7, samples: int = 100) -> list[CheckResult]:
@@ -358,12 +310,12 @@ def verify_reordering_identities(seed: int = 7, samples: int = 100) -> list[Chec
     a failed identity.
     """
     passed = [True] * len(_IDENTITIES)
-    for count, state in enumerate(_identity_inputs(seed=seed, samples=samples), 1):
-        for q in range(state.qubits):
-            plain = {basis: state.measure(q, basis) for basis in "XYZ"}
+    for count, amps in enumerate(_identity_inputs(seed=seed, samples=samples), 1):
+        for q in range(amps.ndim):
+            plain = {basis: _measure(amps, q, basis) for basis in "XYZ"}
             for row, (_, gate, pairs) in enumerate(_IDENTITIES):
-                gated = gate(state, q)
-                passed[row] &= all(_branches_match(gated.measure(q, after), plain[before], flip)
+                gated = _apply(gate, amps, q)
+                passed[row] &= all(_branches_match(_measure(gated, q, after), plain[before], flip)
                                    for after, before, flip in pairs)
     detail = f"{count} states, every qubit, tolerance {_PHASE_TOL:g}"
     return [CheckResult(name, ok, detail) for (name, _, _), ok in zip(_IDENTITIES, passed)]

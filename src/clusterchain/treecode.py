@@ -88,11 +88,6 @@ class BranchingVector:
         """Largest depth index ``d`` (one less than the number of levels)."""
         return len(self.branches) - 1
 
-    @property
-    def size(self) -> int:
-        """Total photon count of the tree, root included."""
-        return tree_size(self)
-
     def __str__(self) -> str:
         return "{" + ",".join(str(b) for b in self.branches) + "}"
 

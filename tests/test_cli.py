@@ -9,12 +9,14 @@ writes, exit codes) rather than re-deriving the models.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import io
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -283,6 +285,19 @@ class TestResources:
         assert (code, out) == (2, "")
         assert "--method mc" in err
 
+    def test_underflowed_ghz_probability_reads_zero_silently(self, capsys):
+        # eta_sd = 1e-300 underflows p_ghz to 0: no GHZ state is heralded
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "resources", "--k", "5", "--m", "1", "--n", "1",
+                "--sources", "0:60000:30000", "--eta-sd", "1e-300",
+            )
+        assert code == 0
+        assert err == "seed: 0\n"
+        _, _, rows, _ = parse_csv(out)
+        assert rows == [["0", "0", "0"], ["30000", "0", "0"], ["60000", "0", "0"]]
+
     def test_exact_bank_count_beyond_limit_exits_2(self, capsys):
         code, out, err = run_cli(
             capsys, "resources", "--k", "5", "--m", "1", "--n", "20",
@@ -403,6 +418,17 @@ class TestOptimize:
         assert err.startswith("error: infeasible:")
 
 
+# The ``verify`` report, pinned byte for byte; {states} counts the 14
+# computational basis states plus the random samples.
+VERIFY_GOLDEN = """\
+PASS  star -> clique under Y                    (star sizes 3..11 vertices)
+PASS  tree attachment via X,X                   ({{3,2,2}} tree onto a degree-3 vertex)
+PASS  conditional Z past M_X/M_Y flips outcome  ({states} states, every qubit, tolerance 1e-12)
+PASS  Z before M_Z is absorbed                  ({states} states, every qubit, tolerance 1e-12)
+PASS  H exchanges M_X/M_Z and flips M_Y         ({states} states, every qubit, tolerance 1e-12)
+"""
+
+
 class TestVerify:
     def test_report_passes(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--samples", "20", "--seed", "3")
@@ -411,6 +437,14 @@ class TestVerify:
         assert len(lines) == 5
         assert all(line.startswith("PASS") for line in lines)
         assert "seed: 3" in err
+
+    @pytest.mark.parametrize("argv,states", [(("--seed", "7"), 114),
+                                             (("--seed", "3", "--samples", "500"), 514)],
+                             ids=["seed7_default_samples", "seed3_500_samples"])
+    def test_report_text_is_pinned(self, capsys, argv, states):
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == 0
+        assert out == VERIFY_GOLDEN.format(states=states)
 
     def test_failure_sets_exit_code_four(self, capsys, monkeypatch):
         rows = [CheckResult(name="synthetic", passed=False, detail="forced")]
@@ -441,6 +475,24 @@ MALFORMED = st.builds(
     st.sampled_from(JUNK),
     st.text("0123456789.,:" + JUNK, max_size=4),
 )
+
+
+class TestConfigRecord:
+    @staticmethod
+    def dests(command: str) -> set[str]:
+        parser = cli._build_parser()
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return {a.dest for a in sub.choices[command]._actions if a.dest != "help"} | {"command"}
+
+    @pytest.mark.parametrize("command", ["rate", "envelope", "resources", "optimize"])
+    def test_record_holds_every_flag(self, capsys, command):
+        argv = [part for flag, value in VALID_VALUES[command].items() for part in (flag, value)]
+        code, out, _ = run_cli(capsys, command, *argv)
+        assert code == 0
+        config, _, _, _ = parse_csv(out)
+        device_fields = {f.name for f in dataclasses.fields(DeviceParams)}
+        want = self.dests(command) - {"func", "config", "out"} - device_fields | {"device"}
+        assert set(config) == want
 
 
 class TestErrorHandling:

@@ -627,6 +627,12 @@ class TestMinSources:
         with pytest.raises(InvalidConfigurationError):
             min_sources("improved", 7, 4, 250, 0.9, consts, method="guess")
 
+    def test_naive_scheme_checks_method(self, consts):
+        with pytest.raises(InvalidConfigurationError, match="unknown method"):
+            min_sources("naive", 8, 8, 300, 0.9, consts, method="bogus")
+        with pytest.raises(InvalidConfigurationError, match="unknown method"):
+            pcn_curve("naive", 8, 8, 300, consts, [6000], method="bogus")
+
     def test_per_node_target_rounding_to_one_is_refused(self, consts):
         # 0.9999999999 ** (1 / 10**7) is 1.0 in floating point: a search
         # would stop where a Monte Carlo estimate first reads 1, not at the

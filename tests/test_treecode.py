@@ -32,7 +32,7 @@ class TestBranchingVector:
     def test_sizes(self):
         assert tree_size(BranchingVector((7, 3))) == 1 + 7 + 21
         assert tree_size(BranchingVector((3, 2, 2))) == 1 + 3 + 6 + 12
-        assert BranchingVector((4,)).size == 5
+        assert tree_size(BranchingVector((4,))) == 5
 
     @pytest.mark.parametrize(
         "bad,error",
