@@ -65,6 +65,7 @@ _LEVEL_CUT = 1e-20  # largest survival a fusion level's cut drops from any row
 _EXACT_COUNT_LIMIT = 2**12  # largest per-bank GHZ count the exact factory holds
 _EXACT_BANK_LIMIT = 1024  # largest 2**k the exact propagation is used for by default
 _MAX_LEVELS = _MAX_BLOCK_CELLS.bit_length() - 1  # largest k whose 2**k leaf banks fit one MC block
+_SLICE_CELLS = 2**18  # leaf-bank cells per banked MC slice, and cells per inversion table
 _NAIVE_GRID = 200  # n_ghz and n_meas scanned on [1, _NAIVE_GRID] by the naive optimiser
 _SOURCE_CEILING = 10**15  # largest source count min_sources tries
 
@@ -360,16 +361,107 @@ def _ghz_attempts(n_s: int, ghz_source: bool) -> int:
     return n_s if ghz_source else n_s // 6
 
 
-def _cascade_mc(
-    counts: np.ndarray,
-    probs: Sequence[float],
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Run the pairwise binomial fusion cascade on per-trial bank counts."""
-    y = counts
-    for p_level in probs:
-        y = rng.binomial(np.minimum(y[:, 0::2], y[:, 1::2]), p_level)
-    return y[:, 0]
+def _binomial_cdf_rows(values: np.ndarray, p: float) -> np.ndarray:
+    """``P[Bin(n, p) <= c]`` for ``c = 0..max(values)``, one row per ``n`` in
+    ``values``, with 2.0 at every ``c >= n`` so no uniform in ``[0, 1)`` passes it.
+
+    Each pmf is built outward from its mode ``floor((n + 1) p)`` as running
+    products of the ratios ``pmf(c + 1) / pmf(c) = (n - c) p / ((c + 1) (1 - p))``
+    above it and their inverses below it, every factor at most 1 so nothing
+    overflows, then summed left to right and divided by its total.  A row
+    depends on ``n`` and ``p`` alone, not on the other rows.  It reads no
+    factorial and no survival matrix, so the Monte Carlo stays independent
+    of the exact propagation.
+    """
+    n = values[:, None]
+    c = np.arange(int(values.max()) + 1)[None, :]
+    mode = np.minimum(np.floor((n + 1) * p), n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(c < n, (n - c) / (c + 1) * np.divide(p, 1.0 - p), 0.0)
+        down = np.where(c < mode, 1.0 / ratio, 1.0)
+    up = np.where(c < mode, 1.0, ratio)
+    # pmf(c) / pmf(mode): the product of the factors between c and the mode
+    pmf = np.cumprod(down[:, ::-1], axis=1)[:, ::-1]
+    pmf[:, 1:] *= np.cumprod(up, axis=1)[:, :-1]
+    cdf = np.cumsum(pmf, axis=1)
+    return np.where(c < n, cdf / cdf[:, -1:], 2.0)
+
+
+class _InverseBinomial:
+    """``Binomial(n, p)`` draws for one ``p`` by inversion of cached CDF rows.
+
+    The answer for a uniform ``u`` is the number of CDF entries at or below
+    ``u``.  A guide table holds, per row and for each of ``G`` equal
+    ``u``-buckets (``G`` the power of two at or above four times the row
+    width, so ``u * G`` is exact), the count of entries at or below the
+    bucket's lower and upper edge; a vectorised binary search between the
+    two finishes the count, so the guide changes the time, never the answer.
+    Rows are built for the distinct ``n`` seen and kept across draws; a
+    table over more than ``_SLICE_CELLS`` cells is not built, and those
+    draws go to ``rng.binomial``.  Whether they do depends on the draw's own
+    ``n`` alone, never on what is cached.  The guide holds under eight
+    entries per table cell.
+    """
+
+    def __init__(self, p: float) -> None:
+        self.p = p
+        self._build(np.zeros(1, dtype=np.int64))
+
+    def _build(self, values: np.ndarray) -> None:
+        self.values = values
+        self.row_of = np.full(int(values[-1]) + 1, -1, dtype=np.intp)
+        self.row_of[values] = np.arange(values.size)
+        self.cdf = _binomial_cdf_rows(values, self.p)
+        rows, width = self.cdf.shape
+        self.buckets = 1 << (4 * width - 1).bit_length()
+        # an entry is at or below the bucket edge b / buckets for every b >= its edge
+        edge = np.ceil(self.cdf * self.buckets).astype(np.intp)
+        edge += np.arange(rows)[:, None] * (self.buckets + 1)
+        tally = np.bincount(edge[self.cdf <= 1.0], minlength=rows * (self.buckets + 1))
+        self.guide = np.cumsum(tally.reshape(rows, -1), axis=1)
+
+    def rows(self, n: np.ndarray) -> np.ndarray | None:
+        """The CDF row of each ``n``, building missing rows; ``None`` when the
+        table for the distinct ``n`` would exceed ``_SLICE_CELLS`` cells."""
+        top = int(n.max(initial=0))
+        if top < self.row_of.size:
+            rows = self.row_of[n]
+            if rows.min(initial=0) >= 0:
+                return rows
+        values, _ = _distinct(n, top + 1)
+        if values.size * (top + 1) > _SLICE_CELLS:
+            return None
+        union = np.union1d(self.values, values)
+        self._build(union if union.size * (union[-1] + 1) <= _SLICE_CELLS else values)
+        return self.row_of[n]
+
+    def invert(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The count of entries at or below ``u`` in each element's row, flat."""
+        rows, u = rows.ravel(), u.ravel()
+        at = rows * (self.buckets + 1) + (u * self.buckets).astype(np.intp)
+        guide = self.guide.ravel()
+        lo = guide[at]
+        hi = guide[at + 1]
+        todo = np.flatnonzero(lo < hi)
+        if todo.size:
+            # a converged element reads the entry at lo, which exceeds u
+            cdf = self.cdf.ravel()
+            base = rows[todo] * self.cdf.shape[1]
+            u_todo, lo_todo, hi_todo = u[todo], lo[todo], hi[todo]
+            for _ in range(int((hi_todo - lo_todo).max()).bit_length()):
+                mid = (lo_todo + hi_todo) >> 1
+                passed = cdf[base + mid] <= u_todo
+                lo_todo = np.where(passed, mid + 1, lo_todo)
+                hi_todo = np.where(passed, hi_todo, mid)
+            lo[todo] = lo_todo
+        return lo
+
+    def draw(self, n: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One ``Binomial(n, p)`` per element of ``n``, in its shape."""
+        rows = self.rows(n)
+        if rows is None:
+            return rng.binomial(n, self.p)
+        return self.invert(rows, rng.random(n.shape)).reshape(n.shape)
 
 
 def improved_pc1_mc(
@@ -392,7 +484,18 @@ def improved_pc1_mc(
 
     Trials run through the package's Monte Carlo engine
     (:func:`clusterchain.montecarlo.mc_fractions`), one leaf bank per cell,
-    so the result is bit-identical for a given ``(seed, trials)``.
+    so the result is bit-identical for a given ``(seed, trials)``.  Each
+    engine block runs in slices of ``max(1, 2**18 // 2**k)`` trials, so no
+    slice holds more than ``2**18`` leaf-bank cells (one trial past k = 18).
+    The thinning and every fusion level draw by inversion: one uniform per
+    bank, read off the level's CDF row for the bank's count.  The error
+    budget is the CDF rounding: each entry lies within about ``1e-15`` of
+    its exact value (the tests hold rows to ``1e-15`` against exact
+    rationals), and the uniforms step by ``2**-53``, so each draw's law is
+    off by about ``1e-15``, far below the estimate's ``1 / sqrt(trials)``.
+    A level whose distinct counts in a slice would need a table over
+    ``2**18`` cells (naive-scale counts of about 1e6 per bank) draws that
+    slice with ``rng.binomial``.
 
     Returns
     -------
@@ -400,15 +503,24 @@ def improved_pc1_mc(
     """
     n_attempts = _ghz_attempts(n_s, ghz_source)
     weights, measured, thin_p, probs = _banked_setup(sched, consts, None)
+    thin = _InverseBinomial(thin_p)
+    levels = [_InverseBinomial(p) for p in probs]
+    slice_trials = max(1, _SLICE_CELLS // sched.leaf_banks)
 
     def draw(size: int, rng: np.random.Generator) -> tuple[int]:
-        if ghz_source:
-            x = np.full(size, n_attempts, dtype=np.int64)
-        else:
-            x = rng.binomial(n_attempts, consts.p_ghz, size=size).astype(np.int64)
-        counts = allocate_ghz_counts(x, weights)
-        counts[:, measured] = rng.binomial(counts[:, measured], thin_p)
-        return (int((_cascade_mc(counts, probs, rng) > 0).sum()),)
+        hits = 0
+        for start in range(0, size, slice_trials):
+            t = min(slice_trials, size - start)
+            if ghz_source:
+                x = np.full(t, n_attempts, dtype=np.int64)
+            else:
+                x = rng.binomial(n_attempts, consts.p_ghz, size=t)
+            y = allocate_ghz_counts(x, weights)
+            y[:, measured] = thin.draw(y[:, measured], rng)
+            for level in levels:
+                y = level.draw(np.minimum(y[:, 0::2], y[:, 1::2]), rng)
+            hits += int(np.count_nonzero(y))
+        return (hits,)
 
     (estimate,), (error,) = mc_fractions(trials, seed, sched.leaf_banks, draw)
     return estimate, error

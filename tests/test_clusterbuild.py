@@ -6,6 +6,7 @@ import itertools
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -428,8 +429,9 @@ class TestRecordedOutputs:
         assert repr(improved_pc1_exact(n_s, build_schedule(k, 4, consts), consts)) == expected
 
     def test_monte_carlo_stream(self, consts):
+        # recorded when the thinning and the cascade began drawing by inversion
         got = improved_pc1_mc(3_600_000, build_schedule(7, 4, consts), consts, trials=20000, seed=5)
-        assert got == (0.9998, 9.998999949994449e-05)
+        assert got == (0.9999, 7.070714249635216e-05)
 
     @pytest.mark.parametrize("k,m,expected", [(7, 4, 3268608), (8, 5, 9928704)], ids=["k7", "k8"])
     def test_min_sources(self, consts, k, m, expected):
@@ -471,6 +473,96 @@ class TestBinomialKernels:
         tail = sum(math.comb(n, j) * p**j * (1.0 - p) ** (n - j) for j in range(c, n + 1))
         # the bound is attained at c = n (it is p**n there), so allow roundoff
         assert clusterbuild._upper_tail(n, p, c) >= tail * (1.0 - 1e-12)
+
+
+def comb_pmf(n: int, p: float) -> list[float]:
+    return [math.comb(n, c) * p**c * (1.0 - p) ** (n - c) for c in range(n + 1)]
+
+
+def comb_cdf_exact(n: int, p: float) -> list[float]:
+    """``P[Bin(n, p) <= c]`` for ``c < n`` in exact rationals, rounded once."""
+    p = Fraction(p)
+    return [float(total) for total in itertools.accumulate(
+        math.comb(n, c) * p**c * (1 - p) ** (n - c) for c in range(n)
+    )]
+
+
+def chi_square_limit(dof: int) -> float:
+    """Wilson-Hilferty upper quantile of chi-square with ``dof`` degrees, z = 4."""
+    return dof * (1.0 - 2.0 / (9 * dof) + 4.0 * math.sqrt(2.0 / (9 * dof))) ** 3
+
+
+class TestInverseBinomial:
+    """The banked Monte Carlo's binomial sampler: CDF rows, guide, fallback."""
+
+    @pytest.mark.parametrize("p", [0.031, 0.3, 0.69, 0.9792747163170544])
+    def test_cdf_rows_within_stated_rounding(self, p):
+        values = np.array([0, 1, 2, 17, 150, 333])
+        rows = clusterbuild._binomial_cdf_rows(values, p)
+        assert rows.shape == (values.size, values.max() + 1)
+        for n, row in zip(values, rows):
+            np.testing.assert_allclose(row[:n], comb_cdf_exact(int(n), p), rtol=0.0, atol=1e-15)
+            assert np.all(row[n:] == 2.0)
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.69, 0.9792747163170544, 1.0])
+    def test_draws_follow_comb_pmf(self, p):
+        sizes = [0, 1, 2, 7, 40, 150]
+        n = np.repeat(sizes, 20_000)
+        np.random.default_rng(11).shuffle(n)  # mixed counts in one array
+        draws = clusterbuild._InverseBinomial(p).draw(n.reshape(400, -1), np.random.default_rng(5))
+        draws = draws.ravel()
+        for size in sizes:
+            observed = np.bincount(draws[n == size], minlength=size + 1)
+            assert observed.size == size + 1  # no draw above n
+            expected = 20_000 * np.array(comb_pmf(size, p))
+            big = expected >= 5.0
+            if big.sum() < 2:  # a point mass, or nearly one
+                assert observed[expected.argmax()] >= 20_000 - 5
+                continue
+            obs = np.append(observed[big], observed[~big].sum())
+            exp = np.append(expected[big], expected[~big].sum())
+            keep = exp > 0
+            chi2 = float(((obs[keep] - exp[keep]) ** 2 / exp[keep]).sum())
+            assert chi2 < chi_square_limit(int(keep.sum()) - 1), (size, chi2)
+
+    @PROPERTY
+    @given(
+        batches=st.lists(st.lists(st.integers(0, 300), min_size=1, max_size=40),
+                         min_size=1, max_size=3),
+        p=st.sampled_from([0.0, 0.031, 0.5, 0.69, 0.9792747163170544, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_guide_matches_per_row_searchsorted(self, batches, p, seed):
+        # several batches grow the cached table; the uniforms include bucket
+        # edges and the CDF entries themselves, where ties count as passed
+        inverse = clusterbuild._InverseBinomial(p)
+        rng = np.random.default_rng(seed)
+        for batch in batches:
+            n = np.array(batch)
+            rows = inverse.rows(n)
+            alone = [clusterbuild._binomial_cdf_rows(np.array([v]), p)[0] for v in batch]
+            u = rng.random(n.size)
+            edges = rng.integers(0, inverse.buckets, n.size) / inverse.buckets
+            ties = [row[rng.integers(0, row.size)] for row in alone]
+            for uniforms in (u, edges, np.where(np.array(ties) < 1.0, ties, u)):
+                got = inverse.invert(rows, uniforms)
+                want = [np.searchsorted(row, x, side="right") for row, x in zip(alone, uniforms)]
+                assert got.tolist() == want
+
+    def test_table_past_the_cell_budget_falls_back_to_numpy(self, consts, monkeypatch):
+        n = np.array([[10**6, 10**6 + 3], [10**6 + 1, 0]])
+        inverse = clusterbuild._InverseBinomial(0.69)
+        assert inverse.rows(n) is None
+        got = inverse.draw(n, np.random.default_rng(8))
+        assert np.array_equal(got, np.random.default_rng(8).binomial(n, 0.69))
+        # deterministic GHZ states of about 3e5 per bank take the fallback at
+        # every level of a whole Monte Carlo run
+        def refuse(self, rows, u):
+            raise AssertionError("no table fits the cell budget")
+
+        monkeypatch.setattr(clusterbuild._InverseBinomial, "invert", refuse)
+        sched = build_schedule(3, 1, consts)
+        assert improved_pc1_mc(3_000_000, sched, consts, trials=64, ghz_source=True) == (1.0, 0.0)
 
 
 class TestExactMemo:
@@ -545,6 +637,27 @@ class TestMonteCarlo:
         est, _ = improved_pc1_mc(22_000_000, sched, consts, trials=trials, seed=9)
         se = math.sqrt(exact * (1.0 - exact) / trials)
         assert abs(est - exact) < 3 * se
+
+    def test_plain_schedule_has_nothing_to_thin(self, consts):
+        sched = plain_schedule(3)
+        assert improved_pc1_mc(5, sched, consts, trials=1000) == (0.0, 0.0)
+        assert improved_pc1_mc(0, sched, consts, trials=1000, ghz_source=True) == (0.0, 0.0)
+        trials = 20_000
+        exact = improved_pc1_exact(60, sched, consts, ghz_source=True)
+        est, _ = improved_pc1_mc(60, sched, consts, trials=trials, seed=0, ghz_source=True)
+        assert abs(est - exact) < 3 * math.sqrt(exact * (1.0 - exact) / trials)
+
+    def test_one_block_stays_within_its_slices(self, consts):
+        # 16384 trials at k = 7 are one engine block, drawn in eight slices
+        # of 2**18 leaf-bank cells; drawn whole, the block peaked at 33 MiB
+        sched = build_schedule(7, 4, consts)
+        tracemalloc.start()
+        try:
+            improved_pc1_mc(3_600_000, sched, consts, trials=16384)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_deterministic_across_calls(self, consts):
         sched = build_schedule(3, 1, consts)
