@@ -388,56 +388,40 @@ def _binomial_cdf_rows(values: np.ndarray, p: float) -> np.ndarray:
 
 
 class _InverseBinomial:
-    """``Binomial(n, p)`` draws for one ``p`` by inversion of cached CDF rows.
+    """``Binomial(n, p)`` draws for one ``p`` by inversion of a cached CDF table.
 
-    The answer for a uniform ``u`` is the number of CDF entries at or below
-    ``u``.  A guide table holds, per row and for each of ``G`` equal
-    ``u``-buckets (``G`` the power of two at or above four times the row
-    width, so ``u * G`` is exact), the count of entries at or below the
-    bucket's lower and upper edge; a vectorised binary search between the
-    two finishes the count, so the guide changes the time, never the answer.
-    Rows are built for the distinct ``n`` seen and kept across draws; a
-    table over more than ``_SLICE_CELLS`` cells is not built, and those
-    draws go to ``rng.binomial``.  Whether they do depends on the draw's own
-    ``n`` alone, never on what is cached.  The guide holds under eight
-    entries per table cell.
+    The table holds the CDF row of every ``n = 0..top``, indexed by ``n``, and
+    is rebuilt when a draw brings a larger ``n``.  The answer for a uniform
+    ``u`` is the number of entries at or below ``u`` in the row of its ``n``.
+    A guide table holds, per row and for each of ``G`` equal ``u``-buckets
+    (``G`` the power of two at or above four times the row width, so
+    ``u * G`` is exact), the count of entries at or below the bucket's lower
+    and upper edge; a vectorised binary search between the two finishes the
+    count, so the guide changes the time, never the answer.  A draw whose
+    largest ``n`` would need a table over ``_SLICE_CELLS`` cells (``n`` of
+    512 and up) goes to ``rng.binomial``; whether it does depends on the
+    draw's own ``n`` alone, never on what is cached.  The guide holds under
+    eight entries per table cell.
     """
 
     def __init__(self, p: float) -> None:
         self.p = p
-        self._build(np.zeros(1, dtype=np.int64))
+        self._build(0)
 
-    def _build(self, values: np.ndarray) -> None:
-        self.values = values
-        self.row_of = np.full(int(values[-1]) + 1, -1, dtype=np.intp)
-        self.row_of[values] = np.arange(values.size)
-        self.cdf = _binomial_cdf_rows(values, self.p)
-        rows, width = self.cdf.shape
+    def _build(self, top: int) -> None:
+        self.cdf = _binomial_cdf_rows(np.arange(top + 1), self.p)
+        width = top + 1
         self.buckets = 1 << (4 * width - 1).bit_length()
         # an entry is at or below the bucket edge b / buckets for every b >= its edge
         edge = np.ceil(self.cdf * self.buckets).astype(np.intp)
-        edge += np.arange(rows)[:, None] * (self.buckets + 1)
-        tally = np.bincount(edge[self.cdf <= 1.0], minlength=rows * (self.buckets + 1))
-        self.guide = np.cumsum(tally.reshape(rows, -1), axis=1)
+        edge += np.arange(width)[:, None] * (self.buckets + 1)
+        tally = np.bincount(edge[self.cdf <= 1.0], minlength=width * (self.buckets + 1))
+        self.guide = np.cumsum(tally.reshape(width, -1), axis=1)
 
-    def rows(self, n: np.ndarray) -> np.ndarray | None:
-        """The CDF row of each ``n``, building missing rows; ``None`` when the
-        table for the distinct ``n`` would exceed ``_SLICE_CELLS`` cells."""
-        top = int(n.max(initial=0))
-        if top < self.row_of.size:
-            rows = self.row_of[n]
-            if rows.min(initial=0) >= 0:
-                return rows
-        values, _ = _distinct(n, top + 1)
-        if values.size * (top + 1) > _SLICE_CELLS:
-            return None
-        union = np.union1d(self.values, values)
-        self._build(union if union.size * (union[-1] + 1) <= _SLICE_CELLS else values)
-        return self.row_of[n]
-
-    def invert(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """The count of entries at or below ``u`` in each element's row, flat."""
-        rows, u = rows.ravel(), u.ravel()
+    def invert(self, n: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The count of entries at or below ``u`` in the row of each ``n``, flat;
+        the table must reach ``n.max()``."""
+        rows, u = n.ravel(), u.ravel()
         at = rows * (self.buckets + 1) + (u * self.buckets).astype(np.intp)
         guide = self.guide.ravel()
         lo = guide[at]
@@ -458,10 +442,12 @@ class _InverseBinomial:
 
     def draw(self, n: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One ``Binomial(n, p)`` per element of ``n``, in its shape."""
-        rows = self.rows(n)
-        if rows is None:
+        top = int(n.max(initial=0))
+        if (top + 1) ** 2 > _SLICE_CELLS:
             return rng.binomial(n, self.p)
-        return self.invert(rows, rng.random(n.shape)).reshape(n.shape)
+        if top >= len(self.cdf):
+            self._build(top)
+        return self.invert(n, rng.random(n.shape)).reshape(n.shape)
 
 
 def improved_pc1_mc(
@@ -489,13 +475,13 @@ def improved_pc1_mc(
     slice holds more than ``2**18`` leaf-bank cells (one trial past k = 18).
     The thinning and every fusion level draw by inversion: one uniform per
     bank, read off the level's CDF row for the bank's count.  The error
-    budget is the CDF rounding: each entry lies within about ``1e-15`` of
-    its exact value (the tests hold rows to ``1e-15`` against exact
-    rationals), and the uniforms step by ``2**-53``, so each draw's law is
-    off by about ``1e-15``, far below the estimate's ``1 / sqrt(trials)``.
-    A level whose distinct counts in a slice would need a table over
-    ``2**18`` cells (naive-scale counts of about 1e6 per bank) draws that
-    slice with ``rng.binomial``.
+    budget is the CDF rounding: each entry of every row the table builds
+    (``n <= 511``) lies within ``2e-15`` of its exact value (the tests hold
+    rows up to ``n = 511`` to that against exact rationals), and the
+    uniforms step by ``2**-53``, so each draw's law is off by about
+    ``1e-15``, far below the estimate's ``1 / sqrt(trials)``.  A level
+    whose largest count in a slice is 512 or more would need a table over
+    ``2**18`` cells, and draws that slice with ``rng.binomial``.
 
     Returns
     -------

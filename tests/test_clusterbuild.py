@@ -480,10 +480,14 @@ def comb_pmf(n: int, p: float) -> list[float]:
 
 
 def comb_cdf_exact(n: int, p: float) -> list[float]:
-    """``P[Bin(n, p) <= c]`` for ``c < n`` in exact rationals, rounded once."""
-    p = Fraction(p)
-    return [float(total) for total in itertools.accumulate(
-        math.comb(n, c) * p**c * (1 - p) ** (n - c) for c in range(n)
+    """``P[Bin(n, p) <= c]`` for ``c < n`` in exact rationals, rounded once.
+
+    ``p = a / d`` exactly as a float, so each partial sum is an integer over
+    ``d**n`` and one correctly rounded integer division gives the float.
+    """
+    a, d = Fraction(p).as_integer_ratio()
+    return [total / d**n for total in itertools.accumulate(
+        math.comb(n, c) * a**c * (d - a) ** (n - c) for c in range(n)
     )]
 
 
@@ -497,11 +501,12 @@ class TestInverseBinomial:
 
     @pytest.mark.parametrize("p", [0.031, 0.3, 0.69, 0.9792747163170544])
     def test_cdf_rows_within_stated_rounding(self, p):
-        values = np.array([0, 1, 2, 17, 150, 333])
+        # up to 511, the widest row the table builds
+        values = np.array([0, 1, 2, 17, 150, 333, 475, 511])
         rows = clusterbuild._binomial_cdf_rows(values, p)
         assert rows.shape == (values.size, values.max() + 1)
         for n, row in zip(values, rows):
-            np.testing.assert_allclose(row[:n], comb_cdf_exact(int(n), p), rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(row[:n], comb_cdf_exact(int(n), p), rtol=0.0, atol=2e-15)
             assert np.all(row[n:] == 2.0)
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.69, 0.9792747163170544, 1.0])
@@ -539,25 +544,30 @@ class TestInverseBinomial:
         rng = np.random.default_rng(seed)
         for batch in batches:
             n = np.array(batch)
-            rows = inverse.rows(n)
+            inverse.draw(n, rng)  # grows the table to max(batch)
             alone = [clusterbuild._binomial_cdf_rows(np.array([v]), p)[0] for v in batch]
             u = rng.random(n.size)
             edges = rng.integers(0, inverse.buckets, n.size) / inverse.buckets
             ties = [row[rng.integers(0, row.size)] for row in alone]
             for uniforms in (u, edges, np.where(np.array(ties) < 1.0, ties, u)):
-                got = inverse.invert(rows, uniforms)
+                got = inverse.invert(n, uniforms)
                 want = [np.searchsorted(row, x, side="right") for row, x in zip(alone, uniforms)]
                 assert got.tolist() == want
 
     def test_table_past_the_cell_budget_falls_back_to_numpy(self, consts, monkeypatch):
-        n = np.array([[10**6, 10**6 + 3], [10**6 + 1, 0]])
+        # 511 is the last count whose 0..n table fits the cell budget, 512 the
+        # first that does not; at 1e12 no count-sized array is allocated either
         inverse = clusterbuild._InverseBinomial(0.69)
-        assert inverse.rows(n) is None
+        n = np.array([[511, 3], [0, 7]])
         got = inverse.draw(n, np.random.default_rng(8))
-        assert np.array_equal(got, np.random.default_rng(8).binomial(n, 0.69))
+        assert np.array_equal(got.ravel(), inverse.invert(n, np.random.default_rng(8).random(n.shape)))
+        for n in ([[512, 3], [0, 7]], [[10**6, 10**6 + 3], [10**6 + 1, 0]], [[10**12, 10**12 - 1]]):
+            n = np.array(n)
+            got = clusterbuild._InverseBinomial(0.69).draw(n, np.random.default_rng(8))
+            assert np.array_equal(got, np.random.default_rng(8).binomial(n, 0.69))
         # deterministic GHZ states of about 3e5 per bank take the fallback at
         # every level of a whole Monte Carlo run
-        def refuse(self, rows, u):
+        def refuse(self, n, u):
             raise AssertionError("no table fits the cell budget")
 
         monkeypatch.setattr(clusterbuild._InverseBinomial, "invert", refuse)
