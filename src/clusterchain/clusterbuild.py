@@ -98,29 +98,28 @@ class FusionSchedule:
     ----------
     k : int
         Fusion levels.
-    measured_mask : tuple of bool
-        Which of the ``2**k`` leaf banks host a photon that is measured
-        right after assembly (length must be ``2**k``).
-    weights : tuple of float
-        Per-bank GHZ allocation weights; measured banks carry
-        ``1 / (p_chip * eta_ghz)``, the rest ``1``.
+    measured : tuple of int
+        Strictly increasing positions, in ``[0, 2**k)``, of the leaf banks
+        that host a photon measured right after assembly.
+    heavy : float
+        GHZ allocation weight of a measured bank, ``1 / (p_chip * eta_ghz)``
+        as built; every other bank weighs 1.
     """
 
     k: int
-    measured_mask: tuple[bool, ...]
-    weights: tuple[float, ...]
+    measured: tuple[int, ...]
+    heavy: float
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise InvalidConfigurationError(f"k must be >= 1, got {self.k!r}")
-        leaves = 2**self.k
-        if len(self.measured_mask) != leaves or len(self.weights) != leaves:
+        edges = (-1, *self.measured, 2**self.k)
+        if not all(isinstance(b, int) and a < b for a, b in zip(edges, edges[1:])):
             raise InvalidConfigurationError(
-                f"schedule for k={self.k} needs {leaves} leaf banks, got "
-                f"{len(self.measured_mask)} mask / {len(self.weights)} weight entries"
+                f"measured must be increasing integers in [0, {2**self.k}), got {self.measured!r}"
             )
-        if any(w <= 0 for w in self.weights):
-            raise InvalidConfigurationError("allocation weights must be positive")
+        if not 0.0 < self.heavy < math.inf:
+            raise InvalidConfigurationError(f"heavy must be finite and > 0, got {self.heavy!r}")
 
     @property
     def leaf_banks(self) -> int:
@@ -138,8 +137,8 @@ def build_schedule(k: int, m: int, consts: DerivedConstants) -> FusionSchedule:
     Raises
     ------
     InvalidConfigurationError
-        For ``m < 1``, or for ``k > 21``, whose ``2**k`` leaf banks no longer
-        fit one block of the Monte Carlo engine, before anything is allocated.
+        For ``m < 1``, ``k > 21`` (``2**k`` leaf banks overflow one Monte Carlo
+        block) or an overflowing ``1 / (p_chip * eta_ghz)``, before any allocation.
     DesignInfeasibleError
         When ``4m + 1 > 2**k`` so the leaves cannot host the measured
         photons one each.
@@ -157,12 +156,10 @@ def build_schedule(k: int, m: int, consts: DerivedConstants) -> FusionSchedule:
             f"design needs {need} measured leaves but a k={k} fusion tree has "
             f"only {leaves}"
         )
-    mask = [False] * leaves
-    for i in range(need):
-        mask[i * leaves // need] = True
-    heavy = 1.0 / (consts.p_chip * consts.eta_ghz)
-    weights = tuple(heavy if flagged else 1.0 for flagged in mask)
-    return FusionSchedule(k=k, measured_mask=tuple(mask), weights=weights)
+    thin_p = consts.p_chip * consts.eta_ghz
+    if not thin_p > need / np.finfo(float).max:  # the measured banks' weights sum finitely
+        raise InvalidConfigurationError(f"p_chip * eta_ghz = {thin_p:.3g} is too small to invert")
+    return FusionSchedule(k, tuple(i * leaves // need for i in range(need)), 1.0 / thin_p)
 
 
 def fusion_probabilities(k: int, consts: DerivedConstants) -> list[float]:
@@ -272,15 +269,15 @@ def allocate_ghz_counts(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
     Banks of one share value form a class, and every bank of a class has the
     same floor ``floor(x * share)`` and the same remainder, so the rule is
-    worked out per class.  Each row sorts its ``C`` class remainders and finds
-    the cut: the remainder of the bank that takes the last of the
-    ``x - sum(floors)`` leftover states in largest-first order.  Every bank
-    above the cut gets one more state, and so do the first banks at the cut
-    in index order, as many as are left; the classes at the cut are looked
-    up in a table of the distinct tied class sets, built once per call, that
-    lists each set's banks in index order.  Time is ``O(t banks + t C log C)``
-    and memory ``O(t banks)``: one int64 result, a few one-byte arrays of the
-    same shape, and ``(t, C)`` class arrays.
+    worked out per class (the banked factories group the banks once per
+    call).  Each row sorts its ``C`` class remainders and finds the cut: the
+    remainder of the bank that takes the last of the ``x - sum(floors)``
+    leftover states in largest-first order.  Every bank above the cut gets
+    one more state, and so do the first banks at the cut in index order, as
+    many as are left; the classes at the cut are looked up in a table of the
+    distinct tied class sets, built per batch of rows.  Time is ``O(t banks
+    + t C log C)`` and memory ``O(t banks)``: one int64 result, a few
+    one-byte arrays of the same shape, and ``(t, C)`` class arrays.
 
     Parameters
     ----------
@@ -297,7 +294,12 @@ def allocate_ghz_counts(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     InvalidConfigurationError
         Unless ``weights`` is a non-empty 1-D array of positive, finite numbers.
     """
-    x = np.asarray(x, dtype=np.int64)
+    return _allocate(x, _weight_classes(weights))
+
+
+def _weight_classes(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``weights`` checked and grouped: the distinct shares of their sum in increasing
+    order, each bank's class, the class sizes, and the banks class by class in index order."""
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 1 or weights.size == 0 or not np.all((weights > 0) & np.isfinite(weights)):
         raise InvalidConfigurationError(
@@ -305,6 +307,13 @@ def allocate_ghz_counts(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
         )
     shares, bank_class = np.unique(weights / weights.sum(), return_inverse=True)
     sizes = np.bincount(bank_class, minlength=len(shares))
+    return shares, bank_class, sizes, np.argsort(bank_class, kind="stable")
+
+
+def _allocate(x: np.ndarray, classes: tuple) -> np.ndarray:
+    """:func:`allocate_ghz_counts` over the classes :func:`_weight_classes` found."""
+    x = np.asarray(x, dtype=np.int64)
+    shares, bank_class, sizes, by_class = classes
     remainder = x[:, None] * shares[None, :]
     base = np.floor(remainder).astype(np.int64)  # (t, C)
     remainder -= base
@@ -323,9 +332,7 @@ def allocate_ghz_counts(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     multi_sets, multi_id = np.unique(tied[multi], axis=0, return_inverse=True)
     set_sizes = np.concatenate([sizes, multi_sets @ sizes])
     start = np.cumsum(set_sizes) - set_sizes
-    table = np.concatenate([
-        np.argsort(bank_class, kind="stable"), np.nonzero(multi_sets[:, bank_class])[1]
-    ])
+    table = np.concatenate([by_class, np.nonzero(multi_sets[:, bank_class])[1]])
     set_id = cut_class  # the cut's own class, unless others tie with it
     set_id[multi] = len(shares) + multi_id.reshape(-1)
     take = np.clip(left, 0, set_sizes[set_id])
@@ -334,7 +341,7 @@ def allocate_ghz_counts(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     stop = np.where(take > 0, last + 1, 0)
     # status 2 above the cut and 1 at it; a bank at it before `stop` reaches 2
     status = np.take(2 * above.astype(np.int8) + tied, bank_class, axis=1)
-    status += np.arange(len(weights))[None, :] < stop[:, None]
+    status += np.arange(len(bank_class))[None, :] < stop[:, None]
     counts = np.take(base, bank_class, axis=1)
     counts += status >= 2
     return counts
@@ -342,16 +349,15 @@ def allocate_ghz_counts(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def _banked_setup(
     sched: FusionSchedule, consts: DerivedConstants, fusion_probs: Sequence[float] | None,
-) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
-    """Per-schedule set-up: ``(weights, measured mask, thinning p, p_l)``."""
-    probs = list(fusion_probs) if fusion_probs is not None else fusion_probabilities(
-        sched.k, consts
-    )
+) -> tuple[np.ndarray, tuple, float, list[float]]:
+    """Set-up, once per call or factory: ``(measured mask, weight classes, thinning p, p_l)``."""
+    probs = fusion_probabilities(sched.k, consts) if fusion_probs is None else list(fusion_probs)
     if len(probs) != sched.k:
         raise InvalidConfigurationError(f"need {sched.k} fusion probabilities, got {len(probs)}")
-    weights = np.asarray(sched.weights, dtype=float)
-    measured = np.asarray(sched.measured_mask, dtype=bool)
-    return weights, measured, consts.p_chip * consts.eta_ghz, probs
+    measured = np.zeros(sched.leaf_banks, dtype=bool)
+    measured[np.array(sched.measured, dtype=np.intp)] = True
+    weights = np.where(measured, sched.heavy, 1.0)
+    return measured, _weight_classes(weights), consts.p_chip * consts.eta_ghz, probs
 
 
 def _ghz_attempts(n_s: int, ghz_source: bool) -> int:
@@ -488,7 +494,7 @@ def improved_pc1_mc(
     (estimate, standard_error)
     """
     n_attempts = _ghz_attempts(n_s, ghz_source)
-    weights, measured, thin_p, probs = _banked_setup(sched, consts, None)
+    measured, classes, thin_p, probs = _banked_setup(sched, consts, None)
     thin = _InverseBinomial(thin_p)
     levels = [_InverseBinomial(p) for p in probs]
     slice_trials = max(1, _SLICE_CELLS // sched.leaf_banks)
@@ -501,7 +507,7 @@ def improved_pc1_mc(
                 x = np.full(t, n_attempts, dtype=np.int64)
             else:
                 x = rng.binomial(n_attempts, consts.p_ghz, size=t)
-            y = allocate_ghz_counts(x, weights)
+            y = _allocate(x, classes)
             y[:, measured] = thin.draw(y[:, measured], rng)
             for level in levels:
                 y = level.draw(np.minimum(y[:, 0::2], y[:, 1::2]), rng)
@@ -570,9 +576,8 @@ class _ExactFactory:
         fusion_probs: Sequence[float] | None,
         cap: int | None,
     ) -> None:
-        self.weights, self.measured, self.thin_p, self.probs = _banked_setup(
-            sched, consts, fusion_probs
-        )
+        setup = _banked_setup(sched, consts, fusion_probs)
+        self.measured, self.classes, self.thin_p, self.probs = setup
         self.p_ghz = consts.p_ghz
         self.ghz_source = ghz_source
         self.cap = cap
@@ -596,11 +601,11 @@ class _ExactFactory:
             return self.blocks[j]
         x_next = (j + 1) * _X_BLOCK
         # the last row is a floor every count reaches from x_next on, as
-        # allocate_ghz_counts grants each bank at least floor(x * share)
-        share = self.weights / self.weights.sum()
+        # the allocation grants each bank at least floor(x * share)
+        shares, bank_class = self.classes[:2]
         alloc = np.vstack([
-            allocate_ghz_counts(np.arange(j * _X_BLOCK, x_next), self.weights),
-            np.floor(x_next * share).astype(np.int64),
+            _allocate(np.arange(j * _X_BLOCK, x_next), self.classes),
+            np.floor(x_next * shares).astype(np.int64)[bank_class],
         ])
         cap = int(alloc.max()) if self.cap is None else min(self.cap, int(alloc.max()))
         cap = max(cap, 1)  # the root's column 1, P[Y >= 1], must exist
@@ -655,7 +660,7 @@ class _ExactFactory:
         """
         n_attempts = _ghz_attempts(n_s, self.ghz_source)
         lo, hi = self._window(n_attempts)
-        if int(allocate_ghz_counts(np.array([hi]), self.weights).max()) > _EXACT_COUNT_LIMIT:
+        if int(_allocate(np.array([hi]), self.classes).max()) > _EXACT_COUNT_LIMIT:
             if beyond_limit is not None:
                 return beyond_limit(n_s)
             raise InvalidConfigurationError(
@@ -673,7 +678,7 @@ class _ExactFactory:
 
         overflow = 0.0
         if self.cap is not None:
-            alloc = allocate_ghz_counts(np.arange(lo, hi + 1), self.weights)
+            alloc = _allocate(np.arange(lo, hi + 1), self.classes)
             overflow = px[(alloc > self.cap).any(axis=1)].sum()
             if overflow > 1e-9:
                 raise CapTooSmallError(

@@ -163,9 +163,9 @@ def _power(base: np.ndarray, count):
 def xi(i: int, b, eps: float | np.ndarray) -> float | np.ndarray:
     """Success probability of an indirect Z measurement at depth ``i``.
 
-    Evaluates the recursion iteratively from the deepest level upward, so
-    the call depth is constant.  ``eps`` may be a scalar or an array (the
-    recursion is elementwise in the loss rate).
+    Evaluates the recursion iteratively upward over the levels of ``i``'s
+    parity (``xi_j`` reads only ``xi_{j+2}``), so the call depth is constant.
+    ``eps`` may be a scalar or an array (elementwise in the loss rate).
 
     Parameters
     ----------
@@ -188,15 +188,10 @@ def xi(i: int, b, eps: float | np.ndarray) -> float | np.ndarray:
     if not 0 <= i <= depth:
         raise InvalidConfigurationError(f"depth index {i} out of range for {b}")
     eps_arr = np.asarray(eps, dtype=float)
-    ones = np.ones_like(eps_arr)
-    xi_next = np.zeros_like(eps_arr)  # xi_{j+1}
-    xi_next2 = np.zeros_like(eps_arr)  # xi_{j+2}
-    value = ones
-    for j in range(depth, i - 1, -1):
-        inner = _power(1.0 - eps_arr + eps_arr * xi_next2, br[j + 1]) if j < depth else ones
+    value = np.zeros_like(eps_arr)  # xi_{j+2}, zero past the leaves
+    for j in range(depth - (depth - i) % 2, i - 1, -2):
+        inner = _power(1.0 - eps_arr + eps_arr * value, br[j + 1]) if j < depth else 1.0
         value = 1.0 - _power(1.0 - (1.0 - eps_arr) * inner, br[j])
-        xi_next2 = xi_next
-        xi_next = value
     return float(value) if np.ndim(value) == 0 else value
 
 

@@ -588,6 +588,25 @@ class TestErrorHandling:
         assert out == ""
         assert err.startswith("error: config:")
 
+    # p_chip * eta_ghz is subnormal at beta = 4.7e5, so its inverse overflows,
+    # and 0 at 5e5; at 4.6e5 the weights stay finite and the row reads 0,0
+    @pytest.mark.parametrize("beta", ["4.7e5", "5e5"])
+    def test_vanishing_thinning_survival_is_config_error(self, capsys, beta):
+        code, out, err = run_cli(
+            capsys, "resources", "--k", "5", "--m", "1", "--n", "1", "--sources", "60000",
+            "--beta", beta,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: config: p_chip * eta_ghz")
+        assert "Traceback" not in err
+        code, out, _ = run_cli(
+            capsys, "resources", "--k", "5", "--m", "1", "--n", "1", "--sources", "60000",
+            "--beta", "4.6e5",
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "60000,0,0"
+
     @pytest.mark.parametrize("argv", [("--seed", "-1"), ("--samples", "-3")],
                              ids=["negative_seed", "negative_samples"])
     def test_verify_bad_input_is_config_error(self, capsys, argv):

@@ -34,6 +34,7 @@ from clusterchain.errors import (
     InvalidConfigurationError,
     TargetUnreachableError,
 )
+from clusterchain.params import DeviceParams, derive_constants
 
 
 PROPERTY = settings(derandomize=True, max_examples=50, deadline=None)
@@ -50,20 +51,23 @@ SMALL_DESIGNS = st.tuples(
 
 def masked_schedule(mask: list[bool], consts) -> FusionSchedule:
     """A schedule with measured leaves where ``mask`` says, weighted as built."""
-    heavy = 1.0 / (consts.p_chip * consts.eta_ghz)
     return FusionSchedule(
         k=len(mask).bit_length() - 1,
-        measured_mask=tuple(mask),
-        weights=tuple(heavy if flagged else 1.0 for flagged in mask),
+        measured=tuple(i for i, flagged in enumerate(mask) if flagged),
+        heavy=1.0 / (consts.p_chip * consts.eta_ghz),
     )
 
 
 def plain_schedule(k: int) -> FusionSchedule:
     """A schedule with no early-measured photons (hand-oracle scaffolding)."""
-    leaves = 2**k
-    return FusionSchedule(
-        k=k, measured_mask=(False,) * leaves, weights=(1.0,) * leaves
-    )
+    return FusionSchedule(k=k, measured=(), heavy=1.0)
+
+
+def schedule_weights(sched: FusionSchedule) -> np.ndarray:
+    """The per-bank allocation weights a schedule stands for: 1, or ``heavy`` if measured."""
+    weights = np.ones(sched.leaf_banks)
+    weights[list(sched.measured)] = sched.heavy
+    return weights
 
 
 def largest_remainder_oracle(x, weights) -> np.ndarray:
@@ -237,7 +241,7 @@ class TestAllocation:
     @pytest.mark.parametrize("k", range(3, 11))
     def test_matches_oracle_on_built_schedules(self, consts, k):
         # m = k - 2 covers the k = 9, m = 7 and k = 10, m = 8 searches
-        weights = np.array(build_schedule(k, min(k - 2, (2**k - 1) // 4), consts).weights)
+        weights = schedule_weights(build_schedule(k, min(k - 2, (2**k - 1) // 4), consts))
         x = np.arange(0, 300_000, 7)
         for rows in np.array_split(x, max(1, x.size * 2**k // 2**21)):
             np.testing.assert_array_equal(
@@ -259,18 +263,34 @@ class TestAllocation:
         assert peak < 4 * out.nbytes
         np.testing.assert_array_equal(out, largest_remainder_oracle(x, weights))
 
+    def test_classes_are_found_once_per_call(self, consts, monkeypatch):
+        found = []
+        original = clusterbuild._weight_classes
+        monkeypatch.setattr(
+            clusterbuild, "_weight_classes", lambda weights: found.append(1) or original(weights)
+        )
+        sched = build_schedule(7, 4, consts)
+        # 5000 trials at k = 7 are drawn in three slices of at most 2048 trials
+        improved_pc1_mc(3_300_000, sched, consts, trials=5000, seed=2)
+        assert len(found) == 1
+        # one factory: its limit check, cap check and every block of its window
+        factory = clusterbuild._ExactFactory(sched, consts, False, None, 4096)
+        factory.pc1(3_300_000)
+        factory.pc1(3_400_000)
+        assert len(factory.blocks) > 2
+        assert len(found) == 2
+
 
 class TestSchedule:
     def test_measured_leaves_spread(self, consts):
         sched = build_schedule(3, 1, consts)
         assert sched.leaf_banks == 8
-        assert sum(sched.measured_mask) == 5
         # floor(i * 8 / 5) for i = 0..4
-        expected = {0, 1, 3, 4, 6}
-        assert {i for i, f in enumerate(sched.measured_mask) if f} == expected
-        heavy = 1.0 / (consts.p_chip * consts.eta_ghz)
-        for flagged, weight in zip(sched.measured_mask, sched.weights):
-            assert weight == (heavy if flagged else 1.0)
+        assert sched.measured == (0, 1, 3, 4, 6)
+        assert sched.heavy == 1.0 / (consts.p_chip * consts.eta_ghz)
+        # k and at most 4m + 1 positions: the schedule does not grow with 2**k
+        assert build_schedule(21, 8, consts).measured == tuple(i * 2**21 // 33 for i in range(33))
+        assert hash(sched) == hash(build_schedule(3, 1, consts))
 
     def test_infeasible_design(self, consts):
         with pytest.raises(DesignInfeasibleError):
@@ -281,12 +301,24 @@ class TestSchedule:
             build_schedule(3, 0, consts)
 
     def test_schedule_validation(self):
-        with pytest.raises(InvalidConfigurationError):
-            FusionSchedule(k=2, measured_mask=(False,) * 3, weights=(1.0,) * 4)
-        with pytest.raises(InvalidConfigurationError):
-            FusionSchedule(k=1, measured_mask=(False,) * 2, weights=(1.0, 0.0))
-        with pytest.raises(InvalidConfigurationError):
-            FusionSchedule(k=0, measured_mask=(), weights=())
+        for k, measured, heavy in [
+            # positions that are not a flat tuple of integers
+            (2, ((0, 1),), 2.0), (2, (0.5,), 2.0),
+            # out of range, unsorted, duplicated
+            (2, (4,), 2.0), (2, (-1, 2), 2.0), (2, (3, 1), 2.0), (2, (1, 1), 2.0),
+            # a measured-bank weight that is not positive and finite
+            (1, (0,), 0.0), (1, (0,), -1.0), (1, (0,), math.nan), (1, (0,), math.inf),
+            (0, (), 1.0),
+        ]:
+            with pytest.raises(InvalidConfigurationError):
+                FusionSchedule(k=k, measured=measured, heavy=heavy)
+
+    @pytest.mark.parametrize("beta", [4.7e5, 5e5], ids=["weight_overflows", "product_underflows"])
+    def test_vanishing_thinning_survival_is_refused(self, beta):
+        # p_chip = exp(-beta tau_s c_ch) is subnormal at 4.7e5 and 0 at 5e5
+        consts = derive_constants(DeviceParams(beta=beta))
+        with pytest.raises(InvalidConfigurationError, match=r"p_chip \* eta_ghz"):
+            build_schedule(5, 1, consts)
 
     def test_fusion_probabilities(self, consts):
         probs = fusion_probabilities(2, consts)
@@ -315,11 +347,9 @@ class TestExactPropagation:
         # 11 deterministic GHZ states on weights (2, 1, 1, 2) with the outer
         # banks measured: shares (11/3, 11/6, 11/6, 11/3) floor to (3, 1, 1, 3)
         # and the three leftover states go to the largest remainders.
-        sched = FusionSchedule(
-            k=2, measured_mask=(True, False, False, True), weights=(2.0, 1.0, 1.0, 2.0)
-        )
+        sched = FusionSchedule(k=2, measured=(0, 3), heavy=2.0)
         counts = (4, 2, 2, 3)
-        alloc = allocate_ghz_counts(np.array([11]), np.array(sched.weights))
+        alloc = allocate_ghz_counts(np.array([11]), schedule_weights(sched))
         assert alloc.tolist() == [list(counts)]
         thin = consts.p_chip * consts.eta_ghz
         p1, p2 = fusion_probs or fusion_probabilities(2, consts)
@@ -411,7 +441,7 @@ class TestExactPropagation:
     def test_largest_count_in_use_is_admitted(self, consts):
         # 20000 GHZ sources grant the k=3, m=1 heavy banks 2520 states each
         sched = build_schedule(3, 1, consts)
-        assert allocate_ghz_counts(np.array([20000]), np.array(sched.weights)).max() == 2520
+        assert allocate_ghz_counts(np.array([20000]), schedule_weights(sched)).max() == 2520
         assert improved_pc1_exact(20000, sched, consts, ghz_source=True) == pytest.approx(1.0)
 
 
@@ -432,6 +462,12 @@ class TestRecordedOutputs:
         # recorded when the thinning and the cascade began drawing by inversion
         got = improved_pc1_mc(3_600_000, build_schedule(7, 4, consts), consts, trials=20000, seed=5)
         assert got == (0.9999, 7.070714249635216e-05)
+
+    def test_one_trial_slice_stream(self, consts):
+        # recorded before the weight classes were found once per call; from
+        # k = 18 up every slice is one trial
+        got = improved_pc1_mc(10**11, build_schedule(18, 1, consts), consts, trials=20, seed=1)
+        assert got == (0.25, 0.09682458365518543)
 
     @pytest.mark.parametrize("k,m,expected", [(7, 4, 3268608), (8, 5, 9928704)], ids=["k7", "k8"])
     def test_min_sources(self, consts, k, m, expected):
@@ -582,7 +618,7 @@ class TestExactMemo:
         # measured ones, and f(x) drops, so the early stop cannot take
         # f(x) as non-decreasing.  It takes the block's floor bound instead.
         sched = build_schedule(5, 1, consts)
-        alloc = allocate_ghz_counts(np.array([1517, 1518]), np.array(sched.weights))
+        alloc = allocate_ghz_counts(np.array([1517, 1518]), schedule_weights(sched))
         assert (alloc[1] < alloc[0]).sum() == 4
         factory = clusterbuild._ExactFactory(sched, consts, False, None, None)
         f, _, _ = factory.block(1517 // clusterbuild._X_BLOCK)

@@ -1,13 +1,16 @@
-"""The package surface: submodules are the API, and their ``__all__`` lists resolve."""
+"""The package surface: submodules are the API, their ``__all__`` lists resolve,
+and nothing outside the standard library and numpy is imported."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import pkgutil
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +33,21 @@ def test_all_names_resolve(name):
     module = importlib.import_module(f"clusterchain.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+@pytest.mark.parametrize("path", sorted(Path(clusterchain.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_imports_only_stdlib_and_numpy(path):
+    # numpy is the one runtime dependency; a relative import stays in the package
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module)
+    allowed = sys.stdlib_module_names | {"numpy", "clusterchain"}
+    assert sorted(m for m in imported if m.split(".")[0] not in allowed) == []
 
 
 @pytest.mark.parametrize("blocked, argv", [

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterchain import treecode
 from clusterchain.errors import ConfigError, InvalidConfigurationError
+from clusterchain.params import DeviceParams, chain_coefficients, derive_constants
+from clusterchain.ratemodel import chain_probs
 from clusterchain.treecode import (
     BranchingVector,
     LossRates,
@@ -106,6 +109,39 @@ class TestRecursion:
         pz = np.asarray(p_z_general(b, eps))
         assert np.all(np.diff(px) <= 1e-15)
         assert np.all(np.diff(pz) <= 1e-15)
+
+    @pytest.mark.parametrize("branches,expected", [
+        ((1,), ["0.863"]),
+        ((7, 3), ["0.9965270421787901", "0.997428647"]),
+        ((5, 3, 2), ["0.9999388524670302", "0.9543995575608686", "0.981231"]),
+        ((6, 2, 1, 3, 2), ["0.9999753196565996", "0.9797246932186234", "0.8563598705066104",
+                           "0.9543995575608686", "0.981231"]),
+    ], ids=["1", "7_3", "5_3_2", "6_2_1_3_2"])
+    def test_recorded_values(self, branches, expected):
+        # recorded when every level of the recursion was still visited
+        b = BranchingVector(branches)
+        assert [repr(xi(i, b, 0.137)) for i in range(b.depth + 1)] == expected
+
+    def test_recorded_block_values(self):
+        columns = (np.array([[3], [7]]), np.array([[2], [3]]), np.array([[2], [1]]))
+        eps = np.array([[0.05, 0.3]])
+        assert xi(0, columns, eps).tolist() == [[0.9998732103880542, 0.9616284593085095],
+                                                [0.9999999980192202, 0.9947420721772321]]
+        assert xi(1, columns, eps).tolist() == [[0.979658109375, 0.5683509999999999],
+                                                [0.999073140625, 0.8673489999999999]]
+
+    @pytest.mark.parametrize("branches,powers", [((7, 3), 4), ((5, 3, 2), 6)],
+                             ids=["depth2", "depth3"])
+    def test_chain_probs_visits_each_level_once_per_factor(self, monkeypatch, branches, powers):
+        # P_X reads xi_0 and P_Z xi_1, so each level's xi is computed once and
+        # raised once more in the level above (in P_Z for the root): 2 per level
+        calls = []
+        original = treecode._power
+        monkeypatch.setattr(treecode, "_power", lambda *args: calls.append(1) or original(*args))
+        device = DeviceParams()
+        coeffs = chain_coefficients(derive_constants(device), device, 4, 8)
+        chain_probs(np.linspace(0.1, 0.9, 5), 4, BranchingVector(branches), coeffs)
+        assert len(calls) == powers
 
     @settings(derandomize=True, max_examples=50, deadline=None)
     @given(branches=st.lists(st.integers(1, 8), min_size=1, max_size=4))
