@@ -111,9 +111,13 @@ class LossRates:
 
     def __post_init__(self) -> None:
         for name in ("eps_trav", "eps_stat"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise InvalidConfigurationError(f"{name} must lie in [0, 1], got {value!r}")
+            _check_rate(name, getattr(self, name))
+
+
+def _check_rate(name: str, value: float) -> None:
+    """Refuse a loss rate outside ``[0, 1]``, NaN included."""
+    if not 0.0 <= value <= 1.0:
+        raise InvalidConfigurationError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -250,20 +254,23 @@ def _simulate_tree(
 
     The rule evaluated bottom-up: an indirect Z at vertex ``v`` succeeds if
     at least one child ``c`` of ``v`` survived while every child of ``c`` is
-    itself measurable.  Vertices at a level are laid out contiguously so the
-    per-level arrays reshape into (parent, child) blocks.
+    itself measurable.  Each level is drawn sample-major, ``(samples,
+    width)``, and held vertex-major, ``(width, samples)``: row ``v`` is
+    vertex ``v`` in every sample, and a parent's children are consecutive
+    rows, so each step reduces a ``(parent, child, samples)`` view over
+    whole contiguous rows.
     """
     widths = _level_widths(b)
-    survive = [rng.random((samples, w)) >= eps for w in widths]
+    survive = [np.ascontiguousarray((rng.random((samples, w)) >= eps).T) for w in widths]
     measurable = list(survive)  # leaves have no children, so their M = S
     for j in range(b.depth, -1, -1):
         child_ok = survive[j + 1]
         if j < b.depth:
-            grand = measurable[j + 2].reshape(samples, widths[j + 1], b.branches[j + 1])
-            child_ok = child_ok & grand.all(axis=2)
-        indirect = child_ok.reshape(samples, widths[j], b.branches[j]).any(axis=2)
+            grand = measurable[j + 2].reshape(widths[j + 1], b.branches[j + 1], samples)
+            child_ok = child_ok & np.logical_and.reduce(grand, axis=1)
+        indirect = np.logical_or.reduce(child_ok.reshape(widths[j], b.branches[j], samples), axis=1)
         measurable[j] = survive[j] | indirect
-    return indirect[:, 0], measurable[1].all(axis=1)
+    return indirect[0], np.logical_and.reduce(measurable[1], axis=0)
 
 
 def mc_xi(
@@ -291,7 +298,15 @@ def mc_measurement_probs(
     samples: int = 10**6,
     seed: int = 0,
 ) -> MCMeasurementEstimate:
-    """Monte Carlo estimates of ``P_X`` and ``P_Z`` with standard errors."""
+    """Monte Carlo estimates of ``P_X`` and ``P_Z`` with standard errors.
+
+    Raises
+    ------
+    InvalidConfigurationError
+        For ``eps`` outside ``[0, 1]`` (NaN included), a sample count below 1
+        or a seed outside ``[0, 2**64)``, before any draw.
+    """
+    _check_rate("eps", eps)
 
     def draw(size: int, rng: np.random.Generator) -> tuple[int, int]:
         x_hits, z_hits = _simulate_tree(b, eps, size, rng)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -210,21 +212,113 @@ class TestMonteCarlo:
         assert est.p_x_err == est.p_z_err == 0.00016578562965469148
         assert mc_xi(1, b, 0.1, samples=20_000, seed=5) == (19_977 / 20_000, 0.00023965365634598447)
 
+    # (tree, eps, x hits, z hits, p_x_err, p_z_err) at 40000 samples and seed 3,
+    # recorded before the kernel held its levels vertex-major; every tree's
+    # engine block is 16384 trials, so each run spans three blocks
+    PINNED = [
+        ((5,), 0.0, 40_000, 40_000, 0.0, 0.0),
+        ((5,), 0.1, 39_999, 23_569, 2.4999687498073227e-05, 0.0024598724528672213),
+        ((5,), 0.5, 38_720, 1_224, 0.0008800000000000004, 0.0008611567801509781),
+        ((5,), 1.0, 0, 0, 0.0, 0.0),
+        ((1, 15), 0.0, 40_000, 40_000, 0.0, 0.0),
+        ((1, 15), 0.1, 7_463, 40_000, 0.0019478499003709193, 0.0),
+        ((1, 15), 0.5, 0, 40_000, 0.0, 0.0),
+        ((1, 15), 1.0, 0, 0, 0.0, 0.0),
+        ((4, 2, 2), 0.0, 40_000, 40_000, 0.0, 0.0),
+        ((4, 2, 2), 0.1, 39_994, 38_868, 6.12326506040657e-05, 0.0008291427802254566),
+        ((4, 2, 2), 0.5, 34_092, 5_867, 0.0017740117671537585, 0.001768908168723012),
+        ((4, 2, 2), 1.0, 0, 0, 0.0, 0.0),
+        ((3, 2, 2, 2), 0.0, 40_000, 40_000, 0.0, 0.0),
+        ((3, 2, 2, 2), 0.1, 39_952, 39_875, 0.00017310112651279736, 0.0002790714234295606),
+        ((3, 2, 2, 2), 0.5, 18_632, 21_270, 0.002494144943663058, 0.002494954596280261),
+        ((3, 2, 2, 2), 1.0, 0, 0, 0.0, 0.0),
+        ((16, 5), 0.0, 40_000, 40_000, 0.0, 0.0),
+        ((16, 5), 0.1, 40_000, 40_000, 0.0, 0.0),
+        ((16, 5), 0.5, 8_904, 31_201, 0.002079959374603264, 0.002071147021429189),
+        ((16, 5), 1.0, 0, 0, 0.0, 0.0),
+    ]
+
+    @pytest.mark.parametrize(
+        "branches,eps,x_hits,z_hits,p_x_err,p_z_err", PINNED,
+        ids=[f"{','.join(map(str, row[0]))}-eps{row[1]}" for row in PINNED],
+    )
+    def test_stream_is_pinned_per_tree(self, branches, eps, x_hits, z_hits, p_x_err, p_z_err):
+        est = mc_measurement_probs(BranchingVector(branches), eps, samples=40_000, seed=3)
+        assert est == treecode.MCMeasurementEstimate(
+            p_x=x_hits / 40_000, p_x_err=p_x_err, p_z=z_hits / 40_000, p_z_err=p_z_err
+        )
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        branches=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+        eps=st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]),
+        samples=st.integers(1, 12),
+        key=st.integers(0, 2**64 - 1),
+    )
+    def test_kernel_matches_per_sample_rule(self, branches, eps, samples, key):
+        # the rule written out one sample at a time: a vertex is measurable
+        # if it survived or an indirect Z on it succeeds, and an indirect Z
+        # succeeds if some child survived with all of its children measurable
+        def children(level, v):
+            count = branches[level] if level < len(branches) else 0
+            return [(level + 1, v * count + c) for c in range(count)]
+
+        def measurable(node):
+            return alive[node] or indirect(node)
+
+        def indirect(node):
+            return any(alive[c] and all(measurable(g) for g in children(*c)) for c in children(*node))
+
+        b = BranchingVector(branches)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        levels = [rng.random((samples, w)) >= eps for w in treecode._level_widths(b)]
+        x_success, z_success = treecode._simulate_tree(
+            b, eps, samples, np.random.Generator(np.random.Philox(key=key))
+        )
+        for s in range(samples):
+            alive = {
+                (j, v): bool(level[s, v]) for j, level in enumerate(levels) for v in range(level.shape[1])
+            }
+            assert x_success[s] == indirect((0, 0))
+            assert z_success[s] == all(measurable(c) for c in children(0, 0))
+
+    def test_block_memory_is_bounded(self):
+        # one full engine block of (16, 5): 16384 trials of 97 photons.  The
+        # float64 uniforms of the whole block take 12,713,984 bytes; the
+        # sample-major kernel this layout replaced peaked at 12,075,912 bytes
+        # (tracemalloc, numpy 2.4), set by the leaf level's uniforms, so the
+        # vertex-major bool copies must fit under the float64 footprint
+        b = BranchingVector((16, 5))
+        samples = 16384
+        rng = np.random.Generator(np.random.Philox(key=7))
+        tracemalloc.start()
+        try:
+            treecode._simulate_tree(b, 0.1, samples, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < samples * tree_size(b) * 8
+
     def test_xi_is_subtree_p_x(self):
         b = BranchingVector((3, 2, 2))
         sub = mc_measurement_probs(BranchingVector((2, 2)), 0.2, samples=20_000, seed=6)
         assert mc_xi(1, b, 0.2, samples=20_000, seed=6) == (sub.p_x, sub.p_x_err)
 
     @pytest.mark.parametrize(
-        "samples,seed", [(10, -1), (10, 2**64), (0, 0)],
-        ids=["negative_seed", "seed_2_64", "zero_samples"],
+        "samples,seed,eps",
+        [(10, -1, 0.3), (10, 2**64, 0.3), (0, 0, 0.3), (10, 0, 1.5), (10, 0, -0.1), (10, 0, np.nan)],
+        ids=["negative_seed", "seed_2_64", "zero_samples", "eps_above_1", "eps_negative", "eps_nan"],
     )
-    def test_invalid_run_is_config_error(self, samples, seed):
+    def test_invalid_run_is_config_error(self, samples, seed, eps, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew before refusing the run")
+
+        monkeypatch.setattr(treecode, "_simulate_tree", no_draw)
         b = BranchingVector((2, 2))
         with pytest.raises(InvalidConfigurationError):
-            mc_xi(0, b, 0.3, samples=samples, seed=seed)
+            mc_xi(0, b, eps, samples=samples, seed=seed)
         with pytest.raises(InvalidConfigurationError):
-            mc_measurement_probs(b, 0.3, samples=samples, seed=seed)
+            mc_measurement_probs(b, eps, samples=samples, seed=seed)
 
 
 class TestLossRates:
