@@ -30,8 +30,9 @@ meeting a target probability that all ``n`` nodes fire in one clock cycle.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -103,7 +104,8 @@ class FusionSchedule:
         that host a photon measured right after assembly.
     heavy : float
         GHZ allocation weight of a measured bank, ``1 / (p_chip * eta_ghz)``
-        as built; every other bank weighs 1.
+        as built; every other bank weighs 1, and the ``2**k`` weights must
+        sum to a finite float.
     """
 
     k: int
@@ -118,8 +120,13 @@ class FusionSchedule:
             raise InvalidConfigurationError(
                 f"measured must be increasing integers in [0, {2**self.k}), got {self.measured!r}"
             )
-        if not 0.0 < self.heavy < math.inf:
-            raise InvalidConfigurationError(f"heavy must be finite and > 0, got {self.heavy!r}")
+        light = 2**self.k - len(self.measured)  # past the float range the sum would raise
+        if not (self.heavy > 0.0 and light <= sys.float_info.max
+                and math.isfinite(len(self.measured) * self.heavy + light)):
+            raise InvalidConfigurationError(
+                f"heavy must be > 0 and the 2**{self.k} bank weights must sum finitely, "
+                f"got heavy = {self.heavy!r}"
+            )
 
     @property
     def leaf_banks(self) -> int:
@@ -260,104 +267,95 @@ def optimize_naive_multiplex(
     return mux, float(best_val)
 
 
-def allocate_ghz_counts(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Deterministically apportion GHZ successes to banks, largest remainder.
+def allocate_ghz_counts(x: np.ndarray, sched: FusionSchedule) -> np.ndarray:
+    """Deterministically apportion GHZ successes to a schedule's banks, largest remainder.
 
-    Each row of the result sums to the corresponding entry of ``x``; shares
-    are proportional to ``weights`` with fractional remainders resolved
+    Returns one int64 row of ``2**k`` counts per entry of ``x`` (GHZ
+    successes, one per trial), summing to it.  A bank weighs ``sched.heavy``
+    if measured and 1 otherwise, its share is its weight over the sum ``S``
+    of all ``2**k`` weights, and fractional remainders are resolved
     largest-first (ties by bank index).
 
-    Banks of one share value form a class, and every bank of a class has the
-    same floor ``floor(x * share)`` and the same remainder, so the rule is
-    worked out per class (the banked factories group the banks once per
-    call).  Each row sorts its ``C`` class remainders and finds the cut: the
-    remainder of the bank that takes the last of the ``x - sum(floors)``
-    leftover states in largest-first order.  Every bank above the cut gets
-    one more state, and so do the first banks at the cut in index order, as
-    many as are left; the classes at the cut are looked up in a table of the
-    distinct tied class sets, built per batch of rows.  Time is ``O(t banks
-    + t C log C)`` and memory ``O(t banks)``: one int64 result, a few
-    one-byte arrays of the same shape, and ``(t, C)`` class arrays.
-
-    Parameters
-    ----------
-    x : ndarray of int, shape (t,)
-        GHZ successes to distribute, one entry per trial.
-    weights : ndarray of float, shape (banks,)
-
-    Returns
-    -------
-    ndarray of int64, shape (t, banks)
-
-    Raises
-    ------
-    InvalidConfigurationError
-        Unless ``weights`` is a non-empty 1-D array of positive, finite numbers.
+    Every bank of a weight class, light or measured, has the same floor
+    ``floor(x * share)`` and remainder, so the rule is worked out per row on
+    the two classes (:class:`_Plan`): the cut is the remainder of the bank
+    that takes the last of the ``x - sum(floors)`` leftover states; a class
+    above it takes one more state in every bank, and the banks at it (of
+    both classes when the remainders are equal) take one more in index
+    order up to ``stop``.  The counts are one ``np.take`` of the classes'
+    counts per bank, ``O(t 2**k)`` time and memory with no sort.
     """
-    return _allocate(x, _weight_classes(weights))
+    bank_class, shares = _bank_classes(sched)
+    return _plan(x, sched, shares).dense(bank_class)
 
 
-def _weight_classes(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``weights`` checked and grouped: the distinct shares of their sum in increasing
-    order, each bank's class, the class sizes, and the banks class by class in index order."""
-    weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 1 or weights.size == 0 or not np.all((weights > 0) & np.isfinite(weights)):
-        raise InvalidConfigurationError(
-            "allocation weights must be a non-empty 1-D array of positive, finite numbers"
-        )
-    shares, bank_class = np.unique(weights / weights.sum(), return_inverse=True)
-    sizes = np.bincount(bank_class, minlength=len(shares))
-    return shares, bank_class, sizes, np.argsort(bank_class, kind="stable")
+def _bank_classes(sched: FusionSchedule) -> tuple[np.ndarray, np.ndarray]:
+    """Each bank's class, 1 if measured, and the light and heavy shares ``1 / S``
+    and ``heavy / S``, with ``S`` the ``2**k`` weights summed in bank order."""
+    bank_class = np.zeros(sched.leaf_banks, dtype=np.intp)
+    bank_class[np.array(sched.measured, dtype=np.intp)] = 1
+    return bank_class, np.array([1.0, sched.heavy]) / np.where(bank_class, sched.heavy, 1.0).sum()
 
 
-def _allocate(x: np.ndarray, classes: tuple) -> np.ndarray:
-    """:func:`allocate_ghz_counts` over the classes :func:`_weight_classes` found."""
+class _Plan(NamedTuple):
+    """Largest remainder per ``x`` on the light (column 0) and measured class:
+    every bank takes its class's floor, and one more state if its class is
+    above the cut (level 2), or at it (level 1) with an index below ``stop``."""
+
+    floors: np.ndarray  # (t, 2) int64
+    level: np.ndarray  # (t, 2) int8: 2 above the cut, 1 at it, 0 below it
+    stop: np.ndarray  # (t,) one past the last bank at the cut that takes a state
+    sizes: np.ndarray  # (2,) banks per class
+    first: np.ndarray  # (2,) each class's first bank
+
+    def dense(self, bank_class: np.ndarray) -> np.ndarray:
+        """The ``(t, 2**k)`` int64 counts, taken from the two classes bank by bank."""
+        status = np.take(self.level, bank_class, axis=1)
+        status += np.arange(len(bank_class)) < self.stop[:, None]
+        counts = np.take(self.floors, bank_class, axis=1)
+        counts += status >= 2
+        return counts
+
+    def largest(self) -> np.ndarray:
+        """Each row's largest count, without the dense form; an empty class adds nothing."""
+        grant = self.level + (self.stop[:, None] > self.first) >= 2
+        return np.where(self.sizes > 0, self.floors + grant, 0).max(axis=1)
+
+
+def _plan(x: np.ndarray, sched: FusionSchedule, shares: np.ndarray) -> _Plan:
+    """The :class:`_Plan` of :func:`allocate_ghz_counts` for ``x`` on ``shares``."""
     x = np.asarray(x, dtype=np.int64)
-    shares, bank_class, sizes, by_class = classes
+    measured = np.array(sched.measured, dtype=np.int64)
+    sizes = np.array([sched.leaf_banks - len(measured), len(measured)])
     remainder = x[:, None] * shares[None, :]
-    base = np.floor(remainder).astype(np.int64)  # (t, C)
-    remainder -= base
-    deficit = x - base @ sizes
-    # the cut: the remainder of the bank that takes the last leftover state
-    rows = np.arange(len(x))
-    order = np.argsort(-remainder, axis=1, kind="stable")
-    taken = np.cumsum(sizes[order], axis=1)
-    cut_class = order[rows, np.minimum((taken < deficit[:, None]).sum(axis=1), len(shares) - 1)]
-    cut = remainder[rows, cut_class][:, None]
+    floors = np.floor(remainder).astype(np.int64)
+    remainder -= floors
+    deficit = x - floors @ sizes
+    # the cut: the remainder of the bank that takes the last leftover state,
+    # the lower one once the leftovers outnumber the banks of the higher
+    passed = (remainder > remainder[:, ::-1]) & (deficit[:, None] > sizes)
+    cut = np.where(passed.any(axis=1), remainder.min(axis=1), remainder.max(axis=1))[:, None]
     above, tied = remainder > cut, remainder == cut
-    left = deficit - above @ sizes  # grants for the banks at the cut
-    # The table: the banks of each class, then of each distinct set of two
-    # or more tied classes, in index order, one run per set.
-    multi = tied.sum(axis=1) > 1
-    multi_sets, multi_id = np.unique(tied[multi], axis=0, return_inverse=True)
-    set_sizes = np.concatenate([sizes, multi_sets @ sizes])
-    start = np.cumsum(set_sizes) - set_sizes
-    table = np.concatenate([by_class, np.nonzero(multi_sets[:, bank_class])[1]])
-    set_id = cut_class  # the cut's own class, unless others tie with it
-    set_id[multi] = len(shares) + multi_id.reshape(-1)
-    take = np.clip(left, 0, set_sizes[set_id])
-    # the banks at the cut below index `stop` take one state each
-    last = table[start[set_id] + np.maximum(take, 1) - 1]
-    stop = np.where(take > 0, last + 1, 0)
-    # status 2 above the cut and 1 at it; a bank at it before `stop` reaches 2
-    status = np.take(2 * above.astype(np.int8) + tied, bank_class, axis=1)
-    status += np.arange(len(bank_class))[None, :] < stop[:, None]
-    counts = np.take(base, bank_class, axis=1)
-    counts += status >= 2
-    return counts
+    take = np.clip(deficit - above @ sizes, 0, tied @ sizes)  # grants for the banks at the cut
+    # one past the take-th bank at the cut: of all banks when both classes
+    # are at it, else of the light or of the measured ones
+    offsets = measured - np.arange(len(measured))  # light banks before each measured one
+    light_stop = take + np.searchsorted(offsets, take - 1, side="right")
+    heavy_stop = np.concatenate(([0], measured + 1))[np.minimum(take, len(measured))]
+    stop = np.where(tied[:, 1], np.where(tied[:, 0], take, heavy_stop), light_stop)
+    light_first = np.searchsorted(offsets, 0, side="right")
+    first = np.array([light_first, measured[0] if len(measured) else 0])
+    return _Plan(floors, 2 * above.astype(np.int8) + tied, stop, sizes, first)
 
 
 def _banked_setup(
     sched: FusionSchedule, consts: DerivedConstants, fusion_probs: Sequence[float] | None,
-) -> tuple[np.ndarray, tuple, float, list[float]]:
-    """Set-up, once per call or factory: ``(measured mask, weight classes, thinning p, p_l)``."""
+) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
+    """Set-up, once per call or factory: ``(bank classes, shares, thinning p, p_l)``."""
     probs = fusion_probabilities(sched.k, consts) if fusion_probs is None else list(fusion_probs)
     if len(probs) != sched.k:
         raise InvalidConfigurationError(f"need {sched.k} fusion probabilities, got {len(probs)}")
-    measured = np.zeros(sched.leaf_banks, dtype=bool)
-    measured[np.array(sched.measured, dtype=np.intp)] = True
-    weights = np.where(measured, sched.heavy, 1.0)
-    return measured, _weight_classes(weights), consts.p_chip * consts.eta_ghz, probs
+    return (*_bank_classes(sched), consts.p_chip * consts.eta_ghz, probs)
 
 
 def _ghz_attempts(n_s: int, ghz_source: bool) -> int:
@@ -469,7 +467,8 @@ def improved_pc1_mc(
     Per trial: draw the GHZ-factory successes ``x ~ Binomial(n_s // 6,
     p_ghz)`` (or take ``x = n_s`` deterministic GHZ states when
     ``ghz_source``), apportion them to the leaf banks by largest remainder
-    on the schedule weights, thin the measured banks by
+    on the schedule's two weight classes (:func:`allocate_ghz_counts`; the
+    shares once per call, no sort), thin the measured banks by
     ``Binomial(., p_chip * eta_ghz)``, then combine sibling banks level by
     level as ``Binomial(min(y1, y2), p_l)``.  The estimate is the fraction
     of trials whose root bank is non-empty.
@@ -494,7 +493,7 @@ def improved_pc1_mc(
     (estimate, standard_error)
     """
     n_attempts = _ghz_attempts(n_s, ghz_source)
-    measured, classes, thin_p, probs = _banked_setup(sched, consts, None)
+    bank_class, shares, thin_p, probs = _banked_setup(sched, consts, None)
     thin = _InverseBinomial(thin_p)
     levels = [_InverseBinomial(p) for p in probs]
     slice_trials = max(1, _SLICE_CELLS // sched.leaf_banks)
@@ -507,8 +506,8 @@ def improved_pc1_mc(
                 x = np.full(t, n_attempts, dtype=np.int64)
             else:
                 x = rng.binomial(n_attempts, consts.p_ghz, size=t)
-            y = _allocate(x, classes)
-            y[:, measured] = thin.draw(y[:, measured], rng)
+            y = _plan(x, sched, shares).dense(bank_class)
+            y[:, sched.measured] = thin.draw(y[:, sched.measured], rng)
             for level in levels:
                 y = level.draw(np.minimum(y[:, 0::2], y[:, 1::2]), rng)
             hits += int(np.count_nonzero(y))
@@ -576,8 +575,9 @@ class _ExactFactory:
         fusion_probs: Sequence[float] | None,
         cap: int | None,
     ) -> None:
+        self.sched = sched
         setup = _banked_setup(sched, consts, fusion_probs)
-        self.measured, self.classes, self.thin_p, self.probs = setup
+        self.bank_class, self.shares, self.thin_p, self.probs = setup
         self.p_ghz = consts.p_ghz
         self.ghz_source = ghz_source
         self.cap = cap
@@ -600,20 +600,18 @@ class _ExactFactory:
         if j in self.blocks:
             return self.blocks[j]
         x_next = (j + 1) * _X_BLOCK
-        # the last row is a floor every count reaches from x_next on, as
-        # the allocation grants each bank at least floor(x * share)
-        shares, bank_class = self.classes[:2]
-        alloc = np.vstack([
-            _allocate(np.arange(j * _X_BLOCK, x_next), self.classes),
-            np.floor(x_next * shares).astype(np.int64)[bank_class],
-        ])
-        cap = int(alloc.max()) if self.cap is None else min(self.cap, int(alloc.max()))
+        # the last row keeps only its floors, which every count reaches from
+        # x_next on, as the allocation grants each bank floor(x * share)
+        plan = _plan(np.arange(j * _X_BLOCK, x_next + 1), self.sched, self.shares)
+        plan.level[-1] = 0
+        largest = int(plan.largest().max())
+        cap = largest if self.cap is None else min(self.cap, largest)
         cap = max(cap, 1)  # the root's column 1, P[Y >= 1], must exist
-        alloc = np.minimum(alloc, cap)
+        alloc = np.minimum(plan.dense(self.bank_class), cap)
 
         # Identical subtrees share one survival row: leaves are numbered by
         # their (count, measured) key, each level by its pair of child ids.
-        keys, ids = _distinct(2 * alloc + self.measured, 2 * cap + 2)
+        keys, ids = _distinct(2 * alloc + self.bank_class, 2 * cap + 2)
         counts, thinned = keys // 2, keys % 2 == 1
         survival = (np.arange(cap + 1) <= counts[:, None]).astype(float)  # exactly y states
         survival[thinned] = survival[thinned] @ self._matrix(self.thin_p, cap)
@@ -660,7 +658,7 @@ class _ExactFactory:
         """
         n_attempts = _ghz_attempts(n_s, self.ghz_source)
         lo, hi = self._window(n_attempts)
-        if int(_allocate(np.array([hi]), self.classes).max()) > _EXACT_COUNT_LIMIT:
+        if int(_plan(np.array([hi]), self.sched, self.shares).largest()[0]) > _EXACT_COUNT_LIMIT:
             if beyond_limit is not None:
                 return beyond_limit(n_s)
             raise InvalidConfigurationError(
@@ -678,12 +676,12 @@ class _ExactFactory:
 
         overflow = 0.0
         if self.cap is not None:
-            alloc = _allocate(np.arange(lo, hi + 1), self.classes)
-            overflow = px[(alloc > self.cap).any(axis=1)].sum()
+            largest = _plan(np.arange(lo, hi + 1), self.sched, self.shares).largest()
+            overflow = px[largest > self.cap].sum()
             if overflow > 1e-9:
                 raise CapTooSmallError(
                     f"cap {self.cap} truncates {overflow:.3g} probability mass "
-                    f"(largest allocated count is {int(alloc.max())})"
+                    f"(largest allocated count is {int(largest.max())})"
                 )
 
         success = weight_done = cut = 0.0

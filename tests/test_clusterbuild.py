@@ -165,120 +165,110 @@ class TestOptimizeNaive:
                 assert rival <= best + 1e-12
 
 
+# measured-bank weights: 1.0 makes one class, values below 1 put the
+# measured class first, and dyadic values tie remainders across classes
+HEAVY = st.sampled_from([1.0, 0.25, 0.5, 0.7, 1.5, 2.0, 3.0, 1 / 0.7, 7.0])
+SCHEDULES = st.builds(
+    lambda mask, heavy: FusionSchedule(
+        len(mask).bit_length() - 1, tuple(i for i, flagged in enumerate(mask) if flagged), heavy
+    ),
+    MASKS,
+    HEAVY,
+)
+
+
 class TestAllocation:
     def test_largest_remainder_hand_case(self):
         # shares (1/3, 1/6, 1/3, 1/6) of 19: floors (6,3,6,3) leave one
         # unit, granted to the first of the two largest remainders
-        out = allocate_ghz_counts(np.array([19]), np.array([2.0, 1.0, 2.0, 1.0]))
+        out = allocate_ghz_counts(np.array([19]), FusionSchedule(2, (0, 2), 2.0))
         assert out.tolist() == [[7, 3, 6, 3]]
         # shares (1/8, 3/8, 1/8, 3/8) of 4: every remainder is 0.5, so the
         # two leftover units go to banks 0 and 1, across the two classes
-        out = allocate_ghz_counts(np.array([4]), np.array([1.0, 3.0, 1.0, 3.0]))
+        out = allocate_ghz_counts(np.array([4]), FusionSchedule(2, (1, 3), 3.0))
         assert out.tolist() == [[1, 2, 0, 1]]
 
     def test_exact_division(self):
-        out = allocate_ghz_counts(np.array([8]), np.ones(4))
+        out = allocate_ghz_counts(np.array([8]), plain_schedule(2))
         assert out.tolist() == [[2, 2, 2, 2]]
 
     def test_rows_sum_to_input(self):
         rng = np.random.default_rng(1)
         x = rng.integers(0, 500, size=64)
-        weights = rng.uniform(0.5, 3.0, size=16)
-        out = allocate_ghz_counts(x, weights)
+        sched = FusionSchedule(4, tuple(int(i) for i in np.flatnonzero(rng.random(16) < 0.4)), 2.7)
+        out = allocate_ghz_counts(x, sched)
         np.testing.assert_array_equal(out.sum(axis=1), x)
         assert (out >= 0).all()
 
     def test_proportional_within_one_unit(self):
-        weights = np.array([1.0, 1.0, 2.0])
-        out = allocate_ghz_counts(np.array([1001]), weights)[0]
+        sched = FusionSchedule(2, (2,), 2.0)
+        out = allocate_ghz_counts(np.array([1001]), sched)[0]
+        weights = schedule_weights(sched)
         exact = 1001 * weights / weights.sum()
         assert np.max(np.abs(out - exact)) < 1.0
 
     @PROPERTY
-    @given(
-        x=st.lists(st.integers(0, 10**6), min_size=1, max_size=8),
-        weights=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=16),
-    )
-    def test_rows_sum_to_x_and_counts_round_their_shares(self, x, weights):
-        x, weights = np.array(x), np.array(weights)
-        out = allocate_ghz_counts(x, weights)
+    @given(x=st.lists(st.integers(0, 10**6), min_size=1, max_size=8), sched=SCHEDULES)
+    def test_rows_sum_to_x_and_counts_round_their_shares(self, x, sched):
+        x, weights = np.array(x), schedule_weights(sched)
+        out = allocate_ghz_counts(x, sched)
         np.testing.assert_array_equal(out.sum(axis=1), x)
         floor = np.floor(x[:, None] * (weights / weights.sum())[None, :])
         assert np.isin(out - floor, (0, 1)).all()
 
-    @pytest.mark.parametrize("weights", [[], [1.0, 0.0], [1.0, -2.0], [1.0, math.nan], [1.0, math.inf]],
+    @pytest.mark.parametrize("k, measured, heavy", [(0, (), 1.0), (1, (1,), 0.0), (1, (1,), -2.0),
+                                                    (1, (1,), math.nan), (1, (1,), math.inf)],
                              ids=["empty", "zero", "negative", "nan", "inf"])
-    def test_bad_weights_are_refused(self, weights):
+    def test_bad_weights_are_refused(self, k, measured, heavy):
+        # a schedule whose banks cannot be weighed is refused before any
+        # allocation: no fusion level (so no bank pair), or a measured-bank
+        # weight that is not positive and finite
         with pytest.raises(InvalidConfigurationError):
-            allocate_ghz_counts(np.array([5]), np.array(weights))
+            allocate_ghz_counts(np.array([5]), FusionSchedule(k, measured, heavy))
 
     @PROPERTY
     @given(
         x=st.lists(st.one_of(st.integers(0, 12), st.integers(0, 10**7)), min_size=1, max_size=24),
-        weights=st.one_of(
-            # few values, so remainders tie within and across classes
-            st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 1 / 0.7]), min_size=1, max_size=40),
-            # continuous, so nearly every bank is its own class
-            st.lists(st.floats(0.01, 100.0), min_size=1, max_size=80),
-        ),
+        sched=SCHEDULES,
     )
-    def test_matches_bank_by_bank_oracle(self, x, weights):
-        x, weights = np.array(x), np.array(weights)
-        out = allocate_ghz_counts(x, weights)
+    def test_matches_bank_by_bank_oracle(self, x, sched):
+        x = np.array(x)
+        out = allocate_ghz_counts(x, sched)
         assert out.dtype == np.int64
-        np.testing.assert_array_equal(out, largest_remainder_oracle(x, weights))
+        np.testing.assert_array_equal(out, largest_remainder_oracle(x, schedule_weights(sched)))
 
-    @pytest.mark.parametrize("weights", [(1, 3, 1, 3), (5, 1, 3, 1, 3, 3), (2, 1, 1, 2, 1, 1, 4, 4)],
-                             ids=["two_classes", "three_classes", "interleaved"])
-    def test_remainders_tied_across_classes_match_oracle(self, weights):
-        # shares are multiples of 1/16, so remainders tie exactly across
+    @pytest.mark.parametrize("sched", [FusionSchedule(2, (1, 3), 3.0)], ids=["two_classes"])
+    def test_remainders_tied_across_classes_match_oracle(self, sched):
+        # shares are multiples of 1/8, so remainders tie exactly across
         # classes and the leftover states go to the tied banks in index
         # order whatever their class
         x = np.arange(200)
-        out = allocate_ghz_counts(x, np.array(weights, dtype=float))
-        np.testing.assert_array_equal(out, largest_remainder_oracle(x, weights))
+        out = allocate_ghz_counts(x, sched)
+        np.testing.assert_array_equal(out, largest_remainder_oracle(x, schedule_weights(sched)))
 
     @pytest.mark.parametrize("k", range(3, 11))
     def test_matches_oracle_on_built_schedules(self, consts, k):
         # m = k - 2 covers the k = 9, m = 7 and k = 10, m = 8 searches
-        weights = schedule_weights(build_schedule(k, min(k - 2, (2**k - 1) // 4), consts))
+        sched = build_schedule(k, min(k - 2, (2**k - 1) // 4), consts)
+        weights = schedule_weights(sched)
         x = np.arange(0, 300_000, 7)
         for rows in np.array_split(x, max(1, x.size * 2**k // 2**21)):
             np.testing.assert_array_equal(
-                allocate_ghz_counts(rows, weights), largest_remainder_oracle(rows, weights)
+                allocate_ghz_counts(rows, sched), largest_remainder_oracle(rows, weights)
             )
 
-    def test_many_classes_stay_within_row_memory(self):
-        # 1024 classes of two banks each over 2048 rows: a (t, C, C) array
-        # alone would take 2 GiB, 64 times the 32 MiB result
-        rng = np.random.default_rng(4)
-        weights = np.repeat(rng.uniform(0.1, 10.0, size=1024), 2)
-        x = rng.integers(0, 10**6, size=2048)
-        tracemalloc.start()
-        try:
-            out = allocate_ghz_counts(x, weights)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * out.nbytes
-        np.testing.assert_array_equal(out, largest_remainder_oracle(x, weights))
-
-    def test_classes_are_found_once_per_call(self, consts, monkeypatch):
-        found = []
-        original = clusterbuild._weight_classes
-        monkeypatch.setattr(
-            clusterbuild, "_weight_classes", lambda weights: found.append(1) or original(weights)
-        )
-        sched = build_schedule(7, 4, consts)
-        # 5000 trials at k = 7 are drawn in three slices of at most 2048 trials
-        improved_pc1_mc(3_300_000, sched, consts, trials=5000, seed=2)
-        assert len(found) == 1
-        # one factory: its limit check, cap check and every block of its window
-        factory = clusterbuild._ExactFactory(sched, consts, False, None, 4096)
-        factory.pc1(3_300_000)
-        factory.pc1(3_400_000)
-        assert len(factory.blocks) > 2
-        assert len(found) == 2
+    @PROPERTY
+    @given(
+        km=st.sampled_from([(k, m) for k in range(3, 13)
+                            for m in (1, min(k - 2, (2**k - 1) // 4))]),
+        hand=SCHEDULES,  # some with an empty class
+        x=st.lists(st.one_of(st.integers(0, 40), st.integers(0, 10**7)), min_size=1, max_size=16),
+    )
+    def test_plan_largest_equals_dense_row_max(self, consts, km, hand, x):
+        for sched in (build_schedule(*km, consts), hand):
+            bank_class, shares = clusterbuild._bank_classes(sched)
+            plan = clusterbuild._plan(np.array(x), sched, shares)
+            np.testing.assert_array_equal(plan.largest(), plan.dense(bank_class).max(axis=1))
 
 
 class TestSchedule:
@@ -308,6 +298,8 @@ class TestSchedule:
             (2, (4,), 2.0), (2, (-1, 2), 2.0), (2, (3, 1), 2.0), (2, (1, 1), 2.0),
             # a measured-bank weight that is not positive and finite
             (1, (0,), 0.0), (1, (0,), -1.0), (1, (0,), math.nan), (1, (0,), math.inf),
+            # finite weights whose sum overflows, or a bank count past the float range
+            (1, (0, 1), 1e308), (2, (0, 1, 3), 1e308), (1024, (), 1.0),
             (0, (), 1.0),
         ]:
             with pytest.raises(InvalidConfigurationError):
@@ -349,7 +341,7 @@ class TestExactPropagation:
         # and the three leftover states go to the largest remainders.
         sched = FusionSchedule(k=2, measured=(0, 3), heavy=2.0)
         counts = (4, 2, 2, 3)
-        alloc = allocate_ghz_counts(np.array([11]), schedule_weights(sched))
+        alloc = allocate_ghz_counts(np.array([11]), sched)
         assert alloc.tolist() == [list(counts)]
         thin = consts.p_chip * consts.eta_ghz
         p1, p2 = fusion_probs or fusion_probabilities(2, consts)
@@ -438,10 +430,29 @@ class TestExactPropagation:
             improved_pc1_exact(10**13, build_schedule(5, 1, consts), consts)
         assert built == []
 
+    def test_cap_check_stays_within_row_memory(self, consts):
+        # the cap check reads each row's largest count from the allocation
+        # plan; a dense (window x 2**k) allocation peaked at 7.5 times the
+        # same call without a cap
+        sched = build_schedule(10, 8, consts)
+
+        def peak(**kwargs) -> tuple[float, int]:
+            tracemalloc.start()
+            try:
+                value = improved_pc1_exact(90_000_000, sched, consts, **kwargs)
+                return value, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        plain, plain_peak = peak()
+        capped, capped_peak = peak(cap=4096)
+        assert capped == plain
+        assert capped_peak < 2 * plain_peak
+
     def test_largest_count_in_use_is_admitted(self, consts):
         # 20000 GHZ sources grant the k=3, m=1 heavy banks 2520 states each
         sched = build_schedule(3, 1, consts)
-        assert allocate_ghz_counts(np.array([20000]), schedule_weights(sched)).max() == 2520
+        assert allocate_ghz_counts(np.array([20000]), sched).max() == 2520
         assert improved_pc1_exact(20000, sched, consts, ghz_source=True) == pytest.approx(1.0)
 
 
@@ -618,7 +629,7 @@ class TestExactMemo:
         # measured ones, and f(x) drops, so the early stop cannot take
         # f(x) as non-decreasing.  It takes the block's floor bound instead.
         sched = build_schedule(5, 1, consts)
-        alloc = allocate_ghz_counts(np.array([1517, 1518]), schedule_weights(sched))
+        alloc = allocate_ghz_counts(np.array([1517, 1518]), sched)
         assert (alloc[1] < alloc[0]).sum() == 4
         factory = clusterbuild._ExactFactory(sched, consts, False, None, None)
         f, _, _ = factory.block(1517 // clusterbuild._X_BLOCK)
