@@ -333,9 +333,10 @@ def _plan(x: np.ndarray, sched: FusionSchedule, shares: np.ndarray) -> _Plan:
     deficit = x - floors @ sizes
     # the cut: the remainder of the bank that takes the last leftover state,
     # the lower one once the leftovers outnumber the banks of the higher
+    light, heavy = remainder.T
     passed = (remainder > remainder[:, ::-1]) & (deficit[:, None] > sizes)
-    cut = np.where(passed.any(axis=1), remainder.min(axis=1), remainder.max(axis=1))[:, None]
-    above, tied = remainder > cut, remainder == cut
+    cut = np.where(passed[:, 0] | passed[:, 1], np.minimum(light, heavy), np.maximum(light, heavy))
+    above, tied = remainder > cut[:, None], remainder == cut[:, None]
     take = np.clip(deficit - above @ sizes, 0, tied @ sizes)  # grants for the banks at the cut
     # one past the take-th bank at the cut: of all banks when both classes
     # are at it, else of the light or of the measured ones

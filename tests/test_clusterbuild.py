@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clusterchain import clusterbuild
@@ -41,6 +41,15 @@ PROPERTY = settings(derandomize=True, max_examples=50, deadline=None)
 # leaf masks of schedules with 2, 4, 8 or 16 banks
 MASKS = st.integers(1, 4).flatmap(
     lambda k: st.lists(st.booleans(), min_size=2**k, max_size=2**k)
+)
+# schedules over those masks; heavy 1.0 makes one class, values below 1 put
+# the measured class first, and dyadic values tie remainders across classes
+SCHEDULES = st.builds(
+    lambda mask, heavy: FusionSchedule(
+        len(mask).bit_length() - 1, tuple(i for i, flagged in enumerate(mask) if flagged), heavy
+    ),
+    MASKS,
+    st.sampled_from([1.0, 0.25, 0.5, 0.7, 1.5, 2.0, 3.0, 1 / 0.7, 7.0]),
 )
 # (scheme, k, m) of buildable small designs
 SMALL_DESIGNS = st.tuples(
@@ -165,18 +174,6 @@ class TestOptimizeNaive:
                 assert rival <= best + 1e-12
 
 
-# measured-bank weights: 1.0 makes one class, values below 1 put the
-# measured class first, and dyadic values tie remainders across classes
-HEAVY = st.sampled_from([1.0, 0.25, 0.5, 0.7, 1.5, 2.0, 3.0, 1 / 0.7, 7.0])
-SCHEDULES = st.builds(
-    lambda mask, heavy: FusionSchedule(
-        len(mask).bit_length() - 1, tuple(i for i, flagged in enumerate(mask) if flagged), heavy
-    ),
-    MASKS,
-    HEAVY,
-)
-
-
 class TestAllocation:
     def test_largest_remainder_hand_case(self):
         # shares (1/3, 1/6, 1/3, 1/6) of 19: floors (6,3,6,3) leave one
@@ -264,6 +261,8 @@ class TestAllocation:
         hand=SCHEDULES,  # some with an empty class
         x=st.lists(st.one_of(st.integers(0, 40), st.integers(0, 10**7)), min_size=1, max_size=16),
     )
+    # no measured bank: the empty class's floor, 1024, is no bank's count
+    @example(km=(3, 1), hand=FusionSchedule(1, (), 2.0), x=[1024])
     def test_plan_largest_equals_dense_row_max(self, consts, km, hand, x):
         for sched in (build_schedule(*km, consts), hand):
             bank_class, shares = clusterbuild._bank_classes(sched)
