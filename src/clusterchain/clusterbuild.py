@@ -64,7 +64,7 @@ _TAIL_MASS = 1e-12  # GHZ-success mass outside the exact window
 _EARLY_STOP = 1e-16  # largest change the exact sweep's early stop may skip
 _LEVEL_CUT = 1e-20  # largest survival a fusion level's cut drops from any row
 _EXACT_COUNT_LIMIT = 2**12  # largest per-bank GHZ count the exact factory holds
-_EXACT_BANK_LIMIT = 1024  # largest 2**k the exact propagation is used for by default
+_EXACT_BANK_LIMIT = 2**15  # largest 2**k the exact factory holds, for one block's (257, 2**k) arrays
 _MAX_LEVELS = _MAX_BLOCK_CELLS.bit_length() - 1  # largest k whose 2**k leaf banks fit one MC block
 _SLICE_CELLS = 2**18  # leaf-bank cells per banked MC slice, and cells per inversion table
 _NAIVE_GRID = 200  # n_ghz and n_meas scanned on [1, _NAIVE_GRID] by the naive optimiser
@@ -653,18 +653,21 @@ class _ExactFactory:
     def pc1(self, n_s: int, beyond_limit: Callable[[int], float] | None = None) -> float:
         """``P_c1(n_s)``: the GHZ-success pmf over its window dotted with ``f``.
 
-        When the window's top grants one bank more than ``_EXACT_COUNT_LIMIT``
-        states (the level matrices grow as the square of the largest bank
-        count), returns ``beyond_limit(n_s)`` instead, or raises without one.
+        Past ``_EXACT_BANK_LIMIT`` leaf banks (a block's arrays grow as ``2**k``),
+        or where the window's top grants one bank more than ``_EXACT_COUNT_LIMIT``
+        states (the level matrices grow as its square), returns
+        ``beyond_limit(n_s)`` instead, or raises without one.
         """
         n_attempts = _ghz_attempts(n_s, self.ghz_source)
         lo, hi = self._window(n_attempts)
-        if int(_plan(np.array([hi]), self.sched, self.shares).largest()[0]) > _EXACT_COUNT_LIMIT:
+        if (self.sched.leaf_banks > _EXACT_BANK_LIMIT
+                or _plan(np.array([hi]), self.sched, self.shares).largest()[0] > _EXACT_COUNT_LIMIT):
             if beyond_limit is not None:
                 return beyond_limit(n_s)
             raise InvalidConfigurationError(
-                f"exact factory would hold more than {_EXACT_COUNT_LIMIT} GHZ states in "
-                f"one bank at {n_s} sources; use --method mc"
+                f"exact factory holds at most {_EXACT_BANK_LIMIT} leaf banks and "
+                f"{_EXACT_COUNT_LIMIT} GHZ states in one bank, exceeded at k = "
+                f"{self.sched.k} with {n_s} sources; use --method mc"
             )
         if n_attempts < 1:
             return 0.0
@@ -765,8 +768,10 @@ def improved_pc1_exact(
     Raises
     ------
     InvalidConfigurationError
-        When the window's top grants one bank more than ``2**12`` states, whose
-        square the matrices would need; :func:`improved_pc1_mc` has no limit.
+        Before any block is built, past ``2**15`` leaf banks (the ``(257,
+        2**k)`` block arrays) or when the window's top grants one bank more
+        than ``2**12`` states, whose square the matrices would need;
+        :func:`improved_pc1_mc` has neither limit.
     CapTooSmallError
         When a user-supplied ``cap`` would truncate more than ``1e-9``
         probability mass at the allocation stage.
@@ -816,16 +821,11 @@ def _pc1_evaluator(
             n_s, sched, consts, trials=trials, seed=seed, ghz_source=ghz_source
         )[0]
 
-    if method == "mc" or (method == "auto" and sched.leaf_banks > _EXACT_BANK_LIMIT):
+    if method == "mc":
         return monte_carlo
     exact = _ExactFactory(sched, consts, ghz_source, None, None)
-    if method == "exact":
-        return exact.pc1
-
-    def evaluate(n_s: int) -> float:
-        return exact.pc1(n_s, beyond_limit=monte_carlo)
-
-    return evaluate
+    fallback = monte_carlo if method == "auto" else None  # "exact" raises where the factory refuses
+    return lambda n_s: exact.pc1(n_s, beyond_limit=fallback)
 
 
 def min_sources(
@@ -847,9 +847,9 @@ def min_sources(
     ``"improved"``) or deterministic 3-photon GHZ sources
     (``"ghz_primitive"``).  The naive scheme re-optimises its multiplexing
     depths at every candidate budget.  Under ``method="auto"`` the banked
-    schemes use the exact factory up to ``2**k = 1024`` banks, for each
-    count whose window grants no bank over ``2**12`` GHZ states, and Monte
-    Carlo otherwise.
+    schemes use the exact factory wherever it admits the count (at most
+    ``2**15`` leaf banks, and no bank granted over ``2**12`` GHZ states in
+    the count's window), and Monte Carlo where it refuses.
 
     Raises
     ------
@@ -857,6 +857,7 @@ def min_sources(
         For a ``target_pcn`` outside ``(0, 1)``, or one whose per-node target
         ``target_pcn ** (1/n)`` rounds to 1.0, before any evaluation: such a
         search would stop at the first count whose estimate rounds to 1.
+        Under ``method="exact"``, also at the first count the factory refuses.
     TargetUnreachableError
         When the target is not met even at ``10**15`` sources.
     """

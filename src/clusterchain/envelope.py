@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -335,16 +335,11 @@ def numeric_envelope(
     points: list[EnvelopePoint] = []
     chunk = 512
     tail_needed = 50
+    cfg = ChainConfig(total_range_km=0.0, node_count=1, channels=m, tree=tree, p_cn=p_cn,
+                      scheme=scheme)
+    coeffs = coefficients_for(cfg, device)  # set by m, k, scheme and the device, not by L
     for l_km in l_values:
-        cfg = ChainConfig(
-            total_range_km=float(l_km),
-            node_count=1,
-            channels=m,
-            tree=tree,
-            p_cn=p_cn,
-            scheme=scheme,
-        )
-        coeffs = coefficients_for(cfg, device)
+        cfg = replace(cfg, total_range_km=float(l_km))
         best_rate = -math.inf
         best_n = 1
         start = 1

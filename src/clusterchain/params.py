@@ -205,6 +205,13 @@ def chain_coefficients(
     Returns
     -------
     ChainCoefficients
+
+    Raises
+    ------
+    InvalidConfigurationError
+        For ``m < 1``, ``k < 1``, or an ``A`` that is not finite because the
+        fiber survival ``p_fib**2`` underflows (``alpha * tau_f * c_f / 1000``
+        past about 355).
     """
     if m < 1:
         raise InvalidConfigurationError(f"channel count m must be >= 1, got {m}")
@@ -212,8 +219,15 @@ def chain_coefficients(
         raise InvalidConfigurationError(f"fusion step count k must be >= 1, got {k}")
     pair_factor = d.boosted_pair_factor if boosted else 0.5 * p.eta_sd**2
     survival = d.p_chip ** (k + 2) * d.eta_ghz * p.eta_c
+    fiber_pair = d.p_fib**2
+    a_coeff = m * pair_factor / fiber_pair if fiber_pair > 0.0 else math.inf
+    if not math.isfinite(a_coeff):
+        raise InvalidConfigurationError(
+            f"A = m * pair_factor / p_fib**2 is not finite: p_fib = exp(-alpha * tau_f * c_f / 1000) "
+            f"= {d.p_fib:.3g} at alpha = {p.alpha!r}, tau_f = {p.tau_f!r}, c_f = {p.c_f!r}"
+        )
     return ChainCoefficients(
-        a_coeff=m * pair_factor / d.p_fib**2,
+        a_coeff=a_coeff,
         b_coeff=survival * d.p_fib,
         c_coeff=survival,
     )

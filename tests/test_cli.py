@@ -308,6 +308,16 @@ class TestResources:
         assert err.startswith("error: config:") and "--method mc" in err
 
 
+    def test_exact_past_the_bank_limit_exits_2(self, capsys):
+        # 2**21 leaf banks, past the exact factory's 2**15
+        code, out, err = run_cli(
+            capsys, "resources", "--k", "21", "--m", "1", "--n", "1",
+            "--sources", "600", "--method", "exact",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: config:") and "--method mc" in err
+
+
 class TestOptimize:
     def test_restricted_scan_recovers_reference_design(self, capsys):
         code, out, _ = run_cli(
@@ -540,6 +550,23 @@ class TestErrorHandling:
         code, _, err = run_cli(capsys, "optimize", "--L", bad_l, "--k", "7")
         assert code == 2
         assert err.startswith("error: config:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("constants", "--m", "4", "--b", "7,3", "--tau-f", "0.05"),
+         ("rate", "--m", "4", "--b", "7,3", "--n", "100", "--L", "100", "--tau-f", "0.05"),
+         ("envelope", "--m", "4", "--b", "7,3", "--L", "100", "--tau-f", "0.05"),
+         ("optimize", "--L", "300", "--k", "7", "--m-max", "6", "--branch-max", "6",
+          "--tau-f", "0.05"),
+         ("envelope", "--m", "4", "--b", "7,3", "--L", "100", "--alpha", "1e300")],
+        ids=["constants", "rate", "envelope", "optimize", "envelope_alpha"],
+    )
+    def test_underflowing_fiber_survival_is_config_error(self, capsys, argv):
+        # p_fib**2 underflows to 0, so A = m * pair_factor / p_fib**2 is not finite
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: config:")
+        assert all(name in err for name in ("alpha", "tau_f", "c_f"))
 
     def test_monte_carlo_seed_out_of_range_is_config_error(self, capsys):
         code, _, err = run_cli(

@@ -429,6 +429,18 @@ class TestExactPropagation:
             improved_pc1_exact(10**13, build_schedule(5, 1, consts), consts)
         assert built == []
 
+    def test_bank_limit_refusal_allocates_nothing_block_wide(self, consts):
+        # 2**21 leaf banks: one block's (257, 2**21) int64 allocation alone
+        # would take 4 GiB, so the refusal must come before any block
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidConfigurationError, match="--method mc"):
+                improved_pc1_exact(600, build_schedule(21, 1, consts), consts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
     def test_cap_check_stays_within_row_memory(self, consts):
         # the cap check reads each row's largest count from the allocation
         # plan; a dense (window x 2**k) allocation peaked at 7.5 times the
@@ -823,14 +835,17 @@ class TestPcnCurve:
         assert curve[1] == pytest.approx(direct, rel=1e-12)
 
     @pytest.mark.parametrize(
-        "k, m, n, n_s, same_as",
-        [(9, 4, 300, 22_000_000, "exact"), (10, 8, 1, 8_000_000, "exact"),
-         (11, 8, 1, 80_000_000, "mc"), (7, 4, 250, 30_000_000_000, "mc")],
-        ids=["k9", "k10", "k11", "k7_past_count_limit"],
+        "scheme, k, m, n, n_s, same_as",
+        [("improved", 9, 4, 300, 22_000_000, "exact"), ("improved", 10, 8, 1, 8_000_000, "exact"),
+         ("ghz_primitive", 11, 8, 1, 2**19, "exact"), ("ghz_primitive", 15, 8, 1, 2**25, "exact"),
+         ("ghz_primitive", 16, 8, 1, 2**26, "mc"), ("improved", 7, 4, 250, 30_000_000_000, "mc")],
+        ids=["k9", "k10", "k11", "k15", "k16", "k7_past_count_limit"],
     )
-    def test_auto_is_exact_through_k10_only(self, consts, k, m, n, n_s, same_as):
-        # ... and only for source counts whose window grants no bank over 2**12 states
+    def test_auto_is_exact_where_the_factory_admits(self, consts, scheme, k, m, n, n_s, same_as):
+        # the factory admits at most 2**15 leaf banks, and only source counts
+        # whose window grants no bank over 2**12 states; a GHZ-source count's
+        # window is one x, so its one block keeps k = 11..16 fast
         def curve(method):
-            return pcn_curve("improved", k, m, n, consts, [n_s], method=method, trials=256, seed=3)
+            return pcn_curve(scheme, k, m, n, consts, [n_s], method=method, trials=32, seed=3)
 
         assert curve("auto").tolist() == curve(same_as).tolist()

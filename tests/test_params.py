@@ -112,6 +112,21 @@ class TestChainCoefficients:
         with pytest.raises(InvalidConfigurationError):
             chain_coefficients(consts, device, m, k)
 
+    @pytest.mark.parametrize("change", [{"tau_f": 0.05}, {"tau_f": 0.04}, {"alpha": 1e300}],
+                             ids=["underflow", "overflow", "alpha"])
+    def test_non_finite_a_is_refused(self, change):
+        # p_fib**2 underflows to 0 at tau_f = 0.05 and to a subnormal at 0.04,
+        # where m * pair_factor / p_fib**2 overflows to inf
+        device = DeviceParams(**change)
+        with pytest.raises(InvalidConfigurationError, match="alpha.*tau_f.*c_f"):
+            chain_coefficients(derive_constants(device), device, 4, 8)
+
+    def test_a_near_the_underflow_stays_finite(self):
+        device = DeviceParams(tau_f=0.03)
+        co = chain_coefficients(derive_constants(device), device, 4, 8)
+        assert co.a_coeff == pytest.approx(1.5705625491198947e240, rel=1e-12)
+        assert co.ab_squared == pytest.approx(2.6990670605597082, rel=1e-12)
+
 
 class TestLoadDeviceParams:
     def test_mapping_roundtrip(self):
