@@ -42,7 +42,7 @@ from .errors import (
     InvalidConfigurationError,
     TargetUnreachableError,
 )
-from .montecarlo import _MAX_BLOCK_CELLS, mc_fractions
+from .montecarlo import _MAX_BLOCK_CELLS, _checked_seed, mc_fractions
 from .params import DerivedConstants
 
 __all__ = [
@@ -64,7 +64,6 @@ _TAIL_MASS = 1e-12  # GHZ-success mass outside the exact window
 _EARLY_STOP = 1e-16  # largest change the exact sweep's early stop may skip
 _LEVEL_CUT = 1e-20  # largest survival a fusion level's cut drops from any row
 _EXACT_COUNT_LIMIT = 2**12  # largest per-bank GHZ count the exact factory holds
-_EXACT_BANK_LIMIT = 2**15  # largest 2**k the exact factory holds, for one block's (257, 2**k) arrays
 _MAX_LEVELS = _MAX_BLOCK_CELLS.bit_length() - 1  # largest k whose 2**k leaf banks fit one MC block
 _SLICE_CELLS = 2**18  # leaf-bank cells per banked MC slice, and cells per inversion table
 _NAIVE_GRID = 200  # n_ghz and n_meas scanned on [1, _NAIVE_GRID] by the naive optimiser
@@ -283,18 +282,25 @@ def allocate_ghz_counts(x: np.ndarray, sched: FusionSchedule) -> np.ndarray:
     above it takes one more state in every bank, and the banks at it (of
     both classes when the remainders are equal) take one more in index
     order up to ``stop``.  The counts are one ``np.take`` of the classes'
-    counts per bank, ``O(t 2**k)`` time and memory with no sort.
+    counts per bank, ``O(t 2**k)`` time and memory with no sort; the exact
+    factory reads the plan itself and never forms them.
     """
-    bank_class, shares = _bank_classes(sched)
-    return _plan(x, sched, shares).dense(bank_class)
+    return _plan(x, sched, _shares(sched)).dense(_bank_class(sched))
 
 
-def _bank_classes(sched: FusionSchedule) -> tuple[np.ndarray, np.ndarray]:
-    """Each bank's class, 1 if measured, and the light and heavy shares ``1 / S``
-    and ``heavy / S``, with ``S`` the ``2**k`` weights summed in bank order."""
+def _bank_class(sched: FusionSchedule) -> np.ndarray:
+    """Each bank's class: 1 if measured, else 0."""
     bank_class = np.zeros(sched.leaf_banks, dtype=np.intp)
     bank_class[np.array(sched.measured, dtype=np.intp)] = 1
-    return bank_class, np.array([1.0, sched.heavy]) / np.where(bank_class, sched.heavy, 1.0).sum()
+    return bank_class
+
+
+def _shares(sched: FusionSchedule) -> np.ndarray:
+    """The light and heavy shares ``1 / S`` and ``heavy / S``, with ``S`` the
+    ``2**k`` weights summed in bank order."""
+    weights = np.ones(sched.leaf_banks)
+    weights[np.array(sched.measured, dtype=np.intp)] = sched.heavy
+    return np.array([1.0, sched.heavy]) / weights.sum()
 
 
 class _Plan(NamedTuple):
@@ -351,12 +357,12 @@ def _plan(x: np.ndarray, sched: FusionSchedule, shares: np.ndarray) -> _Plan:
 
 def _banked_setup(
     sched: FusionSchedule, consts: DerivedConstants, fusion_probs: Sequence[float] | None,
-) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
-    """Set-up, once per call or factory: ``(bank classes, shares, thinning p, p_l)``."""
+) -> tuple[np.ndarray, float, list[float]]:
+    """Set-up, once per call or factory: ``(shares, thinning p, p_l)``."""
     probs = fusion_probabilities(sched.k, consts) if fusion_probs is None else list(fusion_probs)
     if len(probs) != sched.k:
         raise InvalidConfigurationError(f"need {sched.k} fusion probabilities, got {len(probs)}")
-    return (*_bank_classes(sched), consts.p_chip * consts.eta_ghz, probs)
+    return _shares(sched), consts.p_chip * consts.eta_ghz, probs
 
 
 def _ghz_attempts(n_s: int, ghz_source: bool) -> int:
@@ -494,7 +500,8 @@ def improved_pc1_mc(
     (estimate, standard_error)
     """
     n_attempts = _ghz_attempts(n_s, ghz_source)
-    bank_class, shares, thin_p, probs = _banked_setup(sched, consts, None)
+    shares, thin_p, probs = _banked_setup(sched, consts, None)
+    bank_class = _bank_class(sched)
     thin = _InverseBinomial(thin_p)
     levels = [_InverseBinomial(p) for p in probs]
     slice_trials = max(1, _SLICE_CELLS // sched.leaf_banks)
@@ -548,17 +555,155 @@ def _upper_tail(n: int, p: float, c: int) -> float:
 _X_BLOCK = 256  # GHZ-success counts x per memo block of the exact factory
 
 
-def _distinct(keys: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(keys, return_inverse=True)`` for integer keys in ``[0, space)``,
-    by counting: the inverse has ``keys``' shape.  Needs ``space`` bytes for a
-    presence mask and ``space`` index entries, of which only those of the keys
-    present are written."""
+def _distinct(
+    keys: np.ndarray, space: int, valid: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys[valid], return_inverse=True)`` for integer keys in
+    ``[0, space)`` (all keys when ``valid`` is ``None``), by counting: the
+    inverse has ``keys``' shape, and a key outside ``valid`` reads id 0.  Needs ``space`` bytes for a presence mask
+    and ``space`` index entries, of which only those of the keys present
+    are written."""
     present = np.zeros(space, dtype=bool)
-    present[keys] = True
+    present[keys if valid is None else keys[valid]] = True
     distinct = np.flatnonzero(present)
     index = np.empty(space, dtype=np.intp)
     index[distinct] = np.arange(len(distinct))
-    return distinct, index[keys]
+    return distinct, index[keys] if valid is None else np.where(valid, index[keys], 0)
+
+
+class _Subtrees:
+    """Numbers the bank subtrees of a block's allocation plan, level by level.
+
+    In one row a level-``l`` subtree either holds a measured bank, or is
+    light and lies wholly before ``stop``, straddles it (holds both
+    ``stop - 1`` and ``stop``), or lies wholly after it; light subtrees on
+    one side of ``stop`` hold the same counts.  So each level has one column
+    per measured subtree, ``measured >> l`` without repeats, and, up to the
+    first level whose every subtree holds a measured bank, three light
+    columns, before, across and after ``stop``: at most ``4m + 4`` whatever
+    ``k`` is.  The measured columns' children come from a table built once
+    per schedule; which light column a light child is, and whether a row
+    has each light column at all, is arithmetic on ``stop``.  A column the
+    row does not have is masked out of the numbering, so each level's
+    distinct keys are those of the subtrees the rows hold.
+    """
+
+    def __init__(self, sched: FusionSchedule) -> None:
+        k = sched.k
+        self.measured = np.array(sched.measured, dtype=np.int64)
+        held = [np.array(sorted({bank >> level for bank in sched.measured}), dtype=np.int64)
+                for level in range(k + 1)]
+        # the lit levels, those with a light subtree, come first, as a light
+        # subtree's children are light
+        self.lit = sum(len(h) < 2 ** (k - level) for level, h in enumerate(held))
+        widths = np.array([len(h) + 3 * (level < self.lit) for level, h in enumerate(held)])
+        ends = np.cumsum(widths)
+        self.columns = [slice(end - width, end) for end, width in zip(ends, widths)]
+        self.light = ends[: self.lit] - 3  # each lit level's before column
+        self.lit_columns = int(ends[self.lit - 1]) if self.lit else 0
+        # the light class's level at which a light bank before, across (none
+        # is) and after stop takes one more state
+        self.grants = np.array([1, 1, 2] if self.lit else [], dtype=np.int8)
+        shifts = np.arange(self.lit)
+        self.masks = (1 << shifts) - 1  # stop's offset within its subtree, per lit level
+        self.halves = self.masks[:-1] + 1  # half a subtree, per lit level from level 1
+        # a row has a light column before stop once stop passes the level's
+        # first light subtree, and one after stop while stop is at or below
+        # its last
+        first, last = [], []
+        for h, n in zip(held, 2 ** (k - shifts)):
+            i = np.arange(len(h))
+            first.append(np.append(np.flatnonzero(h != i), len(h))[0])
+            last.append(n - 1 - np.append(np.flatnonzero(h[::-1] != n - 1 - i), len(h))[0])
+        self.before = (np.array(first, dtype=np.int64) + 1) << shifts
+        self.after = np.array(last, dtype=np.int64) << shifts
+        # the measured banks around any stop, with ends that share no subtree with it
+        self.near = np.concatenate(([2 << k], self.measured, [2 << k]))
+
+        # Each level's children, pairwise, as columns of the level below: a
+        # measured child's own column, a light one the before column, which
+        # number() moves by where the child's banks [lo, hi) lie against
+        # stop; the light columns' children start at (before, before),
+        # (before, across) and (after, after).  Above the lit levels every
+        # subtree holds a measured bank, so a level's columns are its
+        # subtrees in order, and their children the columns below, pairwise.
+        base, lo, hi, straddle, light_kids = [], [], [], [], []
+        self.children = [None] * k
+        offset = 0
+        top = min(self.lit, k)  # the last level whose level below is lit
+        for level in range(1, top + 1):
+            below, here = held[level - 1], held[level]
+            kids = (2 * here[:, None] + np.arange(2)).ravel()
+            own = np.isin(kids, below)
+            light = len(below)
+            base.append(np.where(own, np.searchsorted(below, kids), light))
+            light_kids.append(offset + np.flatnonzero(~own))
+            lo.append(kids[~own] << (level - 1))
+            hi.append((kids[~own] + 1) << (level - 1))
+            width = len(kids)
+            if level < self.lit:
+                base.append([light, light, light, light + 1, light + 2, light + 2])
+                straddle.append(offset + width + 2)
+                width += 6
+            self.children[level - 1] = slice(offset, offset + width)
+            offset += width
+        self.base = np.concatenate([[], *base]).astype(np.intp)
+        # the level below's width, per child of a lit level or the one above them
+        self.below = np.repeat(widths[:top], 2 * widths[1 : top + 1])
+        self.lo = np.concatenate([[], *lo]).astype(np.int64)
+        self.hi = np.concatenate([[], *hi]).astype(np.int64)
+        straddle = np.array(straddle, dtype=np.intp)
+        self.moved = np.concatenate([straddle, straddle + 1, *light_kids]).astype(np.intp)
+
+    def number(self, plan: _Plan, cap: int) -> tuple[list[np.ndarray], np.ndarray]:
+        """Each level's distinct keys, leaves first, and each row's root id.
+
+        A leaf key is ``2 min(count, cap) + measured``; a level's key is the
+        left child's id times the level below's distinct keys plus the right
+        child's id; ids are positions among a level's distinct keys.
+        """
+        stop = plan.stop[:, None]
+        rows = len(stop)
+        heavy = plan.floors[:, 1:] + (plan.level[:, 1:] + (self.measured < stop) >= 2)
+        light = plan.floors[:, :1] + (plan.level[:, :1] >= self.grants)
+        keys = 2 * np.minimum(np.concatenate([heavy, light], axis=1), cap)
+        keys[:, : len(self.measured)] += 1
+
+        # which light columns each row has; measured columns it always has.
+        # A subtree straddles stop when stop is off its edge, and is light
+        # when neither measured bank next to stop shares it with stop.
+        i = np.searchsorted(self.measured, plan.stop)
+        near = np.minimum(self.near[i] ^ plan.stop, self.near[i + 1] ^ plan.stop)
+        offset = stop & self.masks
+        valid = np.ones((rows, self.lit_columns), dtype=bool)
+        valid[:, self.light] = stop >= self.before
+        valid[:, self.light + 1] = (offset != 0) & (near[:, None] > self.masks)
+        valid[:, self.light + 2] = stop <= self.after
+
+        # The straddling subtree's left child straddles stop too, if stop
+        # lies below the middle, and is before it otherwise; its right child
+        # straddles stop if stop lies above the middle, and is after it
+        # otherwise.  A measured subtree's light child is before, across or
+        # after stop.
+        kids = np.arange(rows)[:, None] * self.below  # flat, into the level below
+        kids += self.base
+        kids[:, self.moved] += np.concatenate(
+            [offset[:, 1:] < self.halves, offset[:, 1:] <= self.halves,
+             np.add(self.lo >= stop, self.hi > stop, dtype=np.intp)], axis=1)
+
+        has = [valid[:, columns] for columns in self.columns[: self.lit]]
+        has += [None] * (len(self.columns) - self.lit)  # above the lit levels, every column
+        distinct, ids = _distinct(keys, 2 * cap + 2, has[0])
+        levels = [distinct]
+        for children, level_has in zip(self.children, has[1:]):
+            pairs = ids if children is None else np.take(ids, kids[:, children])
+            size = len(distinct)
+            distinct, ids = _distinct(pairs[:, 0::2] * size + pairs[:, 1::2], size * size,
+                                      level_has)
+            levels.append(distinct)
+        # the root is light, and masked, only in a schedule without measured banks
+        root = 0 if has[-1] is None else has[-1].argmax(axis=1)
+        return levels, ids[np.arange(rows), root]
 
 
 class _ExactFactory:
@@ -577,8 +722,8 @@ class _ExactFactory:
         cap: int | None,
     ) -> None:
         self.sched = sched
-        setup = _banked_setup(sched, consts, fusion_probs)
-        self.bank_class, self.shares, self.thin_p, self.probs = setup
+        self.shares, self.thin_p, self.probs = _banked_setup(sched, consts, fusion_probs)
+        self.subtrees = _Subtrees(sched)
         self.p_ghz = consts.p_ghz
         self.ghz_source = ghz_source
         self.cap = cap
@@ -608,25 +753,23 @@ class _ExactFactory:
         largest = int(plan.largest().max())
         cap = largest if self.cap is None else min(self.cap, largest)
         cap = max(cap, 1)  # the root's column 1, P[Y >= 1], must exist
-        alloc = np.minimum(plan.dense(self.bank_class), cap)
 
         # Identical subtrees share one survival row: leaves are numbered by
         # their (count, measured) key, each level by its pair of child ids.
-        keys, ids = _distinct(2 * alloc + self.bank_class, 2 * cap + 2)
+        (keys, *levels), root = self.subtrees.number(plan, cap)
         counts, thinned = keys // 2, keys % 2 == 1
         survival = (np.arange(cap + 1) <= counts[:, None]).astype(float)  # exactly y states
         survival[thinned] = survival[thinned] @ self._matrix(self.thin_p, cap)
         cut = 0.0
-        for p_level, banks in zip(self.probs, self.banks_per_level):
+        for p_level, banks, pairs in zip(self.probs, self.banks_per_level, levels):
             rows = len(survival)
-            pairs, ids = _distinct(ids[:, 0::2] * rows + ids[:, 1::2], rows * rows)
             product = survival[pairs // rows] * survival[pairs % rows]
             # keep the support some row still reaches and lump larger counts at
             # its top; a bank is lumped with probability product[:, keep + 1]
             keep = max(int(np.flatnonzero((product > _LEVEL_CUT).any(axis=0))[-1]), 1)
             cut += banks * float(product[:, keep + 1 :].max(initial=0.0))
             survival = product[:, : keep + 1] @ self._matrix(p_level, keep)
-        f = survival[ids[:, 0], 1]
+        f = survival[root, 1]
         self.blocks[j] = f[:-1], float(f[-1]), cut
         return self.blocks[j]
 
@@ -653,21 +796,18 @@ class _ExactFactory:
     def pc1(self, n_s: int, beyond_limit: Callable[[int], float] | None = None) -> float:
         """``P_c1(n_s)``: the GHZ-success pmf over its window dotted with ``f``.
 
-        Past ``_EXACT_BANK_LIMIT`` leaf banks (a block's arrays grow as ``2**k``),
-        or where the window's top grants one bank more than ``_EXACT_COUNT_LIMIT``
+        Where the window's top grants one bank more than ``_EXACT_COUNT_LIMIT``
         states (the level matrices grow as its square), returns
         ``beyond_limit(n_s)`` instead, or raises without one.
         """
         n_attempts = _ghz_attempts(n_s, self.ghz_source)
         lo, hi = self._window(n_attempts)
-        if (self.sched.leaf_banks > _EXACT_BANK_LIMIT
-                or _plan(np.array([hi]), self.sched, self.shares).largest()[0] > _EXACT_COUNT_LIMIT):
+        if _plan(np.array([hi]), self.sched, self.shares).largest()[0] > _EXACT_COUNT_LIMIT:
             if beyond_limit is not None:
                 return beyond_limit(n_s)
             raise InvalidConfigurationError(
-                f"exact factory holds at most {_EXACT_BANK_LIMIT} leaf banks and "
-                f"{_EXACT_COUNT_LIMIT} GHZ states in one bank, exceeded at k = "
-                f"{self.sched.k} with {n_s} sources; use --method mc"
+                f"exact factory holds at most {_EXACT_COUNT_LIMIT} GHZ states in one bank, "
+                f"exceeded at k = {self.sched.k} with {n_s} sources; use --method mc"
             )
         if n_attempts < 1:
             return 0.0
@@ -734,7 +874,11 @@ def improved_pc1_exact(
     block most banks hold the same count, so the leaves are numbered by
     their ``(count, measured)`` key and each fusion level by its pair of
     child ids; only the distinct survival rows are propagated.  The
-    numbering counts instead of sorting: keys are small non-negative
+    subtrees are read off each row's allocation plan, never off its
+    ``2**k`` counts: a subtree that holds no measured bank lies before,
+    across or after the plan's ``stop``, and all such subtrees on one side
+    hold the same counts, so a level has at most ``4m + 4`` that can differ
+    whatever ``k`` is.  The numbering counts instead of sorting: keys are small non-negative
     integers, so a presence mask over their range lists the distinct keys
     in order and an index array over the same range numbers them.  A leaf
     key is below ``2 cap + 2``.  A pair key is the left child's id times
@@ -768,10 +912,9 @@ def improved_pc1_exact(
     Raises
     ------
     InvalidConfigurationError
-        Before any block is built, past ``2**15`` leaf banks (the ``(257,
-        2**k)`` block arrays) or when the window's top grants one bank more
-        than ``2**12`` states, whose square the matrices would need;
-        :func:`improved_pc1_mc` has neither limit.
+        Before any block is built, when the window's top grants one bank
+        more than ``2**12`` states, whose square the matrices would need;
+        :func:`improved_pc1_mc` has no such limit.
     CapTooSmallError
         When a user-supplied ``cap`` would truncate more than ``1e-9``
         probability mass at the allocation stage.
@@ -804,6 +947,7 @@ def _pc1_evaluator(
         raise InvalidConfigurationError(
             f"unknown method {method!r}; expected 'auto', 'exact' or 'mc'"
         )
+    _checked_seed(trials, seed)  # once, though only a Monte Carlo evaluation reads them
     if scheme == "naive":
         def evaluate(n_s: int) -> float:
             return optimize_naive_multiplex(n_s, k, m, consts)[1]
@@ -847,9 +991,9 @@ def min_sources(
     ``"improved"``) or deterministic 3-photon GHZ sources
     (``"ghz_primitive"``).  The naive scheme re-optimises its multiplexing
     depths at every candidate budget.  Under ``method="auto"`` the banked
-    schemes use the exact factory wherever it admits the count (at most
-    ``2**15`` leaf banks, and no bank granted over ``2**12`` GHZ states in
-    the count's window), and Monte Carlo where it refuses.
+    schemes use the exact factory wherever it admits the count (no bank
+    granted over ``2**12`` GHZ states in the count's window), and Monte
+    Carlo where it refuses.
 
     Raises
     ------
@@ -857,7 +1001,9 @@ def min_sources(
         For a ``target_pcn`` outside ``(0, 1)``, or one whose per-node target
         ``target_pcn ** (1/n)`` rounds to 1.0, before any evaluation: such a
         search would stop at the first count whose estimate rounds to 1.
-        Under ``method="exact"``, also at the first count the factory refuses.
+        For ``trials < 1`` or a ``seed`` outside ``[0, 2**64)``, whatever
+        the method.  Under ``method="exact"``, also at the first count the
+        factory refuses.
     TargetUnreachableError
         When the target is not met even at ``10**15`` sources.
     """

@@ -27,6 +27,22 @@ _MAX_BLOCK = 16384
 _MAX_BLOCK_CELLS = 2**21
 
 
+def _checked_seed(samples: int, seed: int) -> int:
+    """``seed`` as a Python int, once ``samples >= 1`` and the seed lies in ``[0, 2**64)``.
+
+    Raises
+    ------
+    InvalidConfigurationError
+        For ``samples < 1`` or a seed outside ``[0, 2**64)``.
+    """
+    if samples < 1:
+        raise InvalidConfigurationError(f"sample count must be >= 1, got {samples!r}")
+    seed = operator.index(seed)  # numpy integers would wrap in the key's shift
+    if not 0 <= seed < 2**64:
+        raise InvalidConfigurationError(f"seed must lie in [0, 2**64), got {seed!r}")
+    return seed
+
+
 def mc_fractions(
     samples: int,
     seed: int,
@@ -43,11 +59,7 @@ def mc_fractions(
     InvalidConfigurationError
         For ``samples < 1`` or a seed outside ``[0, 2**64)``, before any draw.
     """
-    if samples < 1:
-        raise InvalidConfigurationError(f"sample count must be >= 1, got {samples!r}")
-    seed = operator.index(seed)  # numpy integers would wrap in the shift below
-    if not 0 <= seed < 2**64:
-        raise InvalidConfigurationError(f"seed must lie in [0, 2**64), got {seed!r}")
+    seed = _checked_seed(samples, seed)
     block = min(_MAX_BLOCK, max(1, _MAX_BLOCK_CELLS // width))
     totals = None
     for index, start in enumerate(range(0, samples, block)):

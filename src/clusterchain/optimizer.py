@@ -147,9 +147,13 @@ def design_envelopes(
 
     Raises
     ------
+    InvalidConfigurationError
+        For ``k < 1``, before any design is scanned.
     EmptyFeasibleSetError
         When no design in the class admits a valid envelope.
     """
+    if k < 1:
+        raise InvalidConfigurationError(f"k must be >= 1, got {k}")
     consts = derive_constants(device)
     # built on first use: the scan stops at the first m that leaves the class
     coeffs = functools.cache(

@@ -308,14 +308,18 @@ class TestResources:
         assert err.startswith("error: config:") and "--method mc" in err
 
 
-    def test_exact_past_the_bank_limit_exits_2(self, capsys):
-        # 2**21 leaf banks, past the exact factory's 2**15
-        code, out, err = run_cli(
-            capsys, "resources", "--k", "21", "--m", "1", "--n", "1",
-            "--sources", "600", "--method", "exact",
-        )
-        assert (code, out) == (2, "")
-        assert err.startswith("error: config:") and "--method mc" in err
+    def test_exact_at_k21_prints_its_zero(self, capsys):
+        # 2**21 leaf banks: 100 GHZ attempts cannot fill them, and the exact
+        # factory, numbered from the allocation plan, says so at once
+        for method in ("exact", "auto"):
+            start = time.perf_counter()
+            code, out, _ = run_cli(
+                capsys, "resources", "--k", "21", "--m", "1", "--n", "1",
+                "--sources", "600", "--method", method,
+            )
+            assert time.perf_counter() - start < 5.0
+            assert code == 0
+            assert parse_csv(out)[2] == [["600", "0", "0"]]
 
 
 class TestOptimize:
@@ -614,6 +618,30 @@ class TestErrorHandling:
         assert code == 2
         assert out == ""
         assert err.startswith("error: config:")
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_optimize_non_positive_k_is_config_error(self, capsys, k):
+        code, out, err = run_cli(capsys, "optimize", "--L", "300", "--k", k)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: config:")
+
+    @pytest.mark.parametrize("argv", [
+        ("resources", "--k", "7", "--m", "4", "--n", "250", "--sources", "1000", "--seed", "-1"),
+        ("optimize", "--L", "300", "--k", "7", "--with-sources", "--seed", "-3"),
+    ], ids=["resources", "optimize"])
+    def test_negative_seed_is_config_error(self, capsys, argv):
+        # checked once per search or curve, whichever method evaluates it
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "error: config: seed must lie in [0, 2**64)" in err
+
+    def test_non_positive_trials_is_config_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "resources", "--k", "7", "--m", "4", "--n", "250", "--sources", "1000",
+            "--trials", "-5", "--method", "exact",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: config: sample count")
 
     # p_chip * eta_ghz is subnormal at beta = 4.7e5, so its inverse overflows,
     # and 0 at 5e5; at 4.6e5 the weights stay finite and the row reads 0,0

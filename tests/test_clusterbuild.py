@@ -265,9 +265,9 @@ class TestAllocation:
     @example(km=(3, 1), hand=FusionSchedule(1, (), 2.0), x=[1024])
     def test_plan_largest_equals_dense_row_max(self, consts, km, hand, x):
         for sched in (build_schedule(*km, consts), hand):
-            bank_class, shares = clusterbuild._bank_classes(sched)
-            plan = clusterbuild._plan(np.array(x), sched, shares)
-            np.testing.assert_array_equal(plan.largest(), plan.dense(bank_class).max(axis=1))
+            plan = clusterbuild._plan(np.array(x), sched, clusterbuild._shares(sched))
+            dense = plan.dense(clusterbuild._bank_class(sched))
+            np.testing.assert_array_equal(plan.largest(), dense.max(axis=1))
 
 
 class TestSchedule:
@@ -429,17 +429,42 @@ class TestExactPropagation:
             improved_pc1_exact(10**13, build_schedule(5, 1, consts), consts)
         assert built == []
 
-    def test_bank_limit_refusal_allocates_nothing_block_wide(self, consts):
-        # 2**21 leaf banks: one block's (257, 2**21) int64 allocation alone
-        # would take 4 GiB, so the refusal must come before any block
+    def test_k21_call_holds_no_block_wide_array(self, consts):
+        # 2**21 leaf banks: one block's dense (257, 2**21) int64 counts alone
+        # would take 4 GiB; numbered from the allocation plan, the call holds
+        # little beyond the 16 MiB of bank weights its shares are summed from
         tracemalloc.start()
         try:
-            with pytest.raises(InvalidConfigurationError, match="--method mc"):
-                improved_pc1_exact(600, build_schedule(21, 1, consts), consts)
+            assert improved_pc1_exact(600, build_schedule(21, 1, consts), consts) == 0.0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+    @pytest.mark.parametrize("k, n_s, expected", [
+        (12, 450_000_000, 0.9658702434852504), (13, 10**9, 0.8675254920981923),
+    ], ids=["k12", "k13"])
+    def test_exact_path_never_forms_dense_counts(self, consts, monkeypatch, k, n_s, expected):
+        # the subtrees are numbered from the plan; the (257, 2**k) counts
+        # are the Monte Carlo's alone.  The values were recorded on one BLAS
+        # thread; from k = 12 the level matmuls are large enough to be split
+        # over threads, which moves the last bits (0.9658702434852512 and
+        # 0.8675254920982012 on two)
+        def refuse(self, bank_class):
+            raise AssertionError("the exact factory formed the dense counts")
+
+        monkeypatch.setattr(clusterbuild._Plan, "dense", refuse)
+        got = improved_pc1_exact(n_s, build_schedule(k, 8, consts), consts)
+        assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("sched, n_s, ghz_source, expected", [
+        (FusionSchedule(1, (0, 1), 2.0), 10, True, "0.9962729423337437"),
+        (FusionSchedule(2, (), 2.0), 600, False, "0.14197151289817364"),
+    ], ids=["no_light_bank", "no_measured_bank"])
+    def test_schedule_with_an_empty_class(self, consts, sched, n_s, ghz_source, expected):
+        # recorded while every subtree was numbered from the dense counts
+        got = improved_pc1_exact(n_s, sched, consts, ghz_source=ghz_source)
+        assert repr(got) == expected
 
     def test_cap_check_stays_within_row_memory(self, consts):
         # the cap check reads each row's largest count from the allocation
@@ -631,6 +656,63 @@ class TestInverseBinomial:
         monkeypatch.setattr(clusterbuild._InverseBinomial, "invert", refuse)
         sched = build_schedule(3, 1, consts)
         assert improved_pc1_mc(3_000_000, sched, consts, trials=64, ghz_source=True) == (1.0, 0.0)
+
+
+def dense_subtrees(plan, sched: FusionSchedule, cap: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each level's distinct subtree keys and each row's root id, numbered by
+    ``np.unique`` over the dense ``(rows, 2**k)`` counts, bank by bank."""
+    bank_class = clusterbuild._bank_class(sched)
+    keys = 2 * np.minimum(plan.dense(bank_class), cap) + bank_class
+    levels = []
+    while True:
+        distinct, ids = np.unique(keys, return_inverse=True)
+        levels.append(distinct)
+        ids = ids.reshape(keys.shape)
+        if ids.shape[1] == 1:
+            return levels, ids[:, 0]
+        keys = ids[:, 0::2] * len(distinct) + ids[:, 1::2]
+
+
+# schedules of up to 64 banks, any measured positions (none, or all, among them)
+WIDE_SCHEDULES = st.builds(
+    lambda mask, heavy: FusionSchedule(
+        len(mask).bit_length() - 1, tuple(i for i, flagged in enumerate(mask) if flagged), heavy
+    ),
+    st.integers(1, 6).flatmap(lambda k: st.lists(st.booleans(), min_size=2**k, max_size=2**k)),
+    st.sampled_from([1.0, 0.5, 0.7, 2.0, 3.0, 1 / 0.7, 1 / 0.9704]),
+)
+
+
+class TestSubtreeNumbering:
+    @PROPERTY
+    @given(
+        km=st.sampled_from([(k, m) for k in range(3, 7) for m in range(1, (2**k - 1) // 4 + 1)]),
+        hand=WIDE_SCHEDULES,
+        start=st.one_of(st.integers(0, 300), st.integers(0, 10**6)),
+        rows=st.integers(1, 40),
+        floors_only=st.booleans(),
+        cap_cut=st.integers(0, 2),
+    )
+    @example(km=(3, 1), hand=FusionSchedule(1, (0, 1), 2.0), start=0, rows=12,
+             floors_only=True, cap_cut=0)
+    @example(km=(3, 1), hand=FusionSchedule(6, (), 2.0), start=250, rows=40,
+             floors_only=True, cap_cut=1)
+    def test_plan_numbering_equals_dense_numbering(self, consts, km, hand, start, rows,
+                                                    floors_only, cap_cut):
+        # the plan-built subtrees of every level are the distinct subtrees
+        # of the dense counts, in the same order, and every row's root is
+        for sched in (build_schedule(*km, consts), hand):
+            plan = clusterbuild._plan(np.arange(start, start + rows), sched,
+                                      clusterbuild._shares(sched))
+            if floors_only:  # as in the last row of a block
+                plan.level[-1] = 0
+            cap = max(int(plan.largest().max()) - cap_cut, 1)
+            levels, root = clusterbuild._Subtrees(sched).number(plan, cap)
+            want, want_root = dense_subtrees(plan, sched, cap)
+            assert len(levels) == len(want) == sched.k + 1
+            for got, expected in zip(levels, want):
+                np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(root, want_root)
 
 
 class TestExactMemo:
@@ -838,13 +920,14 @@ class TestPcnCurve:
         "scheme, k, m, n, n_s, same_as",
         [("improved", 9, 4, 300, 22_000_000, "exact"), ("improved", 10, 8, 1, 8_000_000, "exact"),
          ("ghz_primitive", 11, 8, 1, 2**19, "exact"), ("ghz_primitive", 15, 8, 1, 2**25, "exact"),
-         ("ghz_primitive", 16, 8, 1, 2**26, "mc"), ("improved", 7, 4, 250, 30_000_000_000, "mc")],
-        ids=["k9", "k10", "k11", "k15", "k16", "k7_past_count_limit"],
+         ("ghz_primitive", 16, 8, 1, 2**26, "exact"), ("ghz_primitive", 21, 8, 1, 2**26, "exact"),
+         ("improved", 7, 4, 250, 30_000_000_000, "mc")],
+        ids=["k9", "k10", "k11", "k15", "k16", "k21", "k7_past_count_limit"],
     )
     def test_auto_is_exact_where_the_factory_admits(self, consts, scheme, k, m, n, n_s, same_as):
-        # the factory admits at most 2**15 leaf banks, and only source counts
-        # whose window grants no bank over 2**12 states; a GHZ-source count's
-        # window is one x, so its one block keeps k = 11..16 fast
+        # the factory admits every k that build_schedule admits, and only
+        # source counts whose window grants no bank over 2**12 states; a
+        # GHZ-source count's window is one x, so its one block keeps k = 11..21 fast
         def curve(method):
             return pcn_curve(scheme, k, m, n, consts, [n_s], method=method, trials=32, seed=3)
 
