@@ -121,7 +121,7 @@ class FusionSchedule:
             )
         light = 2**self.k - len(self.measured)  # past the float range the sum would raise
         if not (self.heavy > 0.0 and light <= sys.float_info.max
-                and math.isfinite(len(self.measured) * self.heavy + light)):
+                and math.isfinite(self.weight_sum)):
             raise InvalidConfigurationError(
                 f"heavy must be > 0 and the 2**{self.k} bank weights must sum finitely, "
                 f"got heavy = {self.heavy!r}"
@@ -130,6 +130,12 @@ class FusionSchedule:
     @property
     def leaf_banks(self) -> int:
         return 2**self.k
+
+    @property
+    def weight_sum(self) -> float:
+        """``S``, the ``2**k`` bank weights' sum in closed form: ``len(measured) heavy``
+        plus one per light bank."""
+        return len(self.measured) * self.heavy + (2**self.k - len(self.measured))
 
 
 def build_schedule(k: int, m: int, consts: DerivedConstants) -> FusionSchedule:
@@ -257,8 +263,6 @@ def optimize_naive_multiplex(
     pc1 = np.where(feasible, pc1, -1.0)
     best_flat = np.argmax(pc1)
     best_val = pc1.flat[best_flat]
-    if best_val < 0.0:
-        return None, 0.0
     ties = np.nonzero(pc1 == best_val)
     tie_order = np.argmax(n_b[ties])
     i, j = ties[0][tie_order], ties[1][tie_order]
@@ -285,7 +289,7 @@ def allocate_ghz_counts(x: np.ndarray, sched: FusionSchedule) -> np.ndarray:
     counts per bank, ``O(t 2**k)`` time and memory with no sort; the exact
     factory reads the plan itself and never forms them.
     """
-    return _plan(x, sched, _shares(sched)).dense(_bank_class(sched))
+    return _plan(x, sched).dense(_bank_class(sched))
 
 
 def _bank_class(sched: FusionSchedule) -> np.ndarray:
@@ -293,14 +297,6 @@ def _bank_class(sched: FusionSchedule) -> np.ndarray:
     bank_class = np.zeros(sched.leaf_banks, dtype=np.intp)
     bank_class[np.array(sched.measured, dtype=np.intp)] = 1
     return bank_class
-
-
-def _shares(sched: FusionSchedule) -> np.ndarray:
-    """The light and heavy shares ``1 / S`` and ``heavy / S``, with ``S`` the
-    ``2**k`` weights summed in bank order."""
-    weights = np.ones(sched.leaf_banks)
-    weights[np.array(sched.measured, dtype=np.intp)] = sched.heavy
-    return np.array([1.0, sched.heavy]) / weights.sum()
 
 
 class _Plan(NamedTuple):
@@ -314,26 +310,33 @@ class _Plan(NamedTuple):
     sizes: np.ndarray  # (2,) banks per class
     first: np.ndarray  # (2,) each class's first bank
 
-    def dense(self, bank_class: np.ndarray) -> np.ndarray:
-        """The ``(t, 2**k)`` int64 counts, taken from the two classes bank by bank."""
-        status = np.take(self.level, bank_class, axis=1)
-        status += np.arange(len(bank_class)) < self.stop[:, None]
-        counts = np.take(self.floors, bank_class, axis=1)
-        counts += status >= 2
+    def counts(self, banks: np.ndarray, kind: np.ndarray) -> np.ndarray:
+        """The int64 counts of the banks ``banks`` (``(n,)``, or ``(t, n)`` for
+        banks that differ per row) of classes ``kind``: the class's floor, and
+        one more state where its level, plus 1 for a bank below ``stop``, is 2."""
+        grant = np.take(self.level, kind, axis=1)
+        grant += banks < self.stop[:, None]
+        counts = np.take(self.floors, kind, axis=1)
+        counts += grant >= 2
         return counts
 
+    def dense(self, bank_class: np.ndarray) -> np.ndarray:
+        """The ``(t, 2**k)`` int64 counts, taken from the two classes bank by bank."""
+        return self.counts(np.arange(len(bank_class)), bank_class)
+
     def largest(self) -> np.ndarray:
-        """Each row's largest count, without the dense form; an empty class adds nothing."""
-        grant = self.level + (self.stop[:, None] > self.first) >= 2
-        return np.where(self.sizes > 0, self.floors + grant, 0).max(axis=1)
+        """Each row's largest count, without the dense form: a class's first
+        bank holds its largest count, and an empty class adds nothing."""
+        return np.where(self.sizes > 0, self.counts(self.first, np.arange(2)), 0).max(axis=1)
 
 
-def _plan(x: np.ndarray, sched: FusionSchedule, shares: np.ndarray) -> _Plan:
-    """The :class:`_Plan` of :func:`allocate_ghz_counts` for ``x`` on ``shares``."""
+def _plan(x: np.ndarray, sched: FusionSchedule) -> _Plan:
+    """The :class:`_Plan` of :func:`allocate_ghz_counts` for ``x``."""
     x = np.asarray(x, dtype=np.int64)
     measured = np.array(sched.measured, dtype=np.int64)
     sizes = np.array([sched.leaf_banks - len(measured), len(measured)])
-    remainder = x[:, None] * shares[None, :]
+    # a light and a measured bank's shares, 1 / S and heavy / S
+    remainder = x[:, None] * (np.array([1.0, sched.heavy]) / sched.weight_sum)[None, :]
     floors = np.floor(remainder).astype(np.int64)
     remainder -= floors
     deficit = x - floors @ sizes
@@ -353,16 +356,6 @@ def _plan(x: np.ndarray, sched: FusionSchedule, shares: np.ndarray) -> _Plan:
     light_first = np.searchsorted(offsets, 0, side="right")
     first = np.array([light_first, measured[0] if len(measured) else 0])
     return _Plan(floors, 2 * above.astype(np.int8) + tied, stop, sizes, first)
-
-
-def _banked_setup(
-    sched: FusionSchedule, consts: DerivedConstants, fusion_probs: Sequence[float] | None,
-) -> tuple[np.ndarray, float, list[float]]:
-    """Set-up, once per call or factory: ``(shares, thinning p, p_l)``."""
-    probs = fusion_probabilities(sched.k, consts) if fusion_probs is None else list(fusion_probs)
-    if len(probs) != sched.k:
-        raise InvalidConfigurationError(f"need {sched.k} fusion probabilities, got {len(probs)}")
-    return _shares(sched), consts.p_chip * consts.eta_ghz, probs
 
 
 def _ghz_attempts(n_s: int, ghz_source: bool) -> int:
@@ -474,8 +467,8 @@ def improved_pc1_mc(
     Per trial: draw the GHZ-factory successes ``x ~ Binomial(n_s // 6,
     p_ghz)`` (or take ``x = n_s`` deterministic GHZ states when
     ``ghz_source``), apportion them to the leaf banks by largest remainder
-    on the schedule's two weight classes (:func:`allocate_ghz_counts`; the
-    shares once per call, no sort), thin the measured banks by
+    on the schedule's two weight classes (:func:`allocate_ghz_counts`, no
+    sort), thin the measured banks by
     ``Binomial(., p_chip * eta_ghz)``, then combine sibling banks level by
     level as ``Binomial(min(y1, y2), p_l)``.  The estimate is the fraction
     of trials whose root bank is non-empty.
@@ -500,10 +493,9 @@ def improved_pc1_mc(
     (estimate, standard_error)
     """
     n_attempts = _ghz_attempts(n_s, ghz_source)
-    shares, thin_p, probs = _banked_setup(sched, consts, None)
     bank_class = _bank_class(sched)
-    thin = _InverseBinomial(thin_p)
-    levels = [_InverseBinomial(p) for p in probs]
+    thin = _InverseBinomial(consts.p_chip * consts.eta_ghz)
+    levels = [_InverseBinomial(p) for p in fusion_probabilities(sched.k, consts)]
     slice_trials = max(1, _SLICE_CELLS // sched.leaf_banks)
 
     def draw(size: int, rng: np.random.Generator) -> tuple[int]:
@@ -514,7 +506,7 @@ def improved_pc1_mc(
                 x = np.full(t, n_attempts, dtype=np.int64)
             else:
                 x = rng.binomial(n_attempts, consts.p_ghz, size=t)
-            y = _plan(x, sched, shares).dense(bank_class)
+            y = _plan(x, sched).dense(bank_class)
             y[:, sched.measured] = thin.draw(y[:, sched.measured], rng)
             for level in levels:
                 y = level.draw(np.minimum(y[:, 0::2], y[:, 1::2]), rng)
@@ -601,9 +593,12 @@ class _Subtrees:
         self.columns = [slice(end - width, end) for end, width in zip(ends, widths)]
         self.light = ends[: self.lit] - 3  # each lit level's before column
         self.lit_columns = int(ends[self.lit - 1]) if self.lit else 0
-        # the light class's level at which a light bank before, across (none
-        # is) and after stop takes one more state
-        self.grants = np.array([1, 1, 2] if self.lit else [], dtype=np.int8)
+        # the leaf columns' banks and classes: the measured banks, then the
+        # light columns before, across (no leaf is) and after stop, read at
+        # the banks stop - 1, stop - 1 and stop, held as offsets from stop
+        around = [-1, -1, 0] if self.lit else []
+        self.leaves = np.array([*sched.measured, *around], dtype=np.int64)
+        self.kinds = np.array([1] * len(sched.measured) + [0] * len(around), dtype=np.intp)
         shifts = np.arange(self.lit)
         self.masks = (1 << shifts) - 1  # stop's offset within its subtree, per lit level
         self.halves = self.masks[:-1] + 1  # half a subtree, per lit level from level 1
@@ -664,10 +659,8 @@ class _Subtrees:
         """
         stop = plan.stop[:, None]
         rows = len(stop)
-        heavy = plan.floors[:, 1:] + (plan.level[:, 1:] + (self.measured < stop) >= 2)
-        light = plan.floors[:, :1] + (plan.level[:, :1] >= self.grants)
-        keys = 2 * np.minimum(np.concatenate([heavy, light], axis=1), cap)
-        keys[:, : len(self.measured)] += 1
+        banks = self.leaves + np.where(self.kinds, 0, stop)
+        keys = 2 * np.minimum(plan.counts(banks, self.kinds), cap) + self.kinds
 
         # which light columns each row has; measured columns it always has.
         # A subtree straddles stop when stop is off its edge, and is light
@@ -722,7 +715,13 @@ class _ExactFactory:
         cap: int | None,
     ) -> None:
         self.sched = sched
-        self.shares, self.thin_p, self.probs = _banked_setup(sched, consts, fusion_probs)
+        self.probs = list(fusion_probabilities(sched.k, consts) if fusion_probs is None
+                          else fusion_probs)
+        if len(self.probs) != sched.k:
+            raise InvalidConfigurationError(
+                f"need {sched.k} fusion probabilities, got {len(self.probs)}"
+            )
+        self.thin_p = consts.p_chip * consts.eta_ghz
         self.subtrees = _Subtrees(sched)
         self.p_ghz = consts.p_ghz
         self.ghz_source = ghz_source
@@ -748,7 +747,7 @@ class _ExactFactory:
         x_next = (j + 1) * _X_BLOCK
         # the last row keeps only its floors, which every count reaches from
         # x_next on, as the allocation grants each bank floor(x * share)
-        plan = _plan(np.arange(j * _X_BLOCK, x_next + 1), self.sched, self.shares)
+        plan = _plan(np.arange(j * _X_BLOCK, x_next + 1), self.sched)
         plan.level[-1] = 0
         largest = int(plan.largest().max())
         cap = largest if self.cap is None else min(self.cap, largest)
@@ -789,8 +788,6 @@ class _ExactFactory:
                + _upper_tail(n_attempts, q, n_attempts - lo + 1)) > _TAIL_MASS:
             lo = max(0, lo - math.ceil(4 * sd))
             hi = min(n_attempts, hi + math.ceil(4 * sd))
-            if lo == 0 and hi == n_attempts:
-                break
         return lo, hi
 
     def pc1(self, n_s: int, beyond_limit: Callable[[int], float] | None = None) -> float:
@@ -802,7 +799,7 @@ class _ExactFactory:
         """
         n_attempts = _ghz_attempts(n_s, self.ghz_source)
         lo, hi = self._window(n_attempts)
-        if _plan(np.array([hi]), self.sched, self.shares).largest()[0] > _EXACT_COUNT_LIMIT:
+        if _plan(np.array([hi]), self.sched).largest()[0] > _EXACT_COUNT_LIMIT:
             if beyond_limit is not None:
                 return beyond_limit(n_s)
             raise InvalidConfigurationError(
@@ -820,7 +817,7 @@ class _ExactFactory:
 
         overflow = 0.0
         if self.cap is not None:
-            largest = _plan(np.arange(lo, hi + 1), self.sched, self.shares).largest()
+            largest = _plan(np.arange(lo, hi + 1), self.sched).largest()
             overflow = px[largest > self.cap].sum()
             if overflow > 1e-9:
                 raise CapTooSmallError(

@@ -311,10 +311,9 @@ def numeric_envelope(
     tree: BranchingVector,
     device: DeviceParams,
     l_grid: Sequence[float],
-    p_cn: float = 0.9,
-    scheme: str = "new",
 ) -> list[EnvelopePoint]:
-    """Envelope ``max_n R_n(L)`` over node counts ``n in [1, 10**6]``.
+    """Envelope ``max_n R_n(L)`` over node counts ``n in [1, 10**6]``, for the
+    ``"new"`` scheme at ``P_cn = 0.9``.
 
     Scans integer ``n`` upward in vectorised chunks, stopping once the rate
     has decreased for 50 consecutive node counts past the incumbent maximum
@@ -335,8 +334,7 @@ def numeric_envelope(
     points: list[EnvelopePoint] = []
     chunk = 512
     tail_needed = 50
-    cfg = ChainConfig(total_range_km=0.0, node_count=1, channels=m, tree=tree, p_cn=p_cn,
-                      scheme=scheme)
+    cfg = ChainConfig(total_range_km=0.0, node_count=1, channels=m, tree=tree)
     coeffs = coefficients_for(cfg, device)  # set by m, k, scheme and the device, not by L
     for l_km in l_values:
         cfg = replace(cfg, total_range_km=float(l_km))

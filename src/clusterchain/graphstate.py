@@ -236,29 +236,28 @@ def _measure(amps: np.ndarray, q: int, basis: str) -> list[tuple[int, float, np.
     return branches
 
 
-def _same_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = _PHASE_TOL) -> bool:
+def _same_up_to_phase(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether two normalised amplitude arrays agree up to a global phase."""
     overlap = abs(np.vdot(a, b))
-    return abs(overlap - 1.0) <= tol
+    return abs(overlap - 1.0) <= _PHASE_TOL
 
 
 def _branches_match(
     got: list[tuple[int, float, np.ndarray | None]],
     want: list[tuple[int, float, np.ndarray | None]],
     flip: bool,
-    tol: float = _PHASE_TOL,
 ) -> bool:
     """Compare branch lists, matching outcome ``o`` of ``got`` to ``o XOR flip``."""
     for outcome, prob, post in got:
         ref_outcome = outcome ^ 1 if flip else outcome
         _, ref_prob, ref_post = want[ref_outcome]
-        if abs(prob - ref_prob) > tol:
+        if abs(prob - ref_prob) > _PHASE_TOL:
             return False
         if post is None or ref_post is None:
             if (post is None) != (ref_post is None):
                 return False
             continue
-        if not _same_up_to_phase(post, ref_post, tol):
+        if not _same_up_to_phase(post, ref_post):
             return False
     return True
 

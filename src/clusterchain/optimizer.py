@@ -269,11 +269,9 @@ def rate_family(
     l_km: Sequence[float] | np.ndarray,
     ks: Sequence[int],
     device: DeviceParams,
-    p_cn: float = 0.9,
-    scheme: str = "new",
-    bounds: SearchBounds = SearchBounds(),
 ) -> list[FamilyCurve]:
-    """Per-class best-design envelope rates over a shared range grid."""
+    """Per-class best-design envelope rates over a shared range grid, for the
+    ``"new"`` scheme at ``P_cn = 0.9``."""
     grid = np.asarray(l_km, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid) & (grid > 0)):
         raise InvalidConfigurationError(
@@ -281,7 +279,7 @@ def rate_family(
         )
     curves = []
     for k in ks:
-        candidates = design_envelopes(k, device, p_cn, scheme, bounds)
+        candidates = design_envelopes(k, device)
         d_coeffs = np.array([env.d_coeff for _, _, env in candidates])
         s_exps = np.array([env.s_exp for _, _, env in candidates])
         with np.errstate(over="ignore"):

@@ -176,6 +176,23 @@ class TestRate:
         parse_csv(text)
         assert [p.name for p in tmp_path.iterdir()] == ["rates.csv"]
 
+    def test_out_onto_a_directory_leaves_no_temporary_file(self, capsys, tmp_path):
+        # the CSV is written to a temporary file beside the target, which
+        # cannot replace a directory; the temporary file is removed
+        target = tmp_path / "taken"
+        target.mkdir()
+        code, out, err = run_cli(capsys, *self.ARGS, "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: config:")
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert list(target.iterdir()) == []
+
+    def test_out_in_a_missing_directory_is_config_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, *self.ARGS, "--out", str(tmp_path / "absent" / "r.csv"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: config:")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestEnvelope:
     ARGS = ("envelope", "--m", "4", "--b", "7,3", "--L", "100:200:50")
@@ -729,8 +746,8 @@ class TestErrorHandling:
     @pytest.mark.parametrize(
         "content",
         [b'{"alpha": 1' + b"0" * 400 + b"}", b'{"alpha": 1' + b"0" * 5000 + b"}",
-         b'{"alpha": "\xff"}'],
-        ids=["past_float", "past_int_digit_limit", "not_utf8"],
+         b'{"alpha": "\xff"}', b"[0.62, 0.1]"],
+        ids=["past_float", "past_int_digit_limit", "not_utf8", "json_array"],
     )
     def test_unreadable_config_is_config_error(self, capsys, tmp_path, content):
         config = tmp_path / "device.json"

@@ -265,7 +265,7 @@ class TestAllocation:
     @example(km=(3, 1), hand=FusionSchedule(1, (), 2.0), x=[1024])
     def test_plan_largest_equals_dense_row_max(self, consts, km, hand, x):
         for sched in (build_schedule(*km, consts), hand):
-            plan = clusterbuild._plan(np.array(x), sched, clusterbuild._shares(sched))
+            plan = clusterbuild._plan(np.array(x), sched)
             dense = plan.dense(clusterbuild._bank_class(sched))
             np.testing.assert_array_equal(plan.largest(), dense.max(axis=1))
 
@@ -431,15 +431,16 @@ class TestExactPropagation:
 
     def test_k21_call_holds_no_block_wide_array(self, consts):
         # 2**21 leaf banks: one block's dense (257, 2**21) int64 counts alone
-        # would take 4 GiB; numbered from the allocation plan, the call holds
-        # little beyond the 16 MiB of bank weights its shares are summed from
+        # would take 4 GiB, and the bank weights 16 MiB; numbered from the
+        # allocation plan, with the shares' sum in closed form, the call
+        # holds no array as wide as the banks
         tracemalloc.start()
         try:
             assert improved_pc1_exact(600, build_schedule(21, 1, consts), consts) == 0.0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("k, n_s, expected", [
         (12, 450_000_000, 0.9658702434852504), (13, 10**9, 0.8675254920981923),
@@ -702,8 +703,7 @@ class TestSubtreeNumbering:
         # the plan-built subtrees of every level are the distinct subtrees
         # of the dense counts, in the same order, and every row's root is
         for sched in (build_schedule(*km, consts), hand):
-            plan = clusterbuild._plan(np.arange(start, start + rows), sched,
-                                      clusterbuild._shares(sched))
+            plan = clusterbuild._plan(np.arange(start, start + rows), sched)
             if floors_only:  # as in the last row of a block
                 plan.level[-1] = 0
             cap = max(int(plan.largest().max()) - cap_cut, 1)

@@ -10,6 +10,7 @@ import pytest
 from clusterchain import envelope
 from clusterchain.envelope import (
     EnvelopeParams,
+    EnvelopePoint,
     analytic_lb,
     crossover_analytic,
     crossover_distance,
@@ -284,6 +285,17 @@ class TestCrossover:
     def test_no_points_is_config_error(self, device):
         with pytest.raises(InvalidConfigurationError):
             crossover_distance([], device.alpha)
+
+    def test_envelope_above_the_bound_at_the_first_point(self, device):
+        # the bound is about 1.44 at 10 km and 0.73 at 20 km: both points win,
+        # so the crossover is the grid's first point, with no interpolation
+        points = [EnvelopePoint(l_km=10.0, rate_bits_per_mode=5.0, n_opt=3),
+                  EnvelopePoint(l_km=20.0, rate_bits_per_mode=4.0, n_opt=6)]
+        assert r_direct(10.0, device.alpha) < 5.0
+        assert crossover_distance(points, device.alpha) == 10.0
+        # D = 100 lies above the bound, about 11 bits, at the scan's first 1e-2 km
+        high = EnvelopeParams(z=0.1, q1=0.5, q2=0.5, q3=0.5, d_coeff=100.0, s_exp=0.5, l0_km=1.0)
+        assert crossover_analytic(high, device.alpha) == envelope._L_LO
 
     def test_numeric_no_crossover(self, device):
         points = numeric_envelope(M, TREE, device, [20.0, 30.0])

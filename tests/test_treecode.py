@@ -52,6 +52,10 @@ class TestBranchingVector:
     def test_equality_is_structural(self):
         assert BranchingVector((2, 2)) == BranchingVector([2, 2])
 
+    def test_empty_vector_is_refused(self):
+        with pytest.raises(InvalidConfigurationError, match="at least one level"):
+            BranchingVector([])
+
 
 class TestRecursion:
     def test_hand_computed_2_2(self):
@@ -319,6 +323,16 @@ class TestMonteCarlo:
             mc_xi(0, b, eps, samples=samples, seed=seed)
         with pytest.raises(InvalidConfigurationError):
             mc_measurement_probs(b, eps, samples=samples, seed=seed)
+
+    @pytest.mark.parametrize("i", [2, -1])
+    def test_mc_xi_index_out_of_range(self, i, monkeypatch):
+        # (4, 2) has depths 0 and 1; the index is refused before any draw
+        def no_draw(*args):
+            raise AssertionError("drew before refusing the index")
+
+        monkeypatch.setattr(treecode, "_simulate_tree", no_draw)
+        with pytest.raises(InvalidConfigurationError, match="depth index"):
+            mc_xi(i, BranchingVector((4, 2)), 0.1, samples=100)
 
 
 class TestLossRates:
