@@ -209,6 +209,14 @@ def naive_pc1(mux: NaiveMultiplex, k: int, m: int, consts: DerivedConstants) -> 
     return float(result)
 
 
+def _check_naive_design(k: int, m: int) -> None:
+    """Refuse a naive design with ``k < 1`` or ``m < 1``."""
+    if k < 1:
+        raise InvalidConfigurationError(f"k must be >= 1, got {k}")
+    if m < 1:
+        raise InvalidConfigurationError(f"channel count m must be >= 1, got {m}")
+
+
 def _naive_pc1_core(
     n_b: np.ndarray,
     n_ghz: np.ndarray,
@@ -218,8 +226,7 @@ def _naive_pc1_core(
     consts: DerivedConstants,
 ) -> np.ndarray:
     """Array core of :func:`naive_pc1` over aligned multiplex-depth arrays."""
-    if k < 1:
-        raise InvalidConfigurationError(f"k must be >= 1, got {k}")
+    _check_naive_design(k, m)
     p_level = -np.expm1(n_ghz * math.log1p(-consts.p_ghz))
     for level in range(1, k + 1):
         q_l = (consts.eta_ghz * consts.p_chip**level) ** 2 / 2.0
@@ -239,13 +246,13 @@ def optimize_naive_multiplex(
     Scans ``n_ghz, n_meas`` exhaustively on ``[1, 200]**2``; the budget
     identity then fixes the largest admissible ``n_b`` for each pair.  Ties
     in the success probability are broken toward larger ``n_b``.  Returns
-    ``(None, 0.0)`` when even ``(1, 1, 1)`` exceeds the budget.
+    ``(None, 0.0)`` when even ``(1, 1, 1)`` exceeds the budget, which is
+    decided without forming ``2**k``.
     """
-    if k < 1:
-        raise InvalidConfigurationError(f"k must be >= 1, got {k}")
+    _check_naive_design(k, m)
     if n_s < 0:
         raise InvalidConfigurationError(f"source count must be >= 0, got {n_s}")
-    if n_s < 6 * 2**k:
+    if (n_s // 6).bit_length() <= k:  # n_s < 6 * 2**k
         return None, 0.0
     grid = np.arange(1, _NAIVE_GRID + 1)
     n_ghz, n_meas = np.meshgrid(grid, grid, indexing="ij")
@@ -547,82 +554,68 @@ def _upper_tail(n: int, p: float, c: int) -> float:
 _X_BLOCK = 256  # GHZ-success counts x per memo block of the exact factory
 
 
-def _distinct(
-    keys: np.ndarray, space: int, valid: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(keys[valid], return_inverse=True)`` for integer keys in
-    ``[0, space)`` (all keys when ``valid`` is ``None``), by counting: the
-    inverse has ``keys``' shape, and a key outside ``valid`` reads id 0.  Needs ``space`` bytes for a presence mask
-    and ``space`` index entries, of which only those of the keys present
-    are written."""
+def _distinct(keys: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` for integer keys in ``[0, space)``,
+    by counting: the inverse has ``keys``' shape.  Needs ``space`` bytes for a
+    presence mask and ``space`` index entries, of which only those of the keys
+    present are written."""
     present = np.zeros(space, dtype=bool)
-    present[keys if valid is None else keys[valid]] = True
+    present[keys] = True
     distinct = np.flatnonzero(present)
     index = np.empty(space, dtype=np.intp)
     index[distinct] = np.arange(len(distinct))
-    return distinct, index[keys] if valid is None else np.where(valid, index[keys], 0)
+    return distinct, index[keys]
 
 
 class _Subtrees:
     """Numbers the bank subtrees of a block's allocation plan, level by level.
 
-    In one row a level-``l`` subtree either holds a measured bank, or is
-    light and lies wholly before ``stop``, straddles it (holds both
-    ``stop - 1`` and ``stop``), or lies wholly after it; light subtrees on
-    one side of ``stop`` hold the same counts.  So each level has one column
-    per measured subtree, ``measured >> l`` without repeats, and, up to the
-    first level whose every subtree holds a measured bank, three light
-    columns, before, across and after ``stop``: at most ``4m + 4`` whatever
-    ``k`` is.  The measured columns' children come from a table built once
-    per schedule; which light column a light child is, and whether a row
-    has each light column at all, is arithmetic on ``stop``.  A column the
-    row does not have is masked out of the numbering, so each level's
-    distinct keys are those of the subtrees the rows hold.
+    Each row marks the bank ``min(stop, 2**k - 1)``: light banks before it
+    are below ``stop`` and those after it are not, so light subtrees on one
+    side of the marked subtree hold the same counts.  Each level thus has
+    one column per measured subtree, ``measured >> l`` without repeats,
+    and, up to the first level whose every subtree holds a measured bank,
+    three light columns: the marked subtree, a light one before it and one
+    after it, at most ``4m + 4`` whatever ``k`` is.  A light column the row
+    lacks (a marked subtree that holds a measured bank, or a side with no
+    light subtree) repeats the key of the row's column 0, which every row
+    holds, so each level's distinct keys are those of the row's subtrees.
     """
 
     def __init__(self, sched: FusionSchedule) -> None:
         k = sched.k
         self.measured = np.array(sched.measured, dtype=np.int64)
+        self.last_bank = sched.leaf_banks - 1
         held = [np.array(sorted({bank >> level for bank in sched.measured}), dtype=np.int64)
                 for level in range(k + 1)]
         # the lit levels, those with a light subtree, come first, as a light
         # subtree's children are light
         self.lit = sum(len(h) < 2 ** (k - level) for level, h in enumerate(held))
         widths = np.array([len(h) + 3 * (level < self.lit) for level, h in enumerate(held)])
-        ends = np.cumsum(widths)
-        self.columns = [slice(end - width, end) for end, width in zip(ends, widths)]
-        self.light = ends[: self.lit] - 3  # each lit level's before column
-        self.lit_columns = int(ends[self.lit - 1]) if self.lit else 0
         # the leaf columns' banks and classes: the measured banks, then the
-        # light columns before, across (no leaf is) and after stop, read at
-        # the banks stop - 1, stop - 1 and stop, held as offsets from stop
-        around = [-1, -1, 0] if self.lit else []
+        # marked, before and after columns' banks as offsets from the mark
+        around = [0, -1, 1] if self.lit else []
         self.leaves = np.array([*sched.measured, *around], dtype=np.int64)
         self.kinds = np.array([1] * len(sched.measured) + [0] * len(around), dtype=np.intp)
-        shifts = np.arange(self.lit)
-        self.masks = (1 << shifts) - 1  # stop's offset within its subtree, per lit level
-        self.halves = self.masks[:-1] + 1  # half a subtree, per lit level from level 1
-        # a row has a light column before stop once stop passes the level's
-        # first light subtree, and one after stop while stop is at or below
-        # its last
-        first, last = [], []
-        for h, n in zip(held, 2 ** (k - shifts)):
-            i = np.arange(len(h))
-            first.append(np.append(np.flatnonzero(h != i), len(h))[0])
-            last.append(n - 1 - np.append(np.flatnonzero(h[::-1] != n - 1 - i), len(h))[0])
-        self.before = (np.array(first, dtype=np.int64) + 1) << shifts
-        self.after = np.array(last, dtype=np.int64) << shifts
-        # the measured banks around any stop, with ends that share no subtree with it
+        # each lit level's first and last light subtree: the increasing h
+        # equals arange(len(h)) up to the first and arange(n - len(h), n)
+        # past the last
+        self.shifts = np.arange(self.lit)
+        self.first = np.array([np.count_nonzero(h == np.arange(len(h))) for h in held[: self.lit]])
+        self.last = np.array([n - 1 - np.count_nonzero(h == np.arange(n - len(h), n))
+                              for h, n in zip(held, 2 ** (k - self.shifts))])
+        # the measured banks around any mark, with ends that share no subtree with it
         self.near = np.concatenate(([2 << k], self.measured, [2 << k]))
 
         # Each level's children, pairwise, as columns of the level below: a
         # measured child's own column, a light one the before column, which
-        # number() moves by where the child's banks [lo, hi) lie against
-        # stop; the light columns' children start at (before, before),
-        # (before, across) and (after, after).  Above the lit levels every
-        # subtree holds a measured bank, so a level's columns are its
-        # subtrees in order, and their children the columns below, pairwise.
-        base, lo, hi, straddle, light_kids = [], [], [], [], []
+        # number() moves by where the child's banks [lo, hi) lie against the
+        # mark; the light columns' children are (marked, after), which
+        # number() moves by the mark's parity, (before, before) and (after,
+        # after).  Above the lit levels every subtree holds a measured bank,
+        # so a level's columns are its subtrees in order, and their children
+        # the columns below, pairwise.
+        base, light_kids, edges, marked = [], [], [], []
         self.children = [None] * k
         offset = 0
         top = min(self.lit, k)  # the last level whose level below is lit
@@ -631,24 +624,21 @@ class _Subtrees:
             kids = (2 * here[:, None] + np.arange(2)).ravel()
             own = np.isin(kids, below)
             light = len(below)
-            base.append(np.where(own, np.searchsorted(below, kids), light))
+            base.append(np.where(own, np.searchsorted(below, kids), light + 1))
             light_kids.append(offset + np.flatnonzero(~own))
-            lo.append(kids[~own] << (level - 1))
-            hi.append((kids[~own] + 1) << (level - 1))
+            edges.append((np.arange(2)[:, None] + kids[~own]) << (level - 1))
             width = len(kids)
             if level < self.lit:
-                base.append([light, light, light, light + 1, light + 2, light + 2])
-                straddle.append(offset + width + 2)
+                base.append([light, light + 2, light + 1, light + 1, light + 2, light + 2])
+                marked.append(offset + width)
                 width += 6
             self.children[level - 1] = slice(offset, offset + width)
             offset += width
         self.base = np.concatenate([[], *base]).astype(np.intp)
         # the level below's width, per child of a lit level or the one above them
         self.below = np.repeat(widths[:top], 2 * widths[1 : top + 1])
-        self.lo = np.concatenate([[], *lo]).astype(np.int64)
-        self.hi = np.concatenate([[], *hi]).astype(np.int64)
-        straddle = np.array(straddle, dtype=np.intp)
-        self.moved = np.concatenate([straddle, straddle + 1, *light_kids]).astype(np.intp)
+        self.lo, self.hi = np.concatenate([np.empty((2, 0)), *edges], axis=1).astype(np.int64)
+        self.moved = np.concatenate([marked, np.add(marked, 1), *light_kids]).astype(np.intp)
 
     def number(self, plan: _Plan, cap: int) -> tuple[list[np.ndarray], np.ndarray]:
         """Each level's distinct keys, leaves first, and each row's root id.
@@ -657,46 +647,41 @@ class _Subtrees:
         left child's id times the level below's distinct keys plus the right
         child's id; ids are positions among a level's distinct keys.
         """
-        stop = plan.stop[:, None]
-        rows = len(stop)
-        banks = self.leaves + np.where(self.kinds, 0, stop)
+        mark = np.minimum(plan.stop, self.last_bank)[:, None]
+        marks = mark >> self.shifts  # the marked subtree, per lit level
+        banks = self.leaves + np.where(self.kinds, 0, mark)
         keys = 2 * np.minimum(plan.counts(banks, self.kinds), cap) + self.kinds
 
-        # which light columns each row has; measured columns it always has.
-        # A subtree straddles stop when stop is off its edge, and is light
-        # when neither measured bank next to stop shares it with stop.
-        i = np.searchsorted(self.measured, plan.stop)
-        near = np.minimum(self.near[i] ^ plan.stop, self.near[i + 1] ^ plan.stop)
-        offset = stop & self.masks
-        valid = np.ones((rows, self.lit_columns), dtype=bool)
-        valid[:, self.light] = stop >= self.before
-        valid[:, self.light + 1] = (offset != 0) & (near[:, None] > self.masks)
-        valid[:, self.light + 2] = stop <= self.after
+        # Which light columns each row holds, per lit level: the marked
+        # subtree is light when neither measured bank next to the mark shares it.
+        i = np.searchsorted(self.measured, mark)
+        near = np.minimum(self.near[i] ^ mark, self.near[i + 1] ^ mark)
+        present = np.stack([near >> self.shifts != 0, marks > self.first, marks < self.last],
+                           axis=2)
 
-        # The straddling subtree's left child straddles stop too, if stop
-        # lies below the middle, and is before it otherwise; its right child
-        # straddles stop if stop lies above the middle, and is after it
-        # otherwise.  A measured subtree's light child is before, across or
-        # after stop.
-        kids = np.arange(rows)[:, None] * self.below  # flat, into the level below
+        # The marked subtree's children are (marked, after), or (before,
+        # marked) where the mark's bit at the level below is 1.  A measured
+        # subtree's light child stays at the before column if it ends before
+        # the mark, moves back to the marked column if it holds the mark, and
+        # on to the after column if it starts past the mark.
+        bits = marks[:, :-1] & 1
+        kids = np.arange(len(mark))[:, None] * self.below  # flat, into the level below
         kids += self.base
         kids[:, self.moved] += np.concatenate(
-            [offset[:, 1:] < self.halves, offset[:, 1:] <= self.halves,
-             np.add(self.lo >= stop, self.hi > stop, dtype=np.intp)], axis=1)
+            [bits, -2 * bits, (self.lo > mark) * np.int8(2) - (self.hi > mark)], axis=1)
 
-        has = [valid[:, columns] for columns in self.columns[: self.lit]]
-        has += [None] * (len(self.columns) - self.lit)  # above the lit levels, every column
-        distinct, ids = _distinct(keys, 2 * cap + 2, has[0])
-        levels = [distinct]
-        for children, level_has in zip(self.children, has[1:]):
-            pairs = ids if children is None else np.take(ids, kids[:, children])
-            size = len(distinct)
-            distinct, ids = _distinct(pairs[:, 0::2] * size + pairs[:, 1::2], size * size,
-                                      level_has)
+        levels, size, space = [], 0, 2 * cap + 2
+        for level in range(len(self.children) + 1):
+            if level:
+                children = self.children[level - 1]
+                pairs = ids if children is None else np.take(ids, kids[:, children])
+                keys, space = pairs[:, 0::2] * size + pairs[:, 1::2], size * size
+            if level < self.lit:
+                keys[:, -3:] = np.where(present[:, level], keys[:, -3:], keys[:, :1])
+            distinct, ids = _distinct(keys, space)
             levels.append(distinct)
-        # the root is light, and masked, only in a schedule without measured banks
-        root = 0 if has[-1] is None else has[-1].argmax(axis=1)
-        return levels, ids[np.arange(rows), root]
+            size = len(distinct)
+        return levels, ids[:, 0]
 
 
 class _ExactFactory:
@@ -720,6 +705,10 @@ class _ExactFactory:
         if len(self.probs) != sched.k:
             raise InvalidConfigurationError(
                 f"need {sched.k} fusion probabilities, got {len(self.probs)}"
+            )
+        if not all(0.0 <= p <= 1.0 for p in self.probs):  # NaN fails too
+            raise InvalidConfigurationError(
+                f"fusion probabilities must lie in [0, 1], got {self.probs!r}"
             )
         self.thin_p = consts.p_chip * consts.eta_ghz
         self.subtrees = _Subtrees(sched)
@@ -762,7 +751,8 @@ class _ExactFactory:
         cut = 0.0
         for p_level, banks, pairs in zip(self.probs, self.banks_per_level, levels):
             rows = len(survival)
-            product = survival[pairs // rows] * survival[pairs % rows]
+            product = survival[pairs // rows]
+            product *= survival[pairs % rows]  # in place: two arrays this size, not three
             # keep the support some row still reaches and lump larger counts at
             # its top; a bank is lumped with probability product[:, keep + 1]
             keep = max(int(np.flatnonzero((product > _LEVEL_CUT).any(axis=0))[-1]), 1)
@@ -870,14 +860,14 @@ def improved_pc1_exact(
     ``f`` is computed for aligned blocks of 256 consecutive ``x``.  Within a
     block most banks hold the same count, so the leaves are numbered by
     their ``(count, measured)`` key and each fusion level by its pair of
-    child ids; only the distinct survival rows are propagated.  The
-    subtrees are read off each row's allocation plan, never off its
-    ``2**k`` counts: a subtree that holds no measured bank lies before,
-    across or after the plan's ``stop``, and all such subtrees on one side
-    hold the same counts, so a level has at most ``4m + 4`` that can differ
-    whatever ``k`` is.  The numbering counts instead of sorting: keys are small non-negative
-    integers, so a presence mask over their range lists the distinct keys
-    in order and an index array over the same range numbers them.  A leaf
+    child ids; only the distinct survival rows are propagated.  Subtrees
+    are read off each row's allocation plan, never off its ``2**k``
+    counts: a subtree with no measured bank holds the marked bank
+    ``min(stop, 2**k - 1)`` or lies wholly before or after it, and those on
+    one side hold the same counts, so a level has at most ``4m + 4`` that
+    can differ whatever ``k`` is.  The numbering counts instead of sorting:
+    keys are small non-negative integers, so a presence mask over their
+    range lists them in order and an index array over it numbers them.  A leaf
     key is below ``2 cap + 2``.  A pair key is the left child's id times
     the level below's distinct rows plus the right child's id, so it is
     below the square of those rows (the searches at k = 7, 9 and 10 reach

@@ -106,11 +106,16 @@ def _columns(m, tree, coeffs: ChainCoefficients, keep=slice(None)) -> tuple:
     """``(m, tree, coeffs)`` as per-design columns of shape ``(designs, 1)``, rows ``keep``.
 
     ``tree`` is a :class:`BranchingVector` or one column of child counts per
-    level; a scalar is shared by every design.
+    level; a scalar is shared by every design.  A count of ``2**64`` or more,
+    which numpy holds only as objects, raises :class:`InvalidConfigurationError`.
     """
     levels = tree.branches if isinstance(tree, BranchingVector) else tuple(tree)
     values = (m, *levels, coeffs.a_coeff, coeffs.b_coeff, coeffs.c_coeff)
     columns = np.broadcast_arrays(*(np.reshape(v, (-1, 1)) for v in values))
+    if any(column.dtype == object for column in columns[:-3]):
+        raise InvalidConfigurationError(
+            f"m and the branch counts must lie below 2**64, got m = {m!r}, tree = {levels!r}"
+        )
     m, *levels, a, b, c = (column[keep] for column in columns)
     return m, tuple(levels), ChainCoefficients(a_coeff=a, b_coeff=b, c_coeff=c)
 

@@ -526,7 +526,35 @@ class TestConfigRecord:
         assert set(config) == want
 
 
+# each subcommand's integer flags, and a command line that sets every one of
+# them; --trials and --samples are left out, as a large value there is a long
+# run, and --depths too, as it names one CSV column per depth
+INTEGER_FLAGS = {
+    "constants": (("--m", "--b"), ("--m", "4", "--b", "7,3")),
+    "rate": (("--m", "--b", "--n"), ("--m", "4", "--b", "7,3", "--n", "10", "--L", "100")),
+    "envelope": (("--m", "--b"), ("--m", "4", "--b", "7,3", "--L", "100")),
+    "resources": (("--k", "--m", "--n", "--seed"),
+                  ("--k", "3", "--m", "1", "--n", "10", "--sources", "1000000", "--seed", "1")),
+    "optimize": (("--k", "--m-max", "--branch-max", "--seed"),
+                 ("--L", "300", "--k", "7", "--m-max", "4", "--branch-max", "8", "--seed", "1")),
+    "verify": (("--seed",), ("--seed", "1", "--samples", "1")),
+}
+
+
 class TestErrorHandling:
+    @pytest.mark.parametrize("command,flag,value", [
+        (command, flag, value) for command, (flags, _) in INTEGER_FLAGS.items()
+        for flag in flags for value in (-1, 0, 2**64, 10**20)
+    ])
+    def test_integer_flag_ends_in_a_typed_exit(self, capsys, command, flag, value):
+        # a value past int64, or 2**k of one, must end as a config error or
+        # an infeasible model, never as a raw exception or an unbounded run
+        argv = list(INTEGER_FLAGS[command][1])
+        argv[argv.index(flag) + 1] = f"7,{value}" if flag == "--b" else str(value)
+        code, _, err = run_cli(capsys, command, *argv)
+        assert code in (0, 2, 3), err
+        assert "Traceback" not in err
+
     RATE_PREFIX = ("rate", "--m", "4", "--b", "7,3", "--n", "100")
 
     @pytest.mark.parametrize(

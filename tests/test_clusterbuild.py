@@ -142,6 +142,11 @@ class TestNaivePc1:
         with pytest.raises(InvalidConfigurationError):
             naive_pc1(NaiveMultiplex(1, 1, 1), 0, 1, consts)
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_bad_m(self, consts, m):
+        with pytest.raises(InvalidConfigurationError):
+            naive_pc1(NaiveMultiplex(1, 1, 1), 3, m, consts)
+
 
 class TestOptimizeNaive:
     def test_budget_too_small(self, consts):
@@ -150,6 +155,20 @@ class TestOptimizeNaive:
     def test_negative_budget(self, consts):
         with pytest.raises(InvalidConfigurationError):
             optimize_naive_multiplex(-6, 3, 1, consts)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_design_without_channels_is_refused(self, consts, m):
+        with pytest.raises(InvalidConfigurationError, match="channel count m"):
+            optimize_naive_multiplex(10**7, 3, m, consts)
+        with pytest.raises(InvalidConfigurationError, match="channel count m"):
+            min_sources("naive", 3, m, 10, 0.9, consts)
+
+    def test_budget_check_forms_no_power_of_k(self, consts):
+        # 2**(10**20) would not fit in memory; the budget is compared by bit length
+        start = time.perf_counter()
+        assert optimize_naive_multiplex(600, 10**20, 1, consts) == (None, 0.0)
+        assert optimize_naive_multiplex(6 * 2**3, 3, 1, consts)[0] is not None
+        assert time.perf_counter() - start < 1.0
 
     def test_stays_within_budget(self, consts):
         n_s = 10**6
@@ -416,6 +435,12 @@ class TestExactPropagation:
             improved_pc1_exact(
                 100, plain_schedule(2), consts, fusion_probs=[0.5], ghz_source=True
             )
+
+    @pytest.mark.parametrize("bad", [-0.2, math.nan, 1.5])
+    def test_probability_outside_unit_interval(self, consts, bad):
+        with pytest.raises(InvalidConfigurationError, match=r"\[0, 1\]"):
+            improved_pc1_exact(6000, build_schedule(3, 1, consts), consts,
+                               fusion_probs=[bad, 0.5, 0.5])
 
     def test_bank_count_beyond_limit_is_refused(self, consts, monkeypatch):
         # 1e13 sources grant one k=5 bank about 1.7e9 states; the refusal
@@ -684,6 +709,22 @@ WIDE_SCHEDULES = st.builds(
 )
 
 
+def assert_numbering_is_dense(sched: FusionSchedule, start: int, rows: int,
+                              floors_only: bool, cap_cut: int) -> None:
+    """The plan-built subtrees of every level are the distinct subtrees of
+    the dense counts, in the same order, and every row's root is."""
+    plan = clusterbuild._plan(np.arange(start, start + rows), sched)
+    if floors_only:  # as in the last row of a block
+        plan.level[-1] = 0
+    cap = max(int(plan.largest().max()) - cap_cut, 1)
+    levels, root = clusterbuild._Subtrees(sched).number(plan, cap)
+    want, want_root = dense_subtrees(plan, sched, cap)
+    assert len(levels) == len(want) == sched.k + 1
+    for got, expected in zip(levels, want):
+        np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(root, want_root)
+
+
 class TestSubtreeNumbering:
     @PROPERTY
     @given(
@@ -700,19 +741,23 @@ class TestSubtreeNumbering:
              floors_only=True, cap_cut=1)
     def test_plan_numbering_equals_dense_numbering(self, consts, km, hand, start, rows,
                                                     floors_only, cap_cut):
-        # the plan-built subtrees of every level are the distinct subtrees
-        # of the dense counts, in the same order, and every row's root is
         for sched in (build_schedule(*km, consts), hand):
-            plan = clusterbuild._plan(np.arange(start, start + rows), sched)
-            if floors_only:  # as in the last row of a block
-                plan.level[-1] = 0
-            cap = max(int(plan.largest().max()) - cap_cut, 1)
-            levels, root = clusterbuild._Subtrees(sched).number(plan, cap)
-            want, want_root = dense_subtrees(plan, sched, cap)
-            assert len(levels) == len(want) == sched.k + 1
-            for got, expected in zip(levels, want):
-                np.testing.assert_array_equal(got, expected)
-            np.testing.assert_array_equal(root, want_root)
+            assert_numbering_is_dense(sched, start, rows, floors_only, cap_cut)
+
+    # the classes the benchmark's searches and curves build
+    @PROPERTY
+    @given(
+        k=st.integers(7, 10),
+        m=st.sampled_from([1, 2, 4, 8, 16]),
+        start=st.one_of(st.integers(0, 300), st.integers(0, 10**7)),
+        rows=st.integers(1, 40),
+        floors_only=st.booleans(),
+        cap_cut=st.integers(0, 2),
+    )
+    def test_built_classes_number_as_dense(self, consts, k, m, start, rows, floors_only,
+                                           cap_cut):
+        assert_numbering_is_dense(build_schedule(k, m, consts), start, rows, floors_only,
+                                  cap_cut)
 
 
 class TestExactMemo:
