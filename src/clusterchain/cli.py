@@ -42,6 +42,7 @@ from .errors import (
     InvalidConfigurationError,
 )
 from .graphstate import run_structure_checks
+from .montecarlo import _checked_seed
 from .optimizer import SearchBounds, operating_point
 from .params import (
     DeviceParams,
@@ -246,6 +247,7 @@ def cmd_envelope(args: argparse.Namespace) -> int:
 
 
 def cmd_resources(args: argparse.Namespace) -> int:
+    _checked_seed(args.trials, args.seed)
     device = _resolve_device(args)
     consts = derive_constants(device)
     grid = _parse_range(args.sources)
@@ -267,6 +269,7 @@ def cmd_resources(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
+    _checked_seed(args.trials, args.seed)  # whether or not --with-sources reads them
     device = _resolve_device(args)
     ks = _parse_int_list(args.k)
     bounds = SearchBounds(

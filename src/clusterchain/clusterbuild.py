@@ -203,10 +203,9 @@ def naive_pc1(mux: NaiveMultiplex, k: int, m: int, consts: DerivedConstants) -> 
     is the one consistent with the ``(2 n_b)**k`` source accounting, and its
     optimised source counts land near the published scale.
     """
-    result = _naive_pc1_core(
-        np.asarray(mux.n_b), np.asarray(mux.n_ghz), np.asarray(mux.n_meas), k, m, consts
-    )
-    return float(result)
+    _check_naive_design(k, m)
+    p_k = _naive_levels(np.asarray(mux.n_b), np.asarray(mux.n_ghz), k, consts)
+    return float(_naive_converted(p_k, np.asarray(mux.n_meas), k, m, consts))
 
 
 def _check_naive_design(k: int, m: int) -> None:
@@ -217,22 +216,23 @@ def _check_naive_design(k: int, m: int) -> None:
         raise InvalidConfigurationError(f"channel count m must be >= 1, got {m}")
 
 
-def _naive_pc1_core(
-    n_b: np.ndarray,
-    n_ghz: np.ndarray,
-    n_meas: np.ndarray,
-    k: int,
-    m: int,
-    consts: DerivedConstants,
+def _naive_levels(
+    n_b: np.ndarray, n_ghz: np.ndarray, k: int, consts: DerivedConstants
 ) -> np.ndarray:
-    """Array core of :func:`naive_pc1` over aligned multiplex-depth arrays."""
-    _check_naive_design(k, m)
+    """``P_k`` of :func:`naive_pc1` over aligned multiplex-depth arrays."""
     p_level = -np.expm1(n_ghz * math.log1p(-consts.p_ghz))
     for level in range(1, k + 1):
         q_l = (consts.eta_ghz * consts.p_chip**level) ** 2 / 2.0
         p_level = -np.expm1(n_b * np.log1p(-(p_level**2 * q_l)))
+    return p_level
+
+
+def _naive_converted(
+    p_k: np.ndarray, n_meas: np.ndarray, k: int, m: int, consts: DerivedConstants
+) -> np.ndarray:
+    """``P_c1`` of :func:`naive_pc1` from ``P_k``, over aligned arrays."""
     p_convert = (consts.eta_ghz * consts.p_chip ** (k + 1)) ** (4 * m + 1)
-    return -np.expm1(n_meas * np.log1p(-(p_level * p_convert)))
+    return -np.expm1(n_meas * np.log1p(-(p_k * p_convert)))
 
 
 def optimize_naive_multiplex(
@@ -266,7 +266,13 @@ def optimize_naive_multiplex(
         grows = feasible & ((2 * (n_b + 1)) ** k <= budget)
         n_b[grows] += 1
     n_b = np.maximum(n_b, 1)
-    pc1 = _naive_pc1_core(n_b, n_ghz, n_meas, k, m, consts)
+    # P_k depends on (n_ghz, n_b) alone, and n_b falls in runs along n_meas,
+    # so the level recursion runs once per run
+    starts = np.ones(n_b.shape, dtype=bool)
+    starts[:, 1:] = n_b[:, 1:] != n_b[:, :-1]
+    p_k = _naive_levels(n_b[starts], n_ghz[starts], k, consts)
+    p_k = p_k[np.cumsum(starts) - 1].reshape(n_b.shape)
+    pc1 = _naive_converted(p_k, n_meas, k, m, consts)
     pc1 = np.where(feasible, pc1, -1.0)
     best_flat = np.argmax(pc1)
     best_val = pc1.flat[best_flat]
@@ -787,6 +793,23 @@ class _ExactFactory:
         states (the level matrices grow as its square), returns
         ``beyond_limit(n_s)`` instead, or raises without one.
         """
+        return self._sweep(n_s, None, beyond_limit)
+
+    def feasible(
+        self, n_s: int, target: float, beyond_limit: Callable[[int], float] | None = None
+    ) -> bool:
+        """``pc1(n_s) >= target``, decided at the first block after which the
+        sweep's bounds settle it, and always as the full sweep would decide it
+        (the argument is in :func:`improved_pc1_exact`).  Beyond the count
+        limit the answer is ``beyond_limit(n_s) >= target``.
+        """
+        return self._sweep(n_s, target, beyond_limit) >= target
+
+    def _sweep(
+        self, n_s: int, target: float | None, beyond_limit: Callable[[int], float] | None
+    ) -> float:
+        """``P_c1(n_s)``, or, given a ``target``, the first bound on it that lies
+        on the same side of the target as it."""
         n_attempts = _ghz_attempts(n_s, self.ghz_source)
         lo, hi = self._window(n_attempts)
         if _plan(np.array([hi]), self.sched).largest()[0] > _EXACT_COUNT_LIMIT:
@@ -816,6 +839,7 @@ class _ExactFactory:
                 )
 
         success = weight_done = cut = 0.0
+        settled = None  # the bound that first lies on one side of the target
         for j in range(lo // _X_BLOCK, hi // _X_BLOCK + 1):
             f, bound, block_cut = self.block(j)
             start, stop = max(lo, j * _X_BLOCK), min(hi, (j + 1) * _X_BLOCK - 1)
@@ -829,9 +853,17 @@ class _ExactFactory:
             if remaining * (1.0 - bound) < _EARLY_STOP:
                 success += remaining * bound
                 break
+            if target is not None:
+                budget = _TAIL_MASS + overflow + cut + _EARLY_STOP
+                low, high = success + remaining * bound - budget, success + remaining + budget
+                if low >= target or high < target:
+                    settled = low if low >= target else high
+                    break
         budget = _TAIL_MASS + overflow + cut + _EARLY_STOP
         if not -budget <= success <= 1.0 + budget:
             raise ArithmeticError(f"P_c1 = {success!r} lies outside its error budget {budget:.3g}")
+        if settled is not None:
+            return settled
         return min(max(success, 0.0), 1.0)
 
 
@@ -896,6 +928,21 @@ def improved_pc1_exact(
     used, and the early stop; the result is checked against it before it is
     clamped to ``[0, 1]``.
 
+    This function sweeps to the full value; a source search asks only
+    whether it meets a target, and :meth:`_ExactFactory.feasible` answers
+    that early.  After each block the sweep holds the sum so far and the
+    remaining window mass; every ``x`` past the block succeeds at least as
+    often as its bound and at most always, so the full value lies between
+    the sum plus the remaining mass times the bound, less the error budget,
+    and the sum plus the remaining mass, plus the budget (the level cut
+    counted is that of the blocks seen so far).  A block not yet seen can
+    put its ``f`` below the bound by at most its own level cut,
+    ``2**k * 1e-20 <= 2e-14``, far inside the ``1e-12`` of tail mass in the
+    budget.  So a lower end at or above the target answers yes, an upper
+    end below it answers no, either answer is the full sweep's, and the
+    sweep otherwise runs on; the partial sum is range-checked as the full
+    one is.
+
     Raises
     ------
     InvalidConfigurationError
@@ -920,6 +967,14 @@ def pcn(p_c1: float, n: int) -> float:
     return p_c1**n
 
 
+_Evaluator = tuple[Callable[[int], float], Callable[[int, float], bool]]
+
+
+def _thresholded(pc1: Callable[[int], float]) -> _Evaluator:
+    """``pc1`` and a feasibility test that compares its estimate with the target."""
+    return pc1, lambda n_s, target: pc1(n_s) >= target
+
+
 def _pc1_evaluator(
     scheme: str,
     k: int,
@@ -928,18 +983,17 @@ def _pc1_evaluator(
     method: str,
     trials: int,
     seed: int,
-):
-    """Build a ``p_c1(n_s)`` callable for one scheme; see :func:`min_sources`."""
+) -> _Evaluator:
+    """One scheme's ``pc1(n_s)`` and ``feasible(n_s, target)``, which answers
+    ``pc1(n_s) >= target``, early where the exact factory's bounds settle it;
+    see :func:`min_sources`."""
     if method not in ("auto", "exact", "mc"):
         raise InvalidConfigurationError(
             f"unknown method {method!r}; expected 'auto', 'exact' or 'mc'"
         )
     _checked_seed(trials, seed)  # once, though only a Monte Carlo evaluation reads them
     if scheme == "naive":
-        def evaluate(n_s: int) -> float:
-            return optimize_naive_multiplex(n_s, k, m, consts)[1]
-
-        return evaluate
+        return _thresholded(lambda n_s: optimize_naive_multiplex(n_s, k, m, consts)[1])
     if scheme not in ("improved", "ghz_primitive"):
         raise InvalidConfigurationError(
             f"unknown scheme {scheme!r}; expected 'naive', 'improved' or 'ghz_primitive'"
@@ -953,10 +1007,11 @@ def _pc1_evaluator(
         )[0]
 
     if method == "mc":
-        return monte_carlo
+        return _thresholded(monte_carlo)
     exact = _ExactFactory(sched, consts, ghz_source, None, None)
     fallback = monte_carlo if method == "auto" else None  # "exact" raises where the factory refuses
-    return lambda n_s: exact.pc1(n_s, beyond_limit=fallback)
+    return (lambda n_s: exact.pc1(n_s, beyond_limit=fallback),
+            lambda n_s, target: exact.feasible(n_s, target, beyond_limit=fallback))
 
 
 def min_sources(
@@ -982,6 +1037,13 @@ def min_sources(
     granted over ``2**12`` GHZ states in the count's window), and Monte
     Carlo where it refuses.
 
+    Each candidate asks only whether ``P_c1 >= target_pcn ** (1/n)``, which
+    the exact factory answers as soon as its sweep's bounds settle it, always
+    as the full value would (see :func:`improved_pc1_exact`): the count is
+    the full sweeps' count, from fewer blocks (25 instead of 67 for the
+    k = 7 reference search).  Naive and Monte Carlo answers compare the
+    estimate with the target.
+
     Raises
     ------
     InvalidConfigurationError
@@ -1006,13 +1068,9 @@ def min_sources(
             f"target_pcn {target_pcn!r} over {n} nodes asks each node for "
             f"P_c1 = target_pcn ** (1/n), which rounds to 1.0"
         )
-    evaluate = _pc1_evaluator(scheme, k, m, consts, method, trials, seed)
-
-    def feasible(n_s: int) -> bool:
-        return evaluate(n_s) >= p_c1_target
-
+    _, feasible = _pc1_evaluator(scheme, k, m, consts, method, trials, seed)
     lo, hi = 0, 6
-    while not feasible(hi):
+    while not feasible(hi, p_c1_target):
         lo = hi
         hi *= 2
         if hi > _SOURCE_CEILING:
@@ -1022,7 +1080,7 @@ def min_sources(
             )
     while hi > lo + 1 and (hi - lo) > 0.01 * lo:
         mid = (lo + hi) // 2
-        if feasible(mid):
+        if feasible(mid, p_c1_target):
             hi = mid
         else:
             lo = mid
@@ -1041,5 +1099,5 @@ def pcn_curve(
     seed: int = 0,
 ) -> np.ndarray:
     """``P_cn`` as a function of source count, for resource-curve emission."""
-    evaluate = _pc1_evaluator(scheme, k, m, consts, method, trials, seed)
+    evaluate, _ = _pc1_evaluator(scheme, k, m, consts, method, trials, seed)
     return np.array([pcn(evaluate(int(n_s)), n) for n_s in source_counts])

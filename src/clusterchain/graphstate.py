@@ -278,9 +278,9 @@ _IDENTITIES = (
 def _identity_inputs(seed: int = 7, samples: int = 100) -> Iterator[np.ndarray]:
     """Computational basis states on 1-3 qubits, then seeded random 2-qubit
     states (complex normal amplitudes, normalised), made lazily."""
-    if seed < 0 or samples < 0:
+    if not 0 <= seed < 2**64 or samples < 0:
         raise InvalidConfigurationError(
-            f"seed and samples must be >= 0, got seed={seed}, samples={samples}"
+            f"seed must lie in [0, 2**64) and samples be >= 0, got seed={seed}, samples={samples}"
         )
     basis = (
         np.eye(2**qubits, dtype=complex)[index].reshape((2,) * qubits)

@@ -688,6 +688,22 @@ class TestErrorHandling:
         assert (code, out) == (2, "")
         assert err.startswith("error: config: sample count")
 
+    def test_verify_seed_past_64_bits_is_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--seed", str(2**64))
+        assert (code, out) == (2, "")
+        assert "error: config: seed must lie in [0, 2**64)" in err
+
+    def test_optimize_negative_seed_is_config_error_without_sources(self, capsys):
+        # checked whether or not the operating point runs a source search
+        code, out, err = run_cli(capsys, "optimize", "--L", "300", "--k", "7", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert "error: config: seed must lie in [0, 2**64)" in err
+
+    def test_optimize_non_positive_trials_is_config_error_without_sources(self, capsys):
+        code, out, err = run_cli(capsys, "optimize", "--L", "300", "--k", "7", "--trials", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: config: sample count")
+
     # p_chip * eta_ghz is subnormal at beta = 4.7e5, so its inverse overflows,
     # and 0 at 5e5; at 4.6e5 the weights stay finite and the row reads 0,0
     @pytest.mark.parametrize("beta", ["4.7e5", "5e5"])

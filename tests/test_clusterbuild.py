@@ -192,6 +192,36 @@ class TestOptimizeNaive:
                 rival = naive_pc1(NaiveMultiplex(n_b, g, meas), k, m, consts)
                 assert rival <= best + 1e-12
 
+    @PROPERTY
+    @given(k=st.integers(1, 12), m=st.sampled_from([1, 2, 4, 8, 16]), scale=st.floats(0.0, 1.0))
+    def test_matches_full_grid_oracle(self, consts, k, m, scale):
+        # the optimiser runs the level recursion once per run of equal n_b;
+        # the oracle runs it on every cell of the [1, 200]**2 grid
+        n_s = int(6 * 2**k * (10**15 / (6 * 2**k)) ** scale)
+        grid = np.arange(1, 201)
+        n_ghz, n_meas = np.meshgrid(grid, grid, indexing="ij")
+        n_b = np.zeros(n_ghz.shape, dtype=np.int64)  # the largest with 6 g meas (2 n_b)**k <= n_s
+        for g, meas in np.ndindex(n_b.shape):
+            budget = n_s // (6 * (g + 1) * (meas + 1))
+            root = int(budget ** (1 / k) / 2)
+            while (2 * root) ** k > budget:
+                root -= 1
+            while (2 * (root + 1)) ** k <= budget:
+                root += 1
+            n_b[g, meas] = root
+        p_level = -np.expm1(n_ghz * math.log1p(-consts.p_ghz))
+        for level in range(1, k + 1):
+            q_l = (consts.eta_ghz * consts.p_chip**level) ** 2 / 2.0
+            p_level = -np.expm1(np.maximum(n_b, 1) * np.log1p(-(p_level**2 * q_l)))
+        p_convert = (consts.eta_ghz * consts.p_chip ** (k + 1)) ** (4 * m + 1)
+        value = -np.expm1(n_meas * np.log1p(-(p_level * p_convert)))
+        # the best value, then the largest n_b, then the first cell
+        cells = zip(value.ravel().tolist(), n_b.ravel().tolist(), range(0, -n_b.size, -1))
+        best, most, first = max(cell for cell in cells if cell[1])
+        g, meas = np.unravel_index(-first, n_b.shape)
+        want = NaiveMultiplex(int(most), int(n_ghz[g, meas]), int(n_meas[g, meas]))
+        assert optimize_naive_multiplex(n_s, k, m, consts) == (want, float(best))
+
 
 class TestAllocation:
     def test_largest_remainder_hand_case(self):
@@ -391,6 +421,12 @@ class TestExactPropagation:
         )
         with pytest.raises(ArithmeticError):
             improved_pc1_exact(5, plain_schedule(1), consts, ghz_source=True)
+        # an early decision checks its partial sum too: 6e5 sources span five
+        # blocks, and the first one settles a target of 0.5
+        factory = clusterbuild._ExactFactory(plain_schedule(3), consts, False, None, None)
+        with pytest.raises(ArithmeticError):
+            factory.feasible(600_000, 0.5)
+        assert len(factory.blocks) == 1
 
     def test_perfect_fusions_reduce_to_allocation(self, consts):
         got = improved_pc1_exact(
@@ -546,6 +582,15 @@ class TestRecordedOutputs:
     def test_min_sources(self, consts, k, m, expected):
         assert min_sources("improved", k, m, 250, 0.9, consts, method="exact") == expected
 
+
+    @pytest.mark.parametrize("scheme,k,m,n,expected", [
+        ("improved", 7, 4, 313, 3342336), ("improved", 10, 8, 300, 90439680),
+        ("ghz_primitive", 7, 4, 300, 17376), ("naive", 8, 8, 200, 219043332096),
+    ], ids=["improved_k7", "improved_k10", "ghz_primitive_k7", "naive_k8"])
+    def test_search_counts(self, consts, scheme, k, m, n, expected):
+        # the benchmark's source searches, recorded before their evaluations
+        # were decided early and the naive levels shared along runs of n_b
+        assert min_sources(scheme, k, m, n, 0.9, consts, method="exact") == expected
 
 class TestLevelCut:
     @pytest.mark.parametrize("k,m,n_s", [(7, 4, 3_300_000), (5, 1, 60_000), (9, 4, 22_000_000)],
@@ -804,7 +849,7 @@ class TestExactMemo:
         scheme, (k, m) = design
         # x is n_s GHZ sources, or about n_s p_ghz / 6 from single photons
         per_unit = 1 if scheme == "ghz_primitive" else 50
-        evaluate = clusterbuild._pc1_evaluator(scheme, k, m, consts, "exact", 1, 0)
+        evaluate, _ = clusterbuild._pc1_evaluator(scheme, k, m, consts, "exact", 1, 0)
         for units in warm:
             evaluate(units * per_unit)
         cold = improved_pc1_exact(
@@ -813,6 +858,77 @@ class TestExactMemo:
         )
         assert evaluate(target * per_unit) == cold
 
+
+# (scheme, k, m) and its 250-node, P_cn = 0.9 source threshold
+THRESHOLDS = {
+    ("improved", 5, 1): 347136, ("improved", 6, 2): 1069056,
+    ("improved", 7, 4): 3268608, ("improved", 8, 4): 9928704,
+    ("ghz_primitive", 5, 1): 1800, ("ghz_primitive", 6, 2): 5568,
+    ("ghz_primitive", 7, 4): 16992, ("ghz_primitive", 8, 4): 51456,
+}
+
+
+class TestEarlyDecision:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        design=st.sampled_from(sorted(THRESHOLDS)),
+        scale=st.floats(0.8, 1.25),
+        offset=st.sampled_from([None, 0.0, -1.0, 1.0, -1e-9, 1e-9, -1e-6, 1e-6, -1e-4, 1e-4]),
+        drawn=st.floats(0.0, 1.0),
+    )
+    def test_decision_matches_full_sweep(self, consts, design, scale, offset, drawn):
+        # the target is P_c1 plus the offset, where 0.0 is P_c1 itself and
+        # +-1.0 stand for one ulp either side, or the drawn number without one
+        scheme, k, m = design
+        n_s = int(THRESHOLDS[design] * scale)
+        sched, ghz_source = build_schedule(k, m, consts), scheme == "ghz_primitive"
+        value = improved_pc1_exact(n_s, sched, consts, ghz_source=ghz_source)
+        if offset is None:
+            target = drawn
+        elif abs(offset) == 1.0:
+            target = math.nextafter(value, offset * math.inf)
+        else:
+            target = value + offset
+        factory = clusterbuild._ExactFactory(sched, consts, ghz_source, None, None)
+        assert factory.feasible(n_s, target) == (value >= target)
+
+    @staticmethod
+    def search_blocks(monkeypatch, consts, full_sweep: bool) -> tuple[int, int]:
+        """The k = 7 reference search's count and the blocks its factory computed."""
+        made = []
+
+        class Recorded(clusterbuild._ExactFactory):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+            if full_sweep:
+                def feasible(self, n_s, target, beyond_limit=None):
+                    return self.pc1(n_s, beyond_limit) >= target
+
+        monkeypatch.setattr(clusterbuild, "_ExactFactory", Recorded)
+        count = min_sources("improved", 7, 4, 313, 0.9, consts, method="exact")
+        (factory,) = made
+        return count, len(factory.blocks)
+
+    def test_search_computes_fewer_blocks(self, consts, monkeypatch):
+        early = self.search_blocks(monkeypatch, consts, full_sweep=False)
+        full = self.search_blocks(monkeypatch, consts, full_sweep=True)
+        assert early[0] == full[0] == 3342336
+        assert early[1] < full[1]
+
+    def test_beyond_the_count_limit(self, consts, monkeypatch):
+        # 3e10 sources grant one k = 7 bank more than 2**12 states
+        n_s = 30_000_000_000
+        _, exact = clusterbuild._pc1_evaluator("improved", 7, 4, consts, "exact", 32, 3)
+        with pytest.raises(InvalidConfigurationError, match="--method mc"):
+            exact(n_s, 0.5)
+        calls = []
+        monkeypatch.setattr(clusterbuild, "improved_pc1_mc",
+                            lambda *args, **kwargs: calls.append(args[0]) or (0.75, 0.0))
+        _, auto = clusterbuild._pc1_evaluator("improved", 7, 4, consts, "auto", 32, 3)
+        assert (auto(n_s, 0.75), auto(n_s, 0.8)) == (True, False)
+        assert calls == [n_s, n_s]
 
 class TestMonteCarlo:
     def test_matches_exact_within_3_sigma(self, consts):

@@ -263,6 +263,12 @@ class TestSmallState:
         np.testing.assert_array_equal(a, b)
         assert np.linalg.norm(a) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_is_refused(self, seed):
+        with pytest.raises(InvalidConfigurationError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            _identity_inputs(seed=seed)
+        assert len(list(_identity_inputs(seed=2**64 - 1, samples=1))) == 15
+
 
 class TestReorderingIdentities:
     def test_all_pass(self):
