@@ -39,11 +39,12 @@ from .envelope import analytic_lb, optimize_z
 from .errors import (
     ClusterChainError,
     ConfigError,
+    EmptyFeasibleSetError,
     InvalidConfigurationError,
 )
 from .graphstate import run_structure_checks
 from .montecarlo import _checked_seed
-from .optimizer import SearchBounds, operating_point
+from .optimizer import SearchBounds, _holds_depth, operating_point
 from .params import (
     DeviceParams,
     chain_coefficients,
@@ -276,6 +277,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         m_max=args.m_max, branch_max=args.branch_max,
         depths=tuple(_parse_int_list(args.depths)),
     )
+    if min(ks) < 1:
+        raise InvalidConfigurationError(f"k must be >= 1, got {min(ks)}")
+    for depth in bounds.depths:  # before a CSV column is named per depth
+        if not any(_holds_depth(k, depth) for k in ks):
+            raise EmptyFeasibleSetError(f"no class k in {ks} holds a tree of depth {depth}")
     if args.with_sources:
         print(f"seed: {args.seed}", file=sys.stderr)
     grid = _parse_range(args.L)

@@ -29,6 +29,7 @@ meeting a target probability that all ``n`` nodes fire in one clock cycle.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -256,15 +257,8 @@ def optimize_naive_multiplex(
         return None, 0.0
     grid = np.arange(1, _NAIVE_GRID + 1)
     n_ghz, n_meas = np.meshgrid(grid, grid, indexing="ij")
-    budget = n_s // (6 * n_ghz * n_meas)
-    feasible = budget >= 2**k
-    with np.errstate(divide="ignore", invalid="ignore"):
-        n_b = np.floor(np.power(budget, 1.0 / k) / 2.0).astype(np.int64)
-    n_b[~feasible] = 0
-    # float root-taking can land one low; push up while the budget allows
-    for _ in range(2):
-        grows = feasible & ((2 * (n_b + 1)) ** k <= budget)
-        n_b[grows] += 1
+    n_b = _largest_depth(n_s, 6 * n_ghz * n_meas, k)
+    feasible = n_b >= 1
     n_b = np.maximum(n_b, 1)
     # P_k depends on (n_ghz, n_b) alone, and n_b falls in runs along n_meas,
     # so the level recursion runs once per run
@@ -281,6 +275,98 @@ def optimize_naive_multiplex(
     i, j = ties[0][tie_order], ties[1][tie_order]
     mux = NaiveMultiplex(n_b=int(n_b[i, j]), n_ghz=int(n_ghz[i, j]), n_meas=int(n_meas[i, j]))
     return mux, float(best_val)
+
+
+def _largest_depth(n_s: int, cost: np.ndarray, k: int) -> np.ndarray:
+    """Largest ``n_b`` with ``cost * (2 n_b)**k <= n_s`` per cell, 0 where none.
+
+    ``cost`` holds each cell's ``6 n_ghz n_meas`` and ``n_s`` is below
+    2**63, so every budget ``n_s // cost`` is below 2**61.  Exact: from
+    k = 2 the half root, below 2**30, shrunk by 2e-14 relative (several
+    times its rounding error) lands on the answer or one below it, and one
+    int64 power decides which; it cannot wrap, as a base above ``top``
+    already passes 2**62.  Forms no ``2**k``: from k = 62 no budget admits
+    ``n_b = 1``.
+    """
+    budget = n_s // cost
+    if k >= 62:
+        return np.zeros_like(budget)
+    if k == 1:
+        return budget // 2
+    top = int(2 ** (62 / k))  # the largest base whose k-th power is at most 2**62
+    top -= top**k > 2**62
+    top += (top + 1) ** k <= 2**62
+    # in place where it can be: at most four grid-sized arrays live at once
+    root = np.power(budget, 1.0 / k)
+    root *= 0.5 - 1e-14
+    n_b = root.astype(np.int64)
+    del root
+    base = 2 * n_b + 2
+    fits = base <= top
+    np.minimum(base, top, out=base)
+    np.power(base, k, out=base)
+    fits &= base <= budget
+    n_b += fits
+    return n_b
+
+
+def _naive_threshold(k: int, m: int, consts: DerivedConstants, target: float) -> int | None:
+    """Smallest source count at which :func:`optimize_naive_multiplex` reaches
+    ``target``, or ``None`` where no count up to ``_SOURCE_CEILING`` does.
+
+    P_c1 does not fall as ``n_b`` or ``n_meas`` grows, so the optimiser
+    reaches the target at ``n_s`` exactly when some ``(n_ghz, n_meas)`` cell
+    has ``6 n_ghz n_meas (2 b*)**k <= n_s``, ``b*`` being the cell's
+    smallest ``n_b`` that reaches it; the threshold is the least such count.
+    Each cell's ``b*`` is bisected on the optimiser's own element-wise
+    expressions, so the threshold agrees with its answer at every count.
+    The ``n_meas = 200`` column is searched first.  Its best count bounds
+    every cell's bracket from above (``_SOURCE_CEILING`` where the column
+    cannot reach the target), and the ``n_b`` it found short of the target
+    is short for every smaller ``n_meas`` too, so a cell is searched only
+    where its count one past that ``n_b`` is within the bound, and stops
+    as soon as its next count cannot beat the best so far.
+    """
+    _check_naive_design(k, m)
+    if (_SOURCE_CEILING // 6).bit_length() <= k:  # even (1, 1, 1) needs more sources
+        return None
+
+    def reaches(n_b: np.ndarray, n_ghz: np.ndarray, n_meas: np.ndarray) -> np.ndarray:
+        p_k = _naive_levels(n_b, n_ghz, k, consts)
+        return _naive_converted(p_k, n_meas, k, m, consts) >= target
+
+    def search(n_ghz: np.ndarray, n_meas: np.ndarray, lo: np.ndarray, bound: int) -> int:
+        """Raise each cell's ``lo``, an ``n_b`` known short of the target, as
+        far as the search gets; return the least count found to reach the
+        target, ``bound + 1`` if none."""
+        cost = 6 * n_ghz * n_meas
+        hi = _largest_depth(bound, cost, k)
+        live = np.flatnonzero(hi > lo)
+        short = ~reaches(hi[live], n_ghz[live], n_meas[live])
+        lo[live[short]] = hi[live[short]]
+        live = live[~short]
+        best = bound + 1
+        while live.size:
+            best = min(best, int((cost[live] * (2 * hi[live]) ** k).min()))
+            next_cost = cost[live] * (2 * lo[live] + 2) ** k
+            live = live[(hi[live] - lo[live] > 1) & (next_cost < best)]
+            mid = (lo[live] + hi[live]) // 2
+            ok = reaches(mid, n_ghz[live], n_meas[live])
+            hi[live[ok]] = mid[ok]
+            lo[live[~ok]] = mid[~ok]
+        return best
+
+    grid = np.arange(1, _NAIVE_GRID + 1)
+    short = np.zeros(_NAIVE_GRID, dtype=np.int64)  # per n_ghz, at n_meas = 200
+    best = search(grid, np.full(_NAIVE_GRID, _NAIVE_GRID), short, _SOURCE_CEILING)
+    bound = min(best, _SOURCE_CEILING)
+    # per n_ghz, the n_meas whose count one past `short` stays within the bound
+    width = np.array([min(_NAIVE_GRID, bound // (6 * g * (2 * b + 2) ** k))
+                      for g, b in zip(grid.tolist(), short.tolist())])
+    first = np.repeat(np.cumsum(width) - width, width)
+    n_meas = np.arange(first.size) - first + 1
+    best = min(best, search(np.repeat(grid, width), n_meas, np.repeat(short, width), bound))
+    return best if best <= _SOURCE_CEILING else None
 
 
 def allocate_ghz_counts(x: np.ndarray, sched: FusionSchedule) -> np.ndarray:
@@ -985,15 +1071,22 @@ def _pc1_evaluator(
     seed: int,
 ) -> _Evaluator:
     """One scheme's ``pc1(n_s)`` and ``feasible(n_s, target)``, which answers
-    ``pc1(n_s) >= target``, early where the exact factory's bounds settle it;
-    see :func:`min_sources`."""
+    ``pc1(n_s) >= target``: early where the exact factory's bounds settle it,
+    and for the naive scheme from one source threshold per target, for counts
+    up to ``_SOURCE_CEILING``; see :func:`min_sources`."""
     if method not in ("auto", "exact", "mc"):
         raise InvalidConfigurationError(
             f"unknown method {method!r}; expected 'auto', 'exact' or 'mc'"
         )
     _checked_seed(trials, seed)  # once, though only a Monte Carlo evaluation reads them
     if scheme == "naive":
-        return _thresholded(lambda n_s: optimize_naive_multiplex(n_s, k, m, consts)[1])
+        threshold = functools.cache(lambda target: _naive_threshold(k, m, consts, target))
+
+        def naive_feasible(n_s: int, target: float) -> bool:
+            n_star = threshold(target)
+            return n_star is not None and n_s >= n_star
+
+        return lambda n_s: optimize_naive_multiplex(n_s, k, m, consts)[1], naive_feasible
     if scheme not in ("improved", "ghz_primitive"):
         raise InvalidConfigurationError(
             f"unknown scheme {scheme!r}; expected 'naive', 'improved' or 'ghz_primitive'"
@@ -1031,8 +1124,7 @@ def min_sources(
     resolution, returning the feasible upper end.  ``scheme`` selects what a
     source is: single photons feeding GHZ factories (``"naive"`` and
     ``"improved"``) or deterministic 3-photon GHZ sources
-    (``"ghz_primitive"``).  The naive scheme re-optimises its multiplexing
-    depths at every candidate budget.  Under ``method="auto"`` the banked
+    (``"ghz_primitive"``).  Under ``method="auto"`` the banked
     schemes use the exact factory wherever it admits the count (no bank
     granted over ``2**12`` GHZ states in the count's window), and Monte
     Carlo where it refuses.
@@ -1041,7 +1133,10 @@ def min_sources(
     the exact factory answers as soon as its sweep's bounds settle it, always
     as the full value would (see :func:`improved_pc1_exact`): the count is
     the full sweeps' count, from fewer blocks (25 instead of 67 for the
-    k = 7 reference search).  Naive and Monte Carlo answers compare the
+    k = 7 reference search).  The naive scheme compares each count with the
+    least count at which :func:`optimize_naive_multiplex` reaches the
+    target, found once per search, so its answers are the optimiser's at
+    every count without running its grid.  Monte Carlo answers compare the
     estimate with the target.
 
     Raises

@@ -108,10 +108,22 @@ def iter_designs(k: int, bounds: SearchBounds = SearchBounds()) -> Iterator[tupl
     ``k`` are visited.
     """
     for depth in bounds.depths:
+        if not _holds_depth(k, depth):
+            continue
         for m in range(1, bounds.m_max + 1):
             if k_of_design(m, BranchingVector((1,) * depth)) > k:
                 break
             yield from _class_trees(k, m, (), depth, bounds.branch_max)
+
+
+def _holds_depth(k: int, depth: int) -> bool:
+    """Whether class ``k`` holds any tree of ``depth``, decided without building one.
+
+    The smallest such design, ``m = 1`` with every branch 1, has ``2 depth + 7``
+    photons, and :func:`k_of_design` puts it in class ``k`` or below exactly
+    when ``2 depth + 5 <= 2**k``.
+    """
+    return (2 * depth + 4).bit_length() <= k
 
 
 def _class_trees(

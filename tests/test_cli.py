@@ -398,6 +398,16 @@ class TestOptimize:
         assert out == ""
         assert err.startswith("error: config:")
 
+    @pytest.mark.parametrize("depths", ["62", "2,62", "100000000000000000000"])
+    def test_depth_no_class_holds_is_infeasible(self, capsys, depths):
+        # at m = 1 the all-ones tree of depth d has 2d + 7 photons, so class 7
+        # holds depths up to 61; a deeper one is refused before a column is
+        # named, with the exit of a class that holds no design
+        code, out, err = run_cli(capsys, "optimize", "--L", "300", "--k", "7", "--depths", depths)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: infeasible: no class k in [7] holds a tree of depth")
+
     def test_deep_trees_scan_in_seconds(self, capsys):
         # the class is enumerated by pruning on tree size; filtering every
         # (m, tree) tuple would walk 16 * 16**6 of them
@@ -528,15 +538,17 @@ class TestConfigRecord:
 
 # each subcommand's integer flags, and a command line that sets every one of
 # them; --trials and --samples are left out, as a large value there is a long
-# run, and --depths too, as it names one CSV column per depth
+# run; --depths names one CSV column per depth, so a depth no class holds is
+# refused before any column is named
 INTEGER_FLAGS = {
     "constants": (("--m", "--b"), ("--m", "4", "--b", "7,3")),
     "rate": (("--m", "--b", "--n"), ("--m", "4", "--b", "7,3", "--n", "10", "--L", "100")),
     "envelope": (("--m", "--b"), ("--m", "4", "--b", "7,3", "--L", "100")),
     "resources": (("--k", "--m", "--n", "--seed"),
                   ("--k", "3", "--m", "1", "--n", "10", "--sources", "1000000", "--seed", "1")),
-    "optimize": (("--k", "--m-max", "--branch-max", "--seed"),
-                 ("--L", "300", "--k", "7", "--m-max", "4", "--branch-max", "8", "--seed", "1")),
+    "optimize": (("--k", "--m-max", "--branch-max", "--depths", "--seed"),
+                 ("--L", "300", "--k", "7", "--m-max", "4", "--branch-max", "8",
+                  "--depths", "2", "--seed", "1")),
     "verify": (("--seed",), ("--seed", "1", "--samples", "1")),
 }
 

@@ -222,6 +222,97 @@ class TestOptimizeNaive:
         want = NaiveMultiplex(int(most), int(n_ghz[g, meas]), int(n_meas[g, meas]))
         assert optimize_naive_multiplex(n_s, k, m, consts) == (want, float(best))
 
+    @pytest.mark.parametrize("k", range(30, 46))
+    def test_deep_classes_stay_within_budget(self, consts, k):
+        # (2 (n_b + 1))**k passes int64 from k = 32; computed there it would
+        # wrap and let n_b = 3 through at k = 32 and n_b = 2 at k = 40
+        n_s = 10**15
+        mux, _ = optimize_naive_multiplex(n_s, k, 1, consts)
+        assert mux.sources(k) <= n_s
+        assert NaiveMultiplex(mux.n_b + 1, mux.n_ghz, mux.n_meas).sources(k) > n_s
+
+
+class TestLargestDepth:
+    @PROPERTY
+    @given(
+        k=st.integers(1, 70),
+        n_s=st.one_of(st.integers(0, 2**63 - 1), st.integers(0, 10**6)),
+        nudge=st.sampled_from([None, -1, 0, 1]),
+        g=st.integers(1, 200),
+        meas=st.integers(1, 200),
+    )
+    # 10**18 - 1 rounds up to the float 10**18, whose root is 2 * 5e8 exactly
+    @example(k=2, n_s=6 * 10**18 - 6, nudge=None, g=1, meas=1)
+    def test_matches_integer_search(self, k, n_s, nudge, g, meas):
+        cost = np.array([6, 6 * g * meas, 6 * 200 * 200])
+        if nudge is not None:  # land next to an exact power
+            n_b = max(1, round((n_s / (6 * g * meas)) ** (1 / k) / 2))
+            n_s = min(2**63 - 1, max(0, 6 * g * meas * (2 * n_b) ** k + nudge))
+        want = []
+        for c in cost.tolist():
+            lo, hi = 0, 1  # c (2 lo)**k fits the budget, c (2 hi)**k does not
+            while c * (2 * hi) ** k <= n_s:
+                lo, hi = hi, 2 * hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if c * (2 * mid) ** k <= n_s else (lo, mid)
+            want.append(lo)
+        assert clusterbuild._largest_depth(n_s, cost, k).tolist() == want
+
+    def test_huge_class_forms_no_power(self):
+        # 2**(10**20) would not fit in memory; from k = 62 no budget admits n_b = 1
+        cost = np.array([6, 6 * 200 * 200])
+        assert clusterbuild._largest_depth(10**15, cost, 10**20).tolist() == [0, 0]
+
+
+def grid_search(k, m, n, target_pcn, consts):
+    """``min_sources("naive", ...)`` asking the grid optimiser at every count,
+    or ``None`` where the target is unreachable."""
+    def evaluator(*_):
+        return clusterbuild._thresholded(
+            lambda n_s: optimize_naive_multiplex(n_s, k, m, consts)[1]
+        )
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(clusterbuild, "_pc1_evaluator", evaluator)
+        try:
+            return min_sources("naive", k, m, n, target_pcn, consts)
+        except TargetUnreachableError:
+            return None
+
+
+class TestNaiveThreshold:
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_first_count_the_grid_reaches(self, consts, k):
+        for m, target in itertools.product((1, 4, 8), (0.3, 0.9, 0.9995)):
+            n_star = clusterbuild._naive_threshold(k, m, consts, target)
+            if n_star is None:
+                ceiling = clusterbuild._SOURCE_CEILING
+                assert optimize_naive_multiplex(ceiling, k, m, consts)[1] < target
+                continue
+            assert optimize_naive_multiplex(n_star, k, m, consts)[1] >= target
+            assert optimize_naive_multiplex(n_star - 1, k, m, consts)[1] < target
+
+    @pytest.mark.parametrize("k,m,n,target_pcn", [
+        (1, 1, 1, 0.9), (2, 8, 300, 0.5), (3, 4, 50, 0.9), (5, 1, 250, 0.9),
+        (8, 8, 250, 0.9), (10, 2, 10, 0.5), (12, 1, 1, 0.5),
+        (12, 8, 300, 0.9), (16, 1, 1, 0.5), (21, 8, 1, 0.5), (10**20, 1, 1, 0.5),
+    ])
+    def test_search_matches_the_grid_at_every_count(self, consts, k, m, n, target_pcn):
+        want = grid_search(k, m, n, target_pcn, consts)
+        if want is None:
+            with pytest.raises(TargetUnreachableError):
+                min_sources("naive", k, m, n, target_pcn, consts)
+        else:
+            assert min_sources("naive", k, m, n, target_pcn, consts) == want
+
+    def test_search_runs_no_grid(self, consts, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("the naive search ran the grid optimiser")
+
+        monkeypatch.setattr(clusterbuild, "optimize_naive_multiplex", refuse)
+        assert min_sources("naive", 8, 8, 200, 0.9, consts) == 219043332096
+
 
 class TestAllocation:
     def test_largest_remainder_hand_case(self):
@@ -588,8 +679,9 @@ class TestRecordedOutputs:
         ("ghz_primitive", 7, 4, 300, 17376), ("naive", 8, 8, 200, 219043332096),
     ], ids=["improved_k7", "improved_k10", "ghz_primitive_k7", "naive_k8"])
     def test_search_counts(self, consts, scheme, k, m, n, expected):
-        # the benchmark's source searches, recorded before their evaluations
-        # were decided early and the naive levels shared along runs of n_b
+        # the benchmark's source searches, recorded before the exact
+        # evaluations were decided early and before the naive search was
+        # answered from one source threshold
         assert min_sources(scheme, k, m, n, 0.9, consts, method="exact") == expected
 
 class TestLevelCut:

@@ -79,6 +79,18 @@ class TestIterDesigns:
             ]
             assert list(iter_designs(k, bounds)) == every
 
+    def test_depth_check_matches_the_smallest_tree(self):
+        # the all-ones tree at m = 1 is the smallest of its depth
+        for k in range(1, 11):
+            for depth in range(1, 600):
+                smallest = k_of_design(1, BranchingVector((1,) * depth))
+                assert optimizer._holds_depth(k, depth) == (smallest <= k)
+
+    def test_depth_no_class_holds_builds_no_tree(self):
+        # a tree of 10**20 branches would not fit in memory
+        bounds = SearchBounds(depths=(10**20, 2))
+        assert list(iter_designs(7, bounds)) == list(iter_designs(7, SearchBounds()))
+
     def test_classes_partition_the_grid(self):
         bounds = SearchBounds(m_max=4, branch_max=4)
         total = sum(len(list(iter_designs(k, bounds))) for k in range(1, 12))
