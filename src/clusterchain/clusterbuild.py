@@ -65,6 +65,7 @@ _TAIL_MASS = 1e-12  # GHZ-success mass outside the exact window
 _EARLY_STOP = 1e-16  # largest change the exact sweep's early stop may skip
 _LEVEL_CUT = 1e-20  # largest survival a fusion level's cut drops from any row
 _EXACT_COUNT_LIMIT = 2**12  # largest per-bank GHZ count the exact factory holds
+_CLIP_X_LIMIT = 10**9  # least window top x at which no clipped row is tried: _plan floors in floats
 _MAX_LEVELS = _MAX_BLOCK_CELLS.bit_length() - 1  # largest k whose 2**k leaf banks fit one MC block
 _SLICE_CELLS = 2**18  # leaf-bank cells per banked MC slice, and cells per inversion table
 _NAIVE_GRID = 200  # n_ghz and n_meas scanned on [1, _NAIVE_GRID] by the naive optimiser
@@ -248,11 +249,14 @@ def optimize_naive_multiplex(
     identity then fixes the largest admissible ``n_b`` for each pair.  Ties
     in the success probability are broken toward larger ``n_b``.  Returns
     ``(None, 0.0)`` when even ``(1, 1, 1)`` exceeds the budget, which is
-    decided without forming ``2**k``.
+    decided without forming ``2**k``.  The budget is divided on int64
+    arrays, so it must lie in ``[0, 2**63)``.
     """
     _check_naive_design(k, m)
     if n_s < 0:
         raise InvalidConfigurationError(f"source count must be >= 0, got {n_s}")
+    if n_s >= 2**63:
+        raise InvalidConfigurationError(f"source count must be below 2**63, got {n_s}")
     if (n_s // 6).bit_length() <= k:  # n_s < 6 * 2**k
         return None, 0.0
     grid = np.arange(1, _NAIVE_GRID + 1)
@@ -616,19 +620,27 @@ def improved_pc1_mc(
     return estimate, error
 
 
-def _survival_matrix(size: int, p: float) -> np.ndarray:
+def _survival_matrix(size: int, p: float, held: np.ndarray | None = None) -> np.ndarray:
     """Non-negative ``M`` with ``(S @ M)[c] = P[Bin(Y, p) >= c]`` for ``S[y] = P[Y >= y]``.
 
     ``M[y, c] = p Binom(c-1; y-1, p)``, the step ``P[Bin(y, p) >= c] -
     P[Bin(y-1, p) >= c]`` summed by parts, and ``M[0, 0] = 1``.  Rows are
     built by Pascal's rule, ``M[y, c] = (1-p) M[y-1, c] + p M[y-1, c-1]``,
     which only adds non-negative terms and reads no column right of ``c``,
-    so a smaller matrix is the top-left corner of a larger one.
+    so a smaller matrix is the top-left corner of a larger one.  Given
+    ``held``, a smaller matrix of the same ``p``, only the rows past it are
+    built: a row is exactly zero right of its diagonal, so the result equals
+    a fresh build bit for bit.
     """
     matrix = np.zeros((size + 1, size + 1))
-    matrix[0, 0] = 1.0
-    for y in range(1, size + 1):  # row 1 is p at c = 1, from M[0, 0]
-        matrix[y, 1:] = (1.0 - p) * matrix[y - 1, 1:] + p * matrix[y - 1, :-1]
+    if held is None:
+        matrix[0, 0] = 1.0
+        start = 1  # row 1 is p at c = 1, from M[0, 0]
+    else:
+        start = len(held)
+        matrix[:start, :start] = held
+    for y in range(start, size + 1):  # columns past y stay exactly zero
+        matrix[y, 1 : y + 1] = (1.0 - p) * matrix[y - 1, 1 : y + 1] + p * matrix[y - 1, :y]
     return matrix
 
 
@@ -812,12 +824,13 @@ class _ExactFactory:
         self.matrices: dict[float, np.ndarray] = {}  # p -> largest _survival_matrix so far
 
     def _matrix(self, p: float, n: int) -> np.ndarray:
-        """Thinning by ``p`` as a survival matrix over ``0..n``, a corner of the largest so far."""
+        """Thinning by ``p`` as a survival matrix over ``0..n``, a corner of the
+        largest so far, which grows by its new rows only."""
         held = self.matrices.get(p)
         if held is None or len(held) <= n:
             # a quarter headroom: an upward sweep's supports grow block by block
             size = (n * 5) // 4
-            held = self.matrices[p] = _survival_matrix(size, p)
+            held = self.matrices[p] = _survival_matrix(size, p, held)
         return held[: n + 1, : n + 1]
 
     def block(self, j: int) -> tuple[np.ndarray, float, float]:
@@ -830,6 +843,12 @@ class _ExactFactory:
         # x_next on, as the allocation grants each bank floor(x * share)
         plan = _plan(np.arange(j * _X_BLOCK, x_next + 1), self.sched)
         plan.level[-1] = 0
+        f, cut = self._propagate(plan)
+        self.blocks[j] = f[:-1], float(f[-1]), cut
+        return self.blocks[j]
+
+    def _propagate(self, plan: _Plan) -> tuple[np.ndarray, float]:
+        """``f`` of each row of ``plan``, and the mass its level cuts may move."""
         largest = int(plan.largest().max())
         cap = largest if self.cap is None else min(self.cap, largest)
         cap = max(cap, 1)  # the root's column 1, P[Y >= 1], must exist
@@ -850,9 +869,7 @@ class _ExactFactory:
             keep = max(int(np.flatnonzero((product > _LEVEL_CUT).any(axis=0))[-1]), 1)
             cut += banks * float(product[:, keep + 1 :].max(initial=0.0))
             survival = product[:, : keep + 1] @ self._matrix(p_level, keep)
-        f = survival[root, 1]
-        self.blocks[j] = f[:-1], float(f[-1]), cut
-        return self.blocks[j]
+        return survival[root, 1], cut
 
     def _window(self, n_attempts: int) -> tuple[int, int]:
         """GHZ-success counts ``[lo, hi]`` whose two tails hold at most ``_TAIL_MASS``."""
@@ -884,12 +901,30 @@ class _ExactFactory:
     def feasible(
         self, n_s: int, target: float, beyond_limit: Callable[[int], float] | None = None
     ) -> bool:
-        """``pc1(n_s) >= target``, decided at the first block after which the
-        sweep's bounds settle it, and always as the full sweep would decide it
-        (the argument is in :func:`improved_pc1_exact`).  Beyond the count
-        limit the answer is ``beyond_limit(n_s) >= target``.
+        """``pc1(n_s) >= target``, decided by the window's end rows or at the
+        first block after which the sweep's bounds settle it, and always as
+        the full sweep would decide it (the argument is in
+        :func:`improved_pc1_exact`).  Beyond the count limit the answer is yes
+        where the clipped floors row settles it, else ``beyond_limit(n_s) >=
+        target``.
         """
         return self._sweep(n_s, target, beyond_limit) >= target
+
+    def _end_rows(self, ends: _Plan, margin: float) -> tuple[float, float, float]:
+        """L, ``f`` of the floors in the first row of ``ends``, and U, ``f`` with
+        one more state than the floors in its second row in every bank, each
+        bank clipped to ``_EXACT_COUNT_LIMIT`` (the plan is changed in
+        place); and their error budget, ``margin`` plus the rows' own level
+        cut, which both are checked against."""
+        ends.level[:] = [[0], [2]]
+        # the clip binds only at a count the factory refuses: an admitted
+        # window's floors stay within the limit
+        np.minimum(ends.floors, _EXACT_COUNT_LIMIT, out=ends.floors)
+        (low, high), cut = self._propagate(ends)
+        budget = margin + cut
+        _check_budget(low, budget)
+        _check_budget(high, budget)
+        return float(low), float(high), budget
 
     def _sweep(
         self, n_s: int, target: float | None, beyond_limit: Callable[[int], float] | None
@@ -898,13 +933,18 @@ class _ExactFactory:
         on the same side of the target as it."""
         n_attempts = _ghz_attempts(n_s, self.ghz_source)
         lo, hi = self._window(n_attempts)
-        if _plan(np.array([hi]), self.sched).largest()[0] > _EXACT_COUNT_LIMIT:
-            if beyond_limit is not None:
-                return beyond_limit(n_s)
-            raise InvalidConfigurationError(
-                f"exact factory holds at most {_EXACT_COUNT_LIMIT} GHZ states in one bank, "
-                f"exceeded at k = {self.sched.k} with {n_s} sources; use --method mc"
-            )
+        ends = _plan(np.array([lo, hi]), self.sched)
+        if ends.largest()[1] > _EXACT_COUNT_LIMIT:
+            if beyond_limit is None:
+                raise InvalidConfigurationError(
+                    f"exact factory holds at most {_EXACT_COUNT_LIMIT} GHZ states in one bank, "
+                    f"exceeded at k = {self.sched.k} with {n_s} sources; use --method mc"
+                )
+            if target is not None and hi < _CLIP_X_LIMIT:
+                low, _, budget = self._end_rows(ends, _TAIL_MASS + _EARLY_STOP)
+                if low - budget >= target:
+                    return low - budget
+            return beyond_limit(n_s)
         if n_attempts < 1:
             return 0.0
         p, q = self.p_ghz, 1.0 - self.p_ghz
@@ -923,6 +963,13 @@ class _ExactFactory:
                     f"cap {self.cap} truncates {overflow:.3g} probability mass "
                     f"(largest allocated count is {int(largest.max())})"
                 )
+        if target is not None:
+            # L, the floors at lo, and U, one past the floors at hi, bound every f(x)
+            low, high, budget = self._end_rows(ends, _TAIL_MASS + overflow + _EARLY_STOP)
+            if low - budget >= target:
+                return low - budget
+            if high + budget < target:
+                return high + budget
 
         success = weight_done = cut = 0.0
         settled = None  # the bound that first lies on one side of the target
@@ -945,12 +992,16 @@ class _ExactFactory:
                 if low >= target or high < target:
                     settled = low if low >= target else high
                     break
-        budget = _TAIL_MASS + overflow + cut + _EARLY_STOP
-        if not -budget <= success <= 1.0 + budget:
-            raise ArithmeticError(f"P_c1 = {success!r} lies outside its error budget {budget:.3g}")
+        _check_budget(success, _TAIL_MASS + overflow + cut + _EARLY_STOP)
         if settled is not None:
             return settled
         return min(max(success, 0.0), 1.0)
+
+
+def _check_budget(value: float, budget: float) -> None:
+    """Refuse a ``P_c1`` or a bound on it outside ``[-budget, 1 + budget]`` (a defect)."""
+    if not -budget <= value <= 1.0 + budget:
+        raise ArithmeticError(f"P_c1 = {value!r} lies outside its error budget {budget:.3g}")
 
 
 def improved_pc1_exact(
@@ -1016,7 +1067,25 @@ def improved_pc1_exact(
 
     This function sweeps to the full value; a source search asks only
     whether it meets a target, and :meth:`_ExactFactory.feasible` answers
-    that early.  After each block the sweep holds the sum so far and the
+    that early.  Before any block it computes two rows of one plan: L, ``f``
+    of the floors at the window's low end ``lo``, and U, ``f`` with one more
+    state than the floors at its high end ``hi`` in every bank.  A bank's
+    floor ``floor(x * share)`` (a float product, rounded monotonically)
+    does not fall as ``x`` grows, and largest remainder grants it its floor
+    or one more, so at every ``x`` of the window each bank holds at least
+    its count in L and at most its count in U.  Success does not fall as
+    one bank's count grows: coupled, the larger bank's thinning keeps at
+    least as many states, and so does every minimum and fusion above it.
+    So ``L <= f(x) <= U`` for every ``x`` of the window, and the full value,
+    the pmf-weighted mean of the computed ``f``, each at most its block's
+    level cut (``2e-14``) below the exact one, lies between L, less that
+    cut, and U.  The end rows carry their own level cut, so their budget is
+    the sweep's (window tail, overflow, early stop) plus that cut: L less
+    the budget at or above the target answers yes, U plus the budget below
+    it answers no, either answer is the full sweep's, and both values are
+    range-checked as the sum is.  :meth:`_ExactFactory.pc1` never uses them,
+    as it needs the value itself.  Where neither settles the question,
+    after each block the sweep holds the sum so far and the
     remaining window mass; every ``x`` past the block succeeds at least as
     often as its bound and at most always, so the full value lies between
     the sum plus the remaining mass times the bound, less the error budget,
@@ -1028,6 +1097,16 @@ def improved_pc1_exact(
     end below it answers no, either answer is the full sweep's, and the
     sweep otherwise runs on; the partial sum is range-checked as the full
     one is.
+
+    Where the factory refuses a count, a search under ``method="auto"``
+    first computes the floors at ``lo`` with every bank clipped to
+    ``2**12``.  Clipping only takes states away, so that row, less its
+    budget (window tail, its level cut, early stop), bounds ``P_c1`` from
+    below, and at or above the target it answers yes with no Monte Carlo.
+    The row is tried only while the window's top ``x`` is below ``1e9``:
+    ``_plan``'s float floors were first seen to part from the exact ones at
+    ``1.39e10``.  Otherwise, or where the row falls short, Monte Carlo
+    answers; ``method="exact"`` raises.
 
     Raises
     ------
@@ -1127,17 +1206,20 @@ def min_sources(
     (``"ghz_primitive"``).  Under ``method="auto"`` the banked
     schemes use the exact factory wherever it admits the count (no bank
     granted over ``2**12`` GHZ states in the count's window), and Monte
-    Carlo where it refuses.
+    Carlo where it refuses, unless the window's floors clipped to ``2**12``
+    already meet the target.
 
     Each candidate asks only whether ``P_c1 >= target_pcn ** (1/n)``, which
-    the exact factory answers as soon as its sweep's bounds settle it, always
-    as the full value would (see :func:`improved_pc1_exact`): the count is
-    the full sweeps' count, from fewer blocks (25 instead of 67 for the
-    k = 7 reference search).  The naive scheme compares each count with the
-    least count at which :func:`optimize_naive_multiplex` reaches the
-    target, found once per search, so its answers are the optimiser's at
-    every count without running its grid.  Monte Carlo answers compare the
-    estimate with the target.
+    the exact factory answers from its window's two end rows where they
+    settle it, else as soon as its sweep's bounds do, always as the full
+    value would (see :func:`improved_pc1_exact`): the count is the full
+    sweeps' count, from fewer blocks (10 instead of 67 for the k = 7
+    reference search, whose end rows decide 22 of its 28 evaluations).  The
+    naive scheme compares each count with the least count at which
+    :func:`optimize_naive_multiplex` reaches the target, found once per
+    search, so its answers are the optimiser's at every count without
+    running its grid.  Monte Carlo answers compare the estimate with the
+    target.
 
     Raises
     ------

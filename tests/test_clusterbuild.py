@@ -156,6 +156,16 @@ class TestOptimizeNaive:
         with pytest.raises(InvalidConfigurationError):
             optimize_naive_multiplex(-6, 3, 1, consts)
 
+    def test_budget_past_int64_is_refused(self, consts):
+        # the budget is divided on int64 arrays; 2**63 ended in a raw OverflowError
+        assert optimize_naive_multiplex(2**63 - 1, 8, 8, consts)[0] is not None
+        for n_s in (2**63, 10**20):
+            with pytest.raises(InvalidConfigurationError, match=r"2\*\*63"):
+                optimize_naive_multiplex(n_s, 8, 8, consts)
+        with pytest.raises(InvalidConfigurationError, match=r"2\*\*63"):
+            pcn_curve("naive", 8, 8, 1, consts, [2**63])
+        assert pcn_curve("naive", 8, 8, 1, consts, [2**63 - 1]).tolist() == [1.0]
+
     @pytest.mark.parametrize("m", [0, -1])
     def test_design_without_channels_is_refused(self, consts, m):
         with pytest.raises(InvalidConfigurationError, match="channel count m"):
@@ -512,9 +522,15 @@ class TestExactPropagation:
         )
         with pytest.raises(ArithmeticError):
             improved_pc1_exact(5, plain_schedule(1), consts, ghz_source=True)
-        # an early decision checks its partial sum too: 6e5 sources span five
-        # blocks, and the first one settles a target of 0.5
+        # an early decision checks its bounds too: the window's end rows,
+        # before any block, and where they settle nothing, the partial sum:
+        # 6e5 sources span five blocks, and the first one settles a target of 0.5
         factory = clusterbuild._ExactFactory(plain_schedule(3), consts, False, None, None)
+        with pytest.raises(ArithmeticError):
+            factory.feasible(600_000, 0.5)
+        assert len(factory.blocks) == 0
+        monkeypatch.setattr(clusterbuild._ExactFactory, "_end_rows",
+                            lambda self, ends, margin: (0.0, 1.0, margin))
         with pytest.raises(ArithmeticError):
             factory.feasible(600_000, 0.5)
         assert len(factory.blocks) == 1
@@ -712,6 +728,20 @@ class TestBinomialKernels:
                 assert matrix[y, c] == pytest.approx(oracle, rel=1e-13, abs=0.0)
             # a smaller matrix is the top-left corner of a larger one
             assert np.array_equal(clusterbuild._survival_matrix(40, p), matrix[:41, :41])
+
+    def test_grown_matrix_equals_fresh_build(self, consts):
+        for p in [consts.p_chip * consts.eta_ghz, *fusion_probabilities(3, consts), 0.0, 0.5, 1.0]:
+            grown = None
+            for size in (0, 1, 7, 8, 40, 130):
+                grown = clusterbuild._survival_matrix(size, p, grown)
+                assert np.array_equal(grown, clusterbuild._survival_matrix(size, p))
+        # the factory grows its held matrix in steps with a quarter headroom
+        factory = clusterbuild._ExactFactory(plain_schedule(2), consts, True, None, None)
+        for n in (3, 10, 11, 90):
+            assert np.array_equal(factory._matrix(0.7, n), clusterbuild._survival_matrix(n, 0.7))
+        held = factory.matrices[0.7]
+        assert len(held) == 90 * 5 // 4 + 1
+        assert np.array_equal(held, clusterbuild._survival_matrix(len(held) - 1, 0.7))
 
     @PROPERTY
     @given(n=st.integers(1, 200), p=st.floats(0.0, 1.0), c=st.integers(0, 201))
@@ -1004,23 +1034,154 @@ class TestEarlyDecision:
         return count, len(factory.blocks)
 
     def test_search_computes_fewer_blocks(self, consts, monkeypatch):
+        # the end rows decide most evaluations before any block: 10 blocks,
+        # against 25 with the running bounds alone and 67 for full sweeps
         early = self.search_blocks(monkeypatch, consts, full_sweep=False)
         full = self.search_blocks(monkeypatch, consts, full_sweep=True)
         assert early[0] == full[0] == 3342336
-        assert early[1] < full[1]
+        assert (early[1], full[1]) == (10, 67)
 
-    def test_beyond_the_count_limit(self, consts, monkeypatch):
-        # 3e10 sources grant one k = 7 bank more than 2**12 states
-        n_s = 30_000_000_000
-        _, exact = clusterbuild._pc1_evaluator("improved", 7, 4, consts, "exact", 32, 3)
-        with pytest.raises(InvalidConfigurationError, match="--method mc"):
-            exact(n_s, 0.5)
+    @staticmethod
+    def recorded_monte_carlo(monkeypatch) -> list[int]:
+        """The source counts of every Monte Carlo call from here on, each of
+        which returns 0.75."""
         calls = []
         monkeypatch.setattr(clusterbuild, "improved_pc1_mc",
                             lambda *args, **kwargs: calls.append(args[0]) or (0.75, 0.0))
+        return calls
+
+    def test_beyond_the_count_limit(self, consts, monkeypatch):
+        # under a limit of 2**5 states, 3e7 sources grant one k = 7 bank more;
+        # the window's floors at its low end, clipped to the limit, read 0.56,
+        # which settles neither target, so both go to Monte Carlo
+        monkeypatch.setattr(clusterbuild, "_EXACT_COUNT_LIMIT", 2**5)
+        n_s = 30_000_000
+        _, exact = clusterbuild._pc1_evaluator("improved", 7, 4, consts, "exact", 32, 3)
+        with pytest.raises(InvalidConfigurationError, match="--method mc"):
+            exact(n_s, 0.5)
+        calls = self.recorded_monte_carlo(monkeypatch)
         _, auto = clusterbuild._pc1_evaluator("improved", 7, 4, consts, "auto", 32, 3)
         assert (auto(n_s, 0.75), auto(n_s, 0.8)) == (True, False)
         assert calls == [n_s, n_s]
+        # from a window top of 1e9 GHZ states no clipped row is tried, though
+        # one would settle a target of 0.5 here
+        assert auto(2 * 10**11, 0.5)
+        assert calls == [n_s, n_s, 2 * 10**11]
+
+    def test_clipped_row_answers_without_monte_carlo(self, consts, monkeypatch):
+        # under a limit of 2**6 states the clipped floors of the same window
+        # read 0.939, a lower bound on P_c1 that settles a target of 0.9
+        monkeypatch.setattr(clusterbuild, "_EXACT_COUNT_LIMIT", 2**6)
+        calls = self.recorded_monte_carlo(monkeypatch)
+        _, auto = clusterbuild._pc1_evaluator("improved", 7, 4, consts, "auto", 32, 3)
+        assert auto(30_000_000, 0.9)
+        assert calls == []
+        assert not auto(30_000_000, 0.95)  # Monte Carlo's 0.75 answers
+        assert calls == [30_000_000]
+
+
+def enumerated_success(counts, measured, thin, probs) -> Fraction:
+    """P[root bank non-empty] from leaf counts, in rationals: every bank's
+    pmf is carried exactly, the measured ones thinned by ``thin`` and each
+    sibling pair's minimum by its level's probability."""
+    def binomial(pmf, p):
+        out = [Fraction(0)] * len(pmf)
+        for y, weight in enumerate(pmf):
+            for c in range(y + 1):
+                out[c] += weight * math.comb(y, c) * p**c * (1 - p) ** (y - c)
+        return out
+
+    pmfs = [[Fraction(0)] * c + [Fraction(1)] for c in counts]
+    pmfs = [binomial(pmf, thin) if i in measured else pmf for i, pmf in enumerate(pmfs)]
+    for p in probs:
+        merged = []
+        for a, b in zip(pmfs[0::2], pmfs[1::2]):
+            width = min(len(a), len(b))
+            both = [sum(a[c:]) * sum(b[c:]) for c in range(width)] + [0]  # P[min >= c]
+            merged.append(binomial([both[c] - both[c + 1] for c in range(width)], p))
+        pmfs = merged
+    return 1 - pmfs[0][0]
+
+
+class TestEndRows:
+    @pytest.mark.parametrize("mask", [[True, False], [True, False, False, True],
+                                      [True, True, False, True, True, False, True, False]],
+                             ids=["k1", "k2", "k3"])
+    def test_success_never_falls_as_one_bank_grows(self, consts, mask):
+        sched = masked_schedule(mask, consts)  # at k = 3, the k = 3, m = 1 design
+        thin = Fraction(consts.p_chip * consts.eta_ghz)
+        probs = [Fraction(p) for p in fusion_probabilities(sched.k, consts)]
+        banks = sched.leaf_banks
+
+        def success(counts):
+            return enumerated_success(counts, sched.measured, thin, probs)
+
+        # the oracle is the factory's model: it agrees on allocated counts
+        for x in (3, 10, 17, 24):
+            counts = allocate_ghz_counts(np.array([x]), sched)[0].tolist()
+            got = improved_pc1_exact(x, sched, consts, ghz_source=True)
+            assert got == pytest.approx(float(success(counts)), rel=1e-12, abs=1e-15)
+        if banks <= 4:
+            grid = itertools.product(range(4 if banks == 2 else 3), repeat=banks)
+        else:
+            rng = np.random.default_rng(7)
+            grid = rng.integers(0, 4, size=(25, banks)).tolist()
+        for counts in grid:
+            base = success(list(counts))
+            for bank in range(banks):
+                raised = list(counts)
+                raised[bank] += 1
+                assert success(raised) >= base
+
+    @pytest.mark.parametrize("k, m, n_s", [
+        (7, 4, 3_300_000), (8, 5, 9_900_000), (9, 7, 30_000_000), (10, 8, 90_000_000),
+    ], ids=["k7", "k8", "k9", "k10"])
+    def test_end_rows_bound_every_x_of_the_window(self, consts, k, m, n_s):
+        sched = build_schedule(k, m, consts)
+        factory = clusterbuild._ExactFactory(sched, consts, False, None, None)
+        lo, hi = factory._window(n_s // 6)
+        low, high, budget = factory._end_rows(clusterbuild._plan(np.array([lo, hi]), sched), 0.0)
+        first = lo // clusterbuild._X_BLOCK
+        f = np.concatenate([factory.block(j)[0] for j in range(first, hi // clusterbuild._X_BLOCK + 1)])
+        f = f[lo - first * clusterbuild._X_BLOCK : hi - first * clusterbuild._X_BLOCK + 1]
+        assert len(f) == hi - lo + 1
+        # each computed f sits at most its own level cut below the exact one
+        cut = max(block_cut for _, _, block_cut in factory.blocks.values())
+        assert low - cut <= f.min() and f.max() <= high + budget
+        assert high - low < 0.5  # and the rows are not vacuous
+
+    SEARCHES = [("improved", 7, 4, 313), ("improved", 10, 8, 300),
+                ("ghz_primitive", 7, 4, 300), ("naive", 8, 8, 200)]
+
+    @pytest.mark.parametrize("scheme, k, m, n", SEARCHES,
+                             ids=["improved_k7", "improved_k10", "ghz_primitive_k7", "naive_k8"])
+    def test_every_search_answer_is_the_full_values(self, consts, monkeypatch, scheme, k, m, n):
+        asked = []
+        original = clusterbuild._pc1_evaluator
+
+        def recording(*args):
+            pc1, feasible = original(*args)
+
+            def recorded(n_s, target):
+                asked.append((n_s, target, feasible(n_s, target)))
+                return asked[-1][2]
+
+            return pc1, recorded
+
+        monkeypatch.setattr(clusterbuild, "_pc1_evaluator", recording)
+        min_sources(scheme, k, m, n, 0.9, consts, method="exact")
+        pc1, _ = original(scheme, k, m, consts, "exact", 1, 0)
+        assert asked
+        for n_s, target, answer in asked:
+            assert answer == (pc1(n_s) >= target), n_s
+
+    @pytest.mark.parametrize("k, m, expected", [
+        (9, 7, 30277632), (10, 8, 90439680), (12, 8, 805306368),
+    ], ids=["k9", "k10", "k12"])
+    def test_search_counts(self, consts, k, m, expected):
+        # recorded while every evaluation swept blocks; k = 12 took 4.2 s
+        # pinned to one CPU then, and takes about 1.3 s with the end rows
+        assert min_sources("improved", k, m, 300, 0.9, consts, method="exact") == expected
 
 class TestMonteCarlo:
     def test_matches_exact_within_3_sigma(self, consts):
