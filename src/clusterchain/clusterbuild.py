@@ -413,19 +413,19 @@ class _Plan(NamedTuple):
     sizes: np.ndarray  # (2,) banks per class
     first: np.ndarray  # (2,) each class's first bank
 
-    def counts(self, banks: np.ndarray, kind: np.ndarray) -> np.ndarray:
-        """The int64 counts of the banks ``banks`` (``(n,)``, or ``(t, n)`` for
-        banks that differ per row) of classes ``kind``: the class's floor, and
-        one more state where its level, plus 1 for a bank below ``stop``, is 2."""
-        grant = np.take(self.level, kind, axis=1)
-        grant += banks < self.stop[:, None]
-        counts = np.take(self.floors, kind, axis=1)
-        counts += grant >= 2
+    def counts(self, banks: np.ndarray, kind: np.ndarray, dtype: type = np.int64) -> np.ndarray:
+        """The counts of the banks ``banks`` (``(n,)``, or ``(t, n)`` for banks
+        that differ per row) of classes ``kind``, in ``dtype``, which must hold
+        every one: the class's floor, one more state if the class is above the
+        cut, and one more if it is at the cut and the bank lies below ``stop``."""
+        counts = np.take((self.floors + (self.level == 2)).astype(dtype), kind, axis=1)
+        below = banks < self.stop.astype(banks.dtype)[:, None]  # stop <= 2**k
+        counts += np.take(self.level == 1, kind, axis=1) & below
         return counts
 
-    def dense(self, bank_class: np.ndarray) -> np.ndarray:
-        """The ``(t, 2**k)`` int64 counts, taken from the two classes bank by bank."""
-        return self.counts(np.arange(len(bank_class)), bank_class)
+    def dense(self, bank_class: np.ndarray, dtype: type = np.int64) -> np.ndarray:
+        """The ``(t, 2**k)`` counts in ``dtype``, taken from the two classes bank by bank."""
+        return self.counts(np.arange(len(bank_class), dtype=np.int32), bank_class, dtype)
 
     def largest(self) -> np.ndarray:
         """Each row's largest count, without the dense form: a class's first
@@ -462,9 +462,12 @@ def _plan(x: np.ndarray, sched: FusionSchedule) -> _Plan:
 
 
 def _ghz_attempts(n_s: int, ghz_source: bool) -> int:
-    """GHZ attempts ``n_s`` sources make: ``n_s // 6``, or ``n_s`` GHZ sources."""
+    """GHZ attempts ``n_s`` sources make: ``n_s // 6``, or ``n_s`` GHZ sources.
+    Both factories count GHZ states in int64, so ``n_s`` must lie in ``[0, 2**63)``."""
     if n_s < 0:
         raise InvalidConfigurationError(f"source count must be >= 0, got {n_s}")
+    if n_s >= 2**63:
+        raise InvalidConfigurationError(f"source count must be below 2**63, got {n_s}")
     return n_s if ghz_source else n_s // 6
 
 
@@ -502,13 +505,19 @@ class _InverseBinomial:
     ``u`` is the number of entries at or below ``u`` in the row of its ``n``.
     A guide table holds, per row and for each of ``G`` equal ``u``-buckets
     (``G`` the power of two at or above four times the row width, so
-    ``u * G`` is exact), the count of entries at or below the bucket's lower
-    and upper edge; a vectorised binary search between the two finishes the
-    count, so the guide changes the time, never the answer.  A draw whose
-    largest ``n`` would need a table over ``_SLICE_CELLS`` cells (``n`` of
-    512 and up) goes to ``rng.binomial``; whether it does depends on the
-    draw's own ``n`` alone, never on what is cached.  The guide holds under
-    eight entries per table cell.
+    ``u * G`` is exact), one int32 code: the count ``c`` of entries at or
+    below the bucket's lower edge if its upper edge passes no more (the
+    bucket is settled and ``c`` is the answer), else ``~c``, which is
+    negative; a last code per row holds the count at the upper edge of the
+    last bucket.  A draw gathers its code once, and only a negative one
+    reads the next code, decoded, as the count at the bucket's upper edge;
+    a vectorised binary search between the two finishes the count, so the
+    guide changes the time, never the answer.  A draw whose largest ``n``
+    would need a table over ``_SLICE_CELLS`` cells (``n`` of 512 and up)
+    goes to ``rng.binomial``; whether it does depends on the draw's own
+    ``n`` alone, never on what is cached.  The guide holds under eight
+    codes, 32 bytes, per table cell, and its flat index, under ``2**20``,
+    is worked out in int32.
     """
 
     def __init__(self, p: float) -> None:
@@ -523,28 +532,48 @@ class _InverseBinomial:
         edge = np.ceil(self.cdf * self.buckets).astype(np.intp)
         edge += np.arange(width)[:, None] * (self.buckets + 1)
         tally = np.bincount(edge[self.cdf <= 1.0], minlength=width * (self.buckets + 1))
-        self.guide = np.cumsum(tally.reshape(width, -1), axis=1)
+        guide = np.cumsum(tally.reshape(width, -1), axis=1, dtype=np.int32)
+        # a bucket whose upper edge passes more entries than its lower one is unsettled
+        np.invert(guide[:, :-1], out=guide[:, :-1], where=guide[:, :-1] < guide[:, 1:])
+        self.guide = guide.ravel()
 
     def invert(self, n: np.ndarray, u: np.ndarray) -> np.ndarray:
         """The count of entries at or below ``u`` in the row of each ``n``, flat;
         the table must reach ``n.max()``."""
         rows, u = n.ravel(), u.ravel()
-        at = rows * (self.buckets + 1) + (u * self.buckets).astype(np.intp)
-        guide = self.guide.ravel()
-        lo = guide[at]
-        hi = guide[at + 1]
-        todo = np.flatnonzero(lo < hi)
+        at = (u * self.buckets).astype(np.int32)
+        at += rows.astype(np.int32, copy=False) * np.int32(self.buckets + 1)
+        lo = self.guide.take(at)
+        todo = np.flatnonzero(lo < 0)
         if todo.size:
+            # the next bucket's code, decoded, counts the entries at or below
+            # the bucket's upper edge, so each answer lies in [lo, hi]
+            hi = self.guide.take(at[todo] + 1)
+            base = rows[todo] * np.int32(self.cdf.shape[1])
+            lo[todo] = self._search(base, u[todo], ~lo[todo], np.maximum(hi, ~hi))
+        return lo
+
+    def _search(self, base: np.ndarray, u: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """The count of entries at or below each ``u`` in the row that starts at
+        the flat CDF index ``base``, by binary search in ``[lo, hi]``, where it lies.
+
+        Most unsettled buckets hold one entry and settle in one step; the
+        rest, mostly the tail buckets of many entries, go on alone."""
+        cdf = self.cdf.ravel()
+
+        def step(base, u, lo, hi):
             # a converged element reads the entry at lo, which exceeds u
-            cdf = self.cdf.ravel()
-            base = rows[todo] * self.cdf.shape[1]
-            u_todo, lo_todo, hi_todo = u[todo], lo[todo], hi[todo]
-            for _ in range(int((hi_todo - lo_todo).max()).bit_length()):
-                mid = (lo_todo + hi_todo) >> 1
-                passed = cdf[base + mid] <= u_todo
-                lo_todo = np.where(passed, mid + 1, lo_todo)
-                hi_todo = np.where(passed, hi_todo, mid)
-            lo[todo] = lo_todo
+            mid = (lo + hi) >> 1
+            passed = cdf.take(base + mid) <= u
+            return np.where(passed, mid + 1, lo), np.where(passed, hi, mid)
+
+        lo, hi = step(base, u, lo, hi)
+        wide = np.flatnonzero(lo < hi)
+        if wide.size:
+            base, u, lo_wide, hi = base[wide], u[wide], lo[wide], hi[wide]
+            for _ in range(int((hi - lo_wide).max()).bit_length()):
+                lo_wide, hi = step(base, u, lo_wide, hi)
+            lo[wide] = lo_wide
         return lo
 
     def draw(self, n: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -589,7 +618,10 @@ def improved_pc1_mc(
     uniforms step by ``2**-53``, so each draw's law is off by about
     ``1e-15``, far below the estimate's ``1 / sqrt(trials)``.  A level
     whose largest count in a slice is 512 or more would need a table over
-    ``2**18`` cells, and draws that slice with ``rng.binomial``.
+    ``2**18`` cells, and draws that slice with ``rng.binomial``.  A slice
+    holds its leaf counts in int32 when the largest is below ``2**31`` and
+    in int64 otherwise, so no count wraps, and ``rng.binomial`` sees each
+    exactly.
 
     Returns
     -------
@@ -609,7 +641,8 @@ def improved_pc1_mc(
                 x = np.full(t, n_attempts, dtype=np.int64)
             else:
                 x = rng.binomial(n_attempts, consts.p_ghz, size=t)
-            y = _plan(x, sched).dense(bank_class)
+            plan = _plan(x, sched)
+            y = plan.dense(bank_class, np.int32 if plan.largest().max() < 2**31 else np.int64)
             y[:, sched.measured] = thin.draw(y[:, sched.measured], rng)
             for level in levels:
                 y = level.draw(np.minimum(y[:, 0::2], y[:, 1::2]), rng)

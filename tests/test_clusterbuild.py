@@ -685,6 +685,18 @@ class TestRecordedOutputs:
         got = improved_pc1_mc(10**11, build_schedule(18, 1, consts), consts, trials=20, seed=1)
         assert got == (0.25, 0.09682458365518543)
 
+    @pytest.mark.parametrize("n_s,k,m,trials,seed,expected", [
+        (2 * 10**8, 11, 8, 300, 3, (0.9833333333333333, 0.007391185942027828)),
+        (2_700_000, 7, 4, 20000, 4, (0.9975, 0.0003531111722956346)),
+        (22_000_000, 9, 4, 5000, 6, (0.9954, 0.000956957679315031)),
+    ], ids=["k11_thinning_on_numpy", "k7", "k9"])
+    def test_monte_carlo_streams(self, consts, n_s, k, m, trials, seed, expected):
+        # recorded before the inversion guide took one int32 gather per draw
+        # and the slice counts went int32; at k = 11 the thinning draws with
+        # rng.binomial and the levels by inversion
+        assert improved_pc1_mc(n_s, build_schedule(k, m, consts), consts, trials=trials,
+                               seed=seed) == expected
+
     @pytest.mark.parametrize("k,m,expected", [(7, 4, 3268608), (8, 5, 9928704)], ids=["k7", "k8"])
     def test_min_sources(self, consts, k, m, expected):
         assert min_sources("improved", k, m, 250, 0.9, consts, method="exact") == expected
@@ -808,14 +820,16 @@ class TestInverseBinomial:
 
     @PROPERTY
     @given(
-        batches=st.lists(st.lists(st.integers(0, 300), min_size=1, max_size=40),
+        batches=st.lists(st.lists(st.integers(0, 511), min_size=1, max_size=40),
                          min_size=1, max_size=3),
         p=st.sampled_from([0.0, 0.031, 0.5, 0.69, 0.9792747163170544, 1.0]),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(batches=[[0, 1, 150], [511, 2, 0]], p=0.69, seed=0)
     def test_guide_matches_per_row_searchsorted(self, batches, p, seed):
-        # several batches grow the cached table; the uniforms include bucket
-        # edges and the CDF entries themselves, where ties count as passed
+        # several batches grow the cached table, up to 511, the widest it
+        # builds; the uniforms include both ends of [0, 1), bucket edges and
+        # the CDF entries themselves, where ties count as passed
         inverse = clusterbuild._InverseBinomial(p)
         rng = np.random.default_rng(seed)
         for batch in batches:
@@ -825,10 +839,34 @@ class TestInverseBinomial:
             u = rng.random(n.size)
             edges = rng.integers(0, inverse.buckets, n.size) / inverse.buckets
             ties = [row[rng.integers(0, row.size)] for row in alone]
-            for uniforms in (u, edges, np.where(np.array(ties) < 1.0, ties, u)):
+            ends = (np.zeros(n.size), np.full(n.size, 1.0 - 2.0**-53))
+            for uniforms in (u, edges, np.where(np.array(ties) < 1.0, ties, u), *ends):
                 got = inverse.invert(n, uniforms)
                 want = [np.searchsorted(row, x, side="right") for row, x in zip(alone, uniforms)]
                 assert got.tolist() == want
+
+    @pytest.mark.parametrize("p", [0.0, 0.031, 0.69, 0.9792747163170544, 1.0])
+    @pytest.mark.parametrize("top", [0, 1, 150, 511])
+    def test_encoded_guide_answers_as_the_two_column_guide(self, p, top):
+        # the two-column guide holds, per row and bucket, the count of
+        # entries at or below the bucket's lower and upper edge
+        inverse = clusterbuild._InverseBinomial(p)
+        inverse._build(top)
+        edges = np.arange(inverse.buckets + 1) / inverse.buckets
+        two = np.array([np.searchsorted(row, edges, side="right") for row in inverse.cdf])
+        lower, upper = two[:, :-1], two[:, 1:]
+        code = inverse.guide.reshape(top + 1, inverse.buckets + 1)
+        assert code.dtype == np.int32
+        np.testing.assert_array_equal(code[:, :-1], np.where(lower == upper, lower, ~lower))
+        np.testing.assert_array_equal(code[:, -1], two[:, -1])
+        # its answer: the lower count if settled, else a search of the bucket's entries
+        rng = np.random.default_rng(top)
+        u = np.concatenate([rng.random(3000), edges[:-1], [0.0, 1.0 - 2.0**-53]])
+        n = rng.integers(0, top + 1, u.size)
+        bucket = (u * inverse.buckets).astype(int)
+        want = [lo + np.searchsorted(inverse.cdf[row, lo:hi], x, side="right")
+                for row, x, lo, hi in zip(n, u, lower[n, bucket], upper[n, bucket])]
+        assert inverse.invert(n, u).tolist() == want
 
     def test_table_past_the_cell_budget_falls_back_to_numpy(self, consts, monkeypatch):
         # 511 is the last count whose 0..n table fits the cell budget, 512 the
@@ -1223,6 +1261,35 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    @pytest.mark.parametrize("n_s", [17_046_347_555, 17_046_347_556, 2**35],
+                             ids=["largest_below_2**31", "largest_at_2**31", "2**35"])
+    def test_slice_counts_past_int32_are_exact(self, consts, monkeypatch, n_s):
+        # deterministic GHZ states: the slice's leaf counts are those of
+        # allocate_ghz_counts, whose largest is 2**31 - 1, 2**31 and about
+        # 2**32 here, and far past every table the thinning hands the
+        # measured banks' counts to rng.binomial as they are
+        sched = build_schedule(3, 1, consts)
+        seen = []
+
+        class Spy:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def random(self, shape):
+                return self.rng.random(shape)
+
+            def binomial(self, n, p, size=None):
+                seen.append(np.array(n))
+                return self.rng.binomial(n, p, size)
+
+        engine = clusterbuild.mc_fractions
+        monkeypatch.setattr(clusterbuild, "mc_fractions", lambda trials, seed, width, draw:
+                            engine(trials, seed, width, lambda size, rng: draw(size, Spy(rng))))
+        assert improved_pc1_mc(n_s, sched, consts, trials=3, ghz_source=True) == (1.0, 0.0)
+        leaves = allocate_ghz_counts(np.full(3, n_s), sched)
+        np.testing.assert_array_equal(seen[0], leaves[:, list(sched.measured)])
+        assert len(seen) == 1 + sched.k and all(n.min() >= 0 for n in seen)
+
     def test_deterministic_across_calls(self, consts):
         sched = build_schedule(3, 1, consts)
         a = improved_pc1_mc(1500, sched, consts, trials=30_000, seed=12)
@@ -1249,6 +1316,20 @@ class TestMonteCarlo:
             improved_pc1_mc(-6, sched, consts)
         with pytest.raises(InvalidConfigurationError):
             improved_pc1_exact(-6, sched, consts)
+
+    def test_source_count_past_int64_is_refused(self, consts):
+        # both factories count GHZ states in int64; these ended in a raw
+        # OverflowError, and pcn_curve read 1.0 at 2**64
+        sched = build_schedule(3, 1, consts)
+        assert improved_pc1_mc(2**63 - 1, sched, consts, trials=10, ghz_source=True) == (1.0, 0.0)
+        for n_s in (2**63, 10**20, 2**64):
+            for ghz_source in (False, True):
+                with pytest.raises(InvalidConfigurationError, match=r"2\*\*63"):
+                    improved_pc1_mc(n_s, sched, consts, trials=10, ghz_source=ghz_source)
+            with pytest.raises(InvalidConfigurationError, match=r"2\*\*63"):
+                improved_pc1_exact(n_s, sched, consts)
+            with pytest.raises(InvalidConfigurationError, match=r"2\*\*63"):
+                pcn_curve("improved", 3, 1, 5, consts, [n_s], method="mc", trials=10)
 
 
 class TestPcn:
