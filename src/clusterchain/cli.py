@@ -84,6 +84,34 @@ def _parse_range(text: str) -> np.ndarray:
     return lo + step * np.arange(round(steps) + 1)
 
 
+def _parse_counts(text: str) -> np.ndarray:
+    """Parse source counts, ``lo:hi:step`` or one count, as int64: exactly, so
+    every part must be an integer in ``[0, 2**63)`` (``1e6`` is one)."""
+    import decimal  # exact parsing; only this command pays its import
+
+    try:
+        values = [decimal.Decimal(p) for p in text.split(":")]
+    except decimal.InvalidOperation as exc:
+        raise ConfigError(f"source counts must be numeric, got {text!r}") from exc
+    if len(values) not in (1, 3) or not all(
+            v.is_finite() and v == v.to_integral_value() and 0 <= v < 2**63 for v in values):
+        raise ConfigError(
+            f"source counts must be 'lo:hi:step' or one count, integers in [0, 2**63), got {text!r}"
+        )
+    if len(values) == 1:
+        return np.array([int(values[0])], dtype=np.int64)
+    lo, hi, step = map(int, values)
+    if step <= 0:
+        raise ConfigError(f"range step must be positive, got {step!r}")
+    if hi < lo:
+        raise ConfigError(f"range end {hi!r} is below start {lo!r}")
+    if (hi - lo) % step:
+        raise ConfigError(f"range step must divide hi - lo, got {text!r}")
+    if (hi - lo) // step >= _MAX_RANGE_POINTS:
+        raise ConfigError(f"range {text!r} has more than {_MAX_RANGE_POINTS} points")
+    return lo + step * np.arange((hi - lo) // step + 1, dtype=np.int64)
+
+
 def _parse_int_list(text: str) -> list[int]:
     try:
         return [int(p) for p in text.split(",")]
@@ -251,10 +279,7 @@ def cmd_resources(args: argparse.Namespace) -> int:
     _checked_seed(args.trials, args.seed)
     device = _resolve_device(args)
     consts = derive_constants(device)
-    grid = _parse_range(args.sources)
-    if not np.all((grid == np.floor(grid)) & (grid < 2.0**63)):
-        raise ConfigError(f"source counts must be integers below 2**63, got {args.sources!r}")
-    grid = grid.astype(np.int64)
+    grid = _parse_counts(args.sources)
     naive = pcn_curve("naive", args.k, args.m, args.n, consts, grid,
                       method=args.method, trials=args.trials, seed=args.seed)
     improved = pcn_curve("improved", args.k, args.m, args.n, consts, grid,

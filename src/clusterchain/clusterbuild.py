@@ -65,7 +65,6 @@ _TAIL_MASS = 1e-12  # GHZ-success mass outside the exact window
 _EARLY_STOP = 1e-16  # largest change the exact sweep's early stop may skip
 _LEVEL_CUT = 1e-20  # largest survival a fusion level's cut drops from any row
 _EXACT_COUNT_LIMIT = 2**12  # largest per-bank GHZ count the exact factory holds
-_CLIP_X_LIMIT = 10**9  # least window top x at which no clipped row is tried: _plan floors in floats
 _MAX_LEVELS = _MAX_BLOCK_CELLS.bit_length() - 1  # largest k whose 2**k leaf banks fit one MC block
 _SLICE_CELLS = 2**18  # leaf-bank cells per banked MC slice, and cells per inversion table
 _NAIVE_GRID = 200  # n_ghz and n_meas scanned on [1, _NAIVE_GRID] by the naive optimiser
@@ -826,6 +825,9 @@ class _ExactFactory:
 
     Holds ``f`` per aligned block of ``x`` and the level matrices for as long
     as the object lives; see :func:`improved_pc1_exact` for the method.
+    Where a window's top grants one bank more than ``_EXACT_COUNT_LIMIT``
+    states (the level matrices grow as its square), ``P_c1`` is
+    ``fallback(n_s)``, or, without one, the count is refused.
     """
 
     def __init__(
@@ -835,6 +837,7 @@ class _ExactFactory:
         ghz_source: bool,
         fusion_probs: Sequence[float] | None,
         cap: int | None,
+        fallback: Callable[[int], float] | None = None,
     ) -> None:
         self.sched = sched
         self.probs = list(fusion_probabilities(sched.k, consts) if fusion_probs is None
@@ -852,6 +855,7 @@ class _ExactFactory:
         self.p_ghz = consts.p_ghz
         self.ghz_source = ghz_source
         self.cap = cap
+        self.fallback = fallback
         self.banks_per_level = 2.0 ** np.arange(sched.k - 1, -1, -1)
         self.blocks: dict[int, tuple[np.ndarray, float, float]] = {}  # j -> block(j)
         self.matrices: dict[float, np.ndarray] = {}  # p -> largest _survival_matrix so far
@@ -922,91 +926,78 @@ class _ExactFactory:
             hi = min(n_attempts, hi + math.ceil(4 * sd))
         return lo, hi
 
-    def pc1(self, n_s: int, beyond_limit: Callable[[int], float] | None = None) -> float:
-        """``P_c1(n_s)``: the GHZ-success pmf over its window dotted with ``f``.
+    def pc1(self, n_s: int) -> float:
+        """``P_c1(n_s)``: the GHZ-success pmf over its window dotted with ``f``."""
+        return self._sweep(n_s, None)
 
-        Where the window's top grants one bank more than ``_EXACT_COUNT_LIMIT``
-        states (the level matrices grow as its square), returns
-        ``beyond_limit(n_s)`` instead, or raises without one.
-        """
-        return self._sweep(n_s, None, beyond_limit)
+    def feasible(self, n_s: int, target: float) -> bool:
+        """``pc1(n_s) >= target``, decided as soon as the bracket on ``P_c1``
+        settles it, always as the full sweep would (see :func:`improved_pc1_exact`)."""
+        return self._sweep(n_s, target) >= target
 
-    def feasible(
-        self, n_s: int, target: float, beyond_limit: Callable[[int], float] | None = None
-    ) -> bool:
-        """``pc1(n_s) >= target``, decided by the window's end rows or at the
-        first block after which the sweep's bounds settle it, and always as
-        the full sweep would decide it (the argument is in
-        :func:`improved_pc1_exact`).  Beyond the count limit the answer is yes
-        where the clipped floors row settles it, else ``beyond_limit(n_s) >=
-        target``.
-        """
-        return self._sweep(n_s, target, beyond_limit) >= target
-
-    def _end_rows(self, ends: _Plan, margin: float) -> tuple[float, float, float]:
-        """L, ``f`` of the floors in the first row of ``ends``, and U, ``f`` with
-        one more state than the floors in its second row in every bank, each
-        bank clipped to ``_EXACT_COUNT_LIMIT`` (the plan is changed in
-        place); and their error budget, ``margin`` plus the rows' own level
-        cut, which both are checked against."""
+    def _end_rows(self, ends: _Plan) -> tuple[float, float, float]:
+        """L, ``f`` of the floors in the first row of ``ends``, U, ``f`` with one
+        more state than the floors in its second row in every bank, and the
+        rows' level cut; every bank is clipped to ``_EXACT_COUNT_LIMIT`` (the
+        plan is changed in place), which binds only at a count the factory
+        refuses, as an admitted window's floors stay within the limit."""
         ends.level[:] = [[0], [2]]
-        # the clip binds only at a count the factory refuses: an admitted
-        # window's floors stay within the limit
         np.minimum(ends.floors, _EXACT_COUNT_LIMIT, out=ends.floors)
         (low, high), cut = self._propagate(ends)
-        budget = margin + cut
-        _check_budget(low, budget)
-        _check_budget(high, budget)
-        return float(low), float(high), budget
+        return float(low), float(high), cut
 
-    def _sweep(
-        self, n_s: int, target: float | None, beyond_limit: Callable[[int], float] | None
-    ) -> float:
-        """``P_c1(n_s)``, or, given a ``target``, the first bound on it that lies
-        on the same side of the target as it."""
+    def _sweep(self, n_s: int, target: float | None) -> float:
+        """``P_c1(n_s)``, or, given a ``target``, the first end of its bracket
+        that lies on the same side of the target as it."""
         n_attempts = _ghz_attempts(n_s, self.ghz_source)
         lo, hi = self._window(n_attempts)
         ends = _plan(np.array([lo, hi]), self.sched)
-        if ends.largest()[1] > _EXACT_COUNT_LIMIT:
-            if beyond_limit is None:
-                raise InvalidConfigurationError(
-                    f"exact factory holds at most {_EXACT_COUNT_LIMIT} GHZ states in one bank, "
-                    f"exceeded at k = {self.sched.k} with {n_s} sources; use --method mc"
-                )
-            if target is not None and hi < _CLIP_X_LIMIT:
-                low, _, budget = self._end_rows(ends, _TAIL_MASS + _EARLY_STOP)
-                if low - budget >= target:
-                    return low - budget
-            return beyond_limit(n_s)
+        refused = ends.largest()[1] > _EXACT_COUNT_LIMIT
+        if refused and self.fallback is None:
+            raise InvalidConfigurationError(
+                f"exact factory holds at most {_EXACT_COUNT_LIMIT} GHZ states in one bank, "
+                f"exceeded at k = {self.sched.k} with {n_s} sources; use --method mc"
+            )
         if n_attempts < 1:
             return 0.0
-        p, q = self.p_ghz, 1.0 - self.p_ghz
-        # ln pmf(c+1) - ln pmf(c) = ln((n-c) p / ((c+1) q)), summed up from lo
-        c = np.arange(lo, hi)
-        log_px = np.concatenate(([0.0], np.cumsum(np.log((n_attempts - c) * p / ((c + 1) * q)))))
-        px = np.exp(log_px - log_px.max())
-        px = px / px.sum()
-
-        overflow = 0.0
-        if self.cap is not None:
-            largest = _plan(np.arange(lo, hi + 1), self.sched).largest()
-            overflow = px[largest > self.cap].sum()
-            if overflow > 1e-9:
-                raise CapTooSmallError(
-                    f"cap {self.cap} truncates {overflow:.3g} probability mass "
-                    f"(largest allocated count is {int(largest.max())})"
-                )
+        margin, blocks = _TAIL_MASS + _EARLY_STOP, []
+        if not refused:
+            p, q = self.p_ghz, 1.0 - self.p_ghz
+            # ln pmf(c+1) - ln pmf(c) = ln((n-c) p / ((c+1) q)), summed up from lo
+            c = np.arange(lo, hi)
+            log_px = np.concatenate(([0.0], np.cumsum(np.log((n_attempts - c) * p / ((c + 1) * q)))))
+            px = np.exp(log_px - log_px.max())
+            px = px / px.sum()
+            if self.cap is not None:
+                largest = _plan(np.arange(lo, hi + 1), self.sched).largest()
+                overflow = px[largest > self.cap].sum()
+                if overflow > 1e-9:
+                    raise CapTooSmallError(
+                        f"cap {self.cap} truncates {overflow:.3g} probability mass "
+                        f"(largest allocated count is {int(largest.max())})"
+                    )
+                margin += overflow
+            blocks = range(lo // _X_BLOCK, hi // _X_BLOCK + 1)
+        # every x not yet swept has bound <= f(x) <= upper, up to the budget
+        bound, upper, remaining = 0.0, 1.0, 1.0
         if target is not None:
-            # L, the floors at lo, and U, one past the floors at hi, bound every f(x)
-            low, high, budget = self._end_rows(ends, _TAIL_MASS + overflow + _EARLY_STOP)
-            if low - budget >= target:
-                return low - budget
-            if high + budget < target:
-                return high + budget
+            bound, upper, end_cut = self._end_rows(ends)
+            margin += end_cut
+            _check_budget(bound, margin)
+            _check_budget(upper, margin)
+            if refused:
+                upper = 1.0  # a clipped U bounds nothing
 
         success = weight_done = cut = 0.0
-        settled = None  # the bound that first lies on one side of the target
-        for j in range(lo // _X_BLOCK, hi // _X_BLOCK + 1):
+        for j in [*blocks, None]:  # the bracket is checked before each block and after the last
+            if target is not None:
+                low = success + remaining * bound - (margin + cut)
+                high = success + remaining * upper + (margin + cut)
+                if low >= target or high < target:
+                    _check_budget(success, margin + cut)
+                    return low if low >= target else high
+            if j is None:
+                break
             f, bound, block_cut = self.block(j)
             start, stop = max(lo, j * _X_BLOCK), min(hi, (j + 1) * _X_BLOCK - 1)
             conditional = f[start - j * _X_BLOCK : stop - j * _X_BLOCK + 1]
@@ -1019,15 +1010,9 @@ class _ExactFactory:
             if remaining * (1.0 - bound) < _EARLY_STOP:
                 success += remaining * bound
                 break
-            if target is not None:
-                budget = _TAIL_MASS + overflow + cut + _EARLY_STOP
-                low, high = success + remaining * bound - budget, success + remaining + budget
-                if low >= target or high < target:
-                    settled = low if low >= target else high
-                    break
-        _check_budget(success, _TAIL_MASS + overflow + cut + _EARLY_STOP)
-        if settled is not None:
-            return settled
+        _check_budget(success, margin + cut)
+        if refused:
+            return self.fallback(n_s)
         return min(max(success, 0.0), 1.0)
 
 
@@ -1100,46 +1085,32 @@ def improved_pc1_exact(
 
     This function sweeps to the full value; a source search asks only
     whether it meets a target, and :meth:`_ExactFactory.feasible` answers
-    that early.  Before any block it computes two rows of one plan: L, ``f``
-    of the floors at the window's low end ``lo``, and U, ``f`` with one more
-    state than the floors at its high end ``hi`` in every bank.  A bank's
-    floor ``floor(x * share)`` (a float product, rounded monotonically)
-    does not fall as ``x`` grows, and largest remainder grants it its floor
-    or one more, so at every ``x`` of the window each bank holds at least
-    its count in L and at most its count in U.  Success does not fall as
-    one bank's count grows: coupled, the larger bank's thinning keeps at
-    least as many states, and so does every minimum and fusion above it.
-    So ``L <= f(x) <= U`` for every ``x`` of the window, and the full value,
-    the pmf-weighted mean of the computed ``f``, each at most its block's
-    level cut (``2e-14``) below the exact one, lies between L, less that
-    cut, and U.  The end rows carry their own level cut, so their budget is
-    the sweep's (window tail, overflow, early stop) plus that cut: L less
-    the budget at or above the target answers yes, U plus the budget below
-    it answers no, either answer is the full sweep's, and both values are
-    range-checked as the sum is.  :meth:`_ExactFactory.pc1` never uses them,
-    as it needs the value itself.  Where neither settles the question,
-    after each block the sweep holds the sum so far and the
-    remaining window mass; every ``x`` past the block succeeds at least as
-    often as its bound and at most always, so the full value lies between
-    the sum plus the remaining mass times the bound, less the error budget,
-    and the sum plus the remaining mass, plus the budget (the level cut
-    counted is that of the blocks seen so far).  A block not yet seen can
-    put its ``f`` below the bound by at most its own level cut,
-    ``2**k * 1e-20 <= 2e-14``, far inside the ``1e-12`` of tail mass in the
-    budget.  So a lower end at or above the target answers yes, an upper
-    end below it answers no, either answer is the full sweep's, and the
-    sweep otherwise runs on; the partial sum is range-checked as the full
-    one is.
-
-    Where the factory refuses a count, a search under ``method="auto"``
-    first computes the floors at ``lo`` with every bank clipped to
-    ``2**12``.  Clipping only takes states away, so that row, less its
-    budget (window tail, its level cut, early stop), bounds ``P_c1`` from
-    below, and at or above the target it answers yes with no Monte Carlo.
-    The row is tried only while the window's top ``x`` is below ``1e9``:
-    ``_plan``'s float floors were first seen to part from the exact ones at
-    ``1.39e10``.  Otherwise, or where the row falls short, Monte Carlo
-    answers; ``method="exact"`` raises.
+    that from one bracket on it.  Before any block it computes two rows of
+    one plan: L, ``f`` of the floors at the window's low end ``lo``, and U,
+    ``f`` with one more state than the floors at its high end ``hi`` in
+    every bank.  At every ``x`` below ``2**63``, a bank's float floor
+    ``floor(x * share)`` does not fall as ``x`` grows (a rounded product
+    with a positive constant is monotone), and the plan grants the bank its
+    floor or one more (none more where the floors overshoot ``x``).
+    Success does not fall as one bank's count grows: coupled, the larger
+    bank's thinning keeps at least as many states, and so does every
+    minimum and fusion above it.  So ``L <= f(x) <= U`` over the window,
+    and past a block ``f`` is at least the block's floor bound too.  The
+    full value thus lies between the sum so far plus the remaining mass
+    times the lower bound, less the budget, and the sum plus the remaining
+    mass times U, plus the budget; the budget is the sweep's plus the end
+    rows' own level cut (a block not yet seen can put its ``f`` below the
+    bound by at most its cut, ``2**k * 1e-20 <= 2e-14``, far inside the
+    ``1e-12`` of tail mass).  The bracket is checked before the first
+    block and after each one, the only early decision: a lower end at or
+    above the target answers yes, an upper end below it no, either as the
+    full sweep would, and L, U and the partial sum are range-checked as the
+    full sum is.  Where the factory refuses a count (``method="exact"``
+    raises there), both rows clip every bank to ``2**12``, which only takes
+    states away: L still bounds ``f`` from below, the upper end takes 1
+    for U, and where the bracket settles nothing Monte Carlo answers.  The
+    clipped row needs no bound on ``x``: the plan's two facts hold at every
+    ``x``, and the Monte Carlo draws from the same float plan.
 
     Raises
     ------
@@ -1165,14 +1136,6 @@ def pcn(p_c1: float, n: int) -> float:
     return p_c1**n
 
 
-_Evaluator = tuple[Callable[[int], float], Callable[[int, float], bool]]
-
-
-def _thresholded(pc1: Callable[[int], float]) -> _Evaluator:
-    """``pc1`` and a feasibility test that compares its estimate with the target."""
-    return pc1, lambda n_s, target: pc1(n_s) >= target
-
-
 def _pc1_evaluator(
     scheme: str,
     k: int,
@@ -1181,9 +1144,9 @@ def _pc1_evaluator(
     method: str,
     trials: int,
     seed: int,
-) -> _Evaluator:
+) -> tuple[Callable[[int], float], Callable[[int, float], bool]]:
     """One scheme's ``pc1(n_s)`` and ``feasible(n_s, target)``, which answers
-    ``pc1(n_s) >= target``: early where the exact factory's bounds settle it,
+    ``pc1(n_s) >= target``: early where the exact factory's bracket settles it,
     and for the naive scheme from one source threshold per target, for counts
     up to ``_SOURCE_CEILING``; see :func:`min_sources`."""
     if method not in ("auto", "exact", "mc"):
@@ -1212,11 +1175,11 @@ def _pc1_evaluator(
         )[0]
 
     if method == "mc":
-        return _thresholded(monte_carlo)
-    exact = _ExactFactory(sched, consts, ghz_source, None, None)
-    fallback = monte_carlo if method == "auto" else None  # "exact" raises where the factory refuses
-    return (lambda n_s: exact.pc1(n_s, beyond_limit=fallback),
-            lambda n_s, target: exact.feasible(n_s, target, beyond_limit=fallback))
+        return monte_carlo, lambda n_s, target: monte_carlo(n_s) >= target
+    # "exact" raises where the factory refuses a count
+    exact = _ExactFactory(sched, consts, ghz_source, None, None,
+                          monte_carlo if method == "auto" else None)
+    return exact.pc1, exact.feasible
 
 
 def min_sources(
@@ -1243,11 +1206,11 @@ def min_sources(
     already meet the target.
 
     Each candidate asks only whether ``P_c1 >= target_pcn ** (1/n)``, which
-    the exact factory answers from its window's two end rows where they
-    settle it, else as soon as its sweep's bounds do, always as the full
-    value would (see :func:`improved_pc1_exact`): the count is the full
-    sweeps' count, from fewer blocks (10 instead of 67 for the k = 7
-    reference search, whose end rows decide 22 of its 28 evaluations).  The
+    the exact factory answers as soon as its bracket on ``P_c1`` settles
+    it, always as the full value would (see :func:`improved_pc1_exact`):
+    the count is the full sweeps' count, from fewer blocks (10 instead of
+    67 for the k = 7 reference search, whose bracket decides 22 of its 28
+    evaluations before any block).  The
     naive scheme compares each count with the least count at which
     :func:`optimize_naive_multiplex` reaches the target, found once per
     search, so its answers are the optimiser's at every count without

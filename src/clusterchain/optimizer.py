@@ -113,7 +113,7 @@ def iter_designs(k: int, bounds: SearchBounds = SearchBounds()) -> Iterator[tupl
         for m in range(1, bounds.m_max + 1):
             if k_of_design(m, BranchingVector((1,) * depth)) > k:
                 break
-            yield from _class_trees(k, m, (), depth, bounds.branch_max)
+            yield from _class_trees(k, m, depth, bounds.branch_max)
 
 
 def _holds_depth(k: int, depth: int) -> bool:
@@ -127,20 +127,26 @@ def _holds_depth(k: int, depth: int) -> bool:
 
 
 def _class_trees(
-    k: int, m: int, prefix: tuple[int, ...], depth: int, branch_max: int
+    k: int, m: int, depth: int, branch_max: int
 ) -> Iterator[tuple[int, BranchingVector]]:
-    """Class-``k`` designs with ``m`` channels whose branches start with ``prefix``."""
-    rest = depth - len(prefix) - 1
-    for b in range(1, branch_max + 1):
-        smallest = BranchingVector(prefix + (b,) + (1,) * rest)
-        k_smallest = k_of_design(m, smallest)
+    """Class-``k`` designs with ``m`` channels and ``depth`` branches, in
+    lexicographic order: a depth-first walk that holds its path in a list,
+    so no depth meets the recursion limit."""
+    path = [1]  # the branches fixed so far; the last is the one being tried
+    while path:
+        rest = depth - len(path)
+        smallest = BranchingVector(tuple(path) + (1,) * rest)
+        k_smallest = k_of_design(m, smallest) if path[-1] <= branch_max else k + 1
         if k_smallest > k:
-            break  # so are all later siblings
-        if rest == 0:
+            path.pop()  # past branch_max, or so are all later siblings
+        elif rest == 0:
             if k_smallest == k:
                 yield m, smallest
-        elif k_of_design(m, BranchingVector(prefix + (b,) + (branch_max,) * rest)) >= k:
-            yield from _class_trees(k, m, prefix + (b,), depth, branch_max)
+        elif k_of_design(m, BranchingVector(tuple(path) + (branch_max,) * rest)) >= k:
+            path.append(1)
+            continue
+        if path:
+            path[-1] += 1
 
 
 def design_envelopes(

@@ -283,6 +283,20 @@ class TestResources:
         assert config["seed"] == 0
         assert config["command"] == "resources"
 
+    @pytest.mark.parametrize("sources, counts", [
+        ("9007199254740993", [2**53 + 1]),
+        ("100000000000000001:100000000000000003:1", [10**17 + 1, 10**17 + 2, 10**17 + 3]),
+        ("1e6", [10**6]),
+    ], ids=["past_2_53", "range_past_2_53", "exponent"])
+    def test_source_counts_are_parsed_exactly(self, capsys, sources, counts):
+        # read as floats, 2**53 + 1 printed as 2**53 and the three counts
+        # of the range collapsed into one row
+        code, out, _ = run_cli(capsys, "resources", "--k", "3", "--m", "1", "--n", "1",
+                               "--sources", sources, "--method", "mc", "--trials", "1")
+        assert code == 0
+        _, _, rows, _ = parse_csv(out)
+        assert [int(row[0]) for row in rows] == counts
+
     NAIVE_SCALE = (
         "resources", "--k", "7", "--m", "4", "--n", "250",
         "--sources", "10000000000:30000000000:10000000000", "--trials", "200",
@@ -407,6 +421,14 @@ class TestOptimize:
         assert code == 3
         assert out == ""
         assert err.startswith("error: infeasible: no class k in [7] holds a tree of depth")
+
+    def test_depth_past_the_recursion_limit_is_infeasible(self, capsys):
+        # class 11 holds two depth-1020 trees (m = 1), deeper than Python's
+        # default recursion limit; neither has a valid envelope at 300 km
+        code, out, err = run_cli(capsys, "optimize", "--L", "300", "--k", "11",
+                                 "--depths", "1020")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: infeasible:")
 
     def test_deep_trees_scan_in_seconds(self, capsys):
         # the class is enumerated by pruning on tree size; filtering every
@@ -569,16 +591,26 @@ class TestErrorHandling:
 
     RATE_PREFIX = ("rate", "--m", "4", "--b", "7,3", "--n", "100")
 
-    @pytest.mark.parametrize(
+    BAD_RANGES = pytest.mark.parametrize(
         "bad_range",
         ["300:100:50", "100:200:0", "1:2:3:4", "nan", "inf", "1:nan:1", "1:x:1",
          "0:11:4", "0:1e12:1"],
         ids=["reversed", "zero_step", "too_many_parts", "nan", "inf", "nan_end",
              "non_numeric", "step_not_dividing", "too_many_points"],
     )
+
+    @BAD_RANGES
     def test_bad_range_is_config_error(self, capsys, bad_range):
         code, _, err = run_cli(capsys, *self.RATE_PREFIX, "--L", bad_range)
         assert code == 2
+        assert err.startswith("error: config:")
+
+    @BAD_RANGES
+    def test_bad_source_range_is_config_error(self, capsys, bad_range):
+        # source counts are parsed apart from --L, as exact integers
+        code, out, err = run_cli(capsys, "resources", "--k", "3", "--m", "1", "--n", "1",
+                                 "--sources", bad_range)
+        assert (code, out) == (2, "")
         assert err.startswith("error: config:")
 
     def test_fractional_step_keeps_both_ends(self):

@@ -279,9 +279,10 @@ def grid_search(k, m, n, target_pcn, consts):
     """``min_sources("naive", ...)`` asking the grid optimiser at every count,
     or ``None`` where the target is unreachable."""
     def evaluator(*_):
-        return clusterbuild._thresholded(
-            lambda n_s: optimize_naive_multiplex(n_s, k, m, consts)[1]
-        )
+        def pc1(n_s):
+            return optimize_naive_multiplex(n_s, k, m, consts)[1]
+
+        return pc1, lambda n_s, target: pc1(n_s) >= target
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(clusterbuild, "_pc1_evaluator", evaluator)
@@ -403,6 +404,27 @@ class TestAllocation:
             np.testing.assert_array_equal(
                 allocate_ghz_counts(rows, sched), largest_remainder_oracle(rows, weights)
             )
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_float_plan_bounds_every_bank_by_its_floors(self, consts, k):
+        # the exact search's bracket rests on two facts about the float plan,
+        # which the exact factory and the Monte Carlo share, at any x below
+        # 2**63: no floor falls as x grows, and every bank holds its floor or
+        # one more.  x is drawn log-uniformly up to 2**62 and uniformly over
+        # [1.39e10, 2e12], where the float floors part from exact-rational
+        # ones, with a run of 64 consecutive x at every 20th draw.
+        rng = np.random.default_rng(k)
+        draws = np.concatenate([2.0 ** rng.uniform(0, 62, 400), rng.uniform(1.39e10, 2e12, 400)])
+        starts = np.unique(draws.astype(np.int64))
+        runs = starts[::20, None] + np.arange(64)
+        x = np.unique(np.concatenate([[0, 2**62], starts, runs.ravel()]))
+        for m in (1, (2**k - 1) // 4):
+            sched = build_schedule(k, m, consts)
+            floors = clusterbuild._plan(x, sched).floors
+            assert (np.diff(floors, axis=0) >= 0).all()
+            floors = floors[:, clusterbuild._bank_class(sched)]
+            counts = allocate_ghz_counts(x, sched)
+            assert ((floors <= counts) & (counts <= floors + 1)).all()
 
     @PROPERTY
     @given(
@@ -530,7 +552,7 @@ class TestExactPropagation:
             factory.feasible(600_000, 0.5)
         assert len(factory.blocks) == 0
         monkeypatch.setattr(clusterbuild._ExactFactory, "_end_rows",
-                            lambda self, ends, margin: (0.0, 1.0, margin))
+                            lambda self, ends: (0.0, 1.0, 0.0))
         with pytest.raises(ArithmeticError):
             factory.feasible(600_000, 0.5)
         assert len(factory.blocks) == 1
@@ -1053,8 +1075,10 @@ class TestEarlyDecision:
         assert factory.feasible(n_s, target) == (value >= target)
 
     @staticmethod
-    def search_blocks(monkeypatch, consts, full_sweep: bool) -> tuple[int, int]:
-        """The k = 7 reference search's count and the blocks its factory computed."""
+    def search_blocks(monkeypatch, consts, full_sweep: bool,
+                      k=7, m=4, n=313) -> tuple[int, int]:
+        """An exact search's count and the blocks its factory computed, by
+        default the k = 7 reference search's."""
         made = []
 
         class Recorded(clusterbuild._ExactFactory):
@@ -1063,11 +1087,11 @@ class TestEarlyDecision:
                 made.append(self)
 
             if full_sweep:
-                def feasible(self, n_s, target, beyond_limit=None):
-                    return self.pc1(n_s, beyond_limit) >= target
+                def feasible(self, n_s, target):
+                    return self.pc1(n_s) >= target
 
         monkeypatch.setattr(clusterbuild, "_ExactFactory", Recorded)
-        count = min_sources("improved", 7, 4, 313, 0.9, consts, method="exact")
+        count = min_sources("improved", k, m, n, 0.9, consts, method="exact")
         (factory,) = made
         return count, len(factory.blocks)
 
@@ -1101,10 +1125,10 @@ class TestEarlyDecision:
         _, auto = clusterbuild._pc1_evaluator("improved", 7, 4, consts, "auto", 32, 3)
         assert (auto(n_s, 0.75), auto(n_s, 0.8)) == (True, False)
         assert calls == [n_s, n_s]
-        # from a window top of 1e9 GHZ states no clipped row is tried, though
-        # one would settle a target of 0.5 here
+        # the clipped row is tried at every count: at 2e11 sources, a window
+        # top past 1e9 GHZ states, it settles a target of 0.5 alone
         assert auto(2 * 10**11, 0.5)
-        assert calls == [n_s, n_s, 2 * 10**11]
+        assert calls == [n_s, n_s]
 
     def test_clipped_row_answers_without_monte_carlo(self, consts, monkeypatch):
         # under a limit of 2**6 states the clipped floors of the same window
@@ -1178,14 +1202,14 @@ class TestEndRows:
         sched = build_schedule(k, m, consts)
         factory = clusterbuild._ExactFactory(sched, consts, False, None, None)
         lo, hi = factory._window(n_s // 6)
-        low, high, budget = factory._end_rows(clusterbuild._plan(np.array([lo, hi]), sched), 0.0)
+        low, high, end_cut = factory._end_rows(clusterbuild._plan(np.array([lo, hi]), sched))
         first = lo // clusterbuild._X_BLOCK
         f = np.concatenate([factory.block(j)[0] for j in range(first, hi // clusterbuild._X_BLOCK + 1)])
         f = f[lo - first * clusterbuild._X_BLOCK : hi - first * clusterbuild._X_BLOCK + 1]
         assert len(f) == hi - lo + 1
         # each computed f sits at most its own level cut below the exact one
         cut = max(block_cut for _, _, block_cut in factory.blocks.values())
-        assert low - cut <= f.min() and f.max() <= high + budget
+        assert low - cut <= f.min() and f.max() <= high + end_cut
         assert high - low < 0.5  # and the rows are not vacuous
 
     SEARCHES = [("improved", 7, 4, 313), ("improved", 10, 8, 300),
@@ -1213,13 +1237,16 @@ class TestEndRows:
         for n_s, target, answer in asked:
             assert answer == (pc1(n_s) >= target), n_s
 
-    @pytest.mark.parametrize("k, m, expected", [
-        (9, 7, 30277632), (10, 8, 90439680), (12, 8, 805306368),
+    @pytest.mark.parametrize("k, m, expected, blocks", [
+        (9, 7, 30277632, 21), (10, 8, 90439680, 37), (12, 8, 805306368, 69),
     ], ids=["k9", "k10", "k12"])
-    def test_search_counts(self, consts, k, m, expected):
-        # recorded while every evaluation swept blocks; k = 12 took 4.2 s
-        # pinned to one CPU then, and takes about 1.3 s with the end rows
-        assert min_sources("improved", k, m, 300, 0.9, consts, method="exact") == expected
+    def test_search_counts(self, consts, monkeypatch, k, m, expected, blocks):
+        # counts recorded while every evaluation swept blocks; k = 12 took
+        # 4.2 s pinned to one CPU then.  Its end rows and running bounds,
+        # checked apart, built 84 blocks; U bounding the unseen mass in the
+        # bracket's upper end after every block too brings that to 69
+        got = TestEarlyDecision.search_blocks(monkeypatch, consts, False, k, m, 300)
+        assert got == (expected, blocks)
 
 class TestMonteCarlo:
     def test_matches_exact_within_3_sigma(self, consts):

@@ -86,6 +86,13 @@ class TestIterDesigns:
                 smallest = k_of_design(1, BranchingVector((1,) * depth))
                 assert optimizer._holds_depth(k, depth) == (smallest <= k)
 
+    def test_depth_past_the_recursion_limit(self):
+        # the walk holds its path in a list, so a depth over Python's default
+        # recursion limit of 1000 is enumerated: class 11 holds two such trees
+        designs = list(iter_designs(11, SearchBounds(depths=(1020,))))
+        assert [m for m, _ in designs] == [1, 1]
+        assert all(len(tree.branches) == 1020 for _, tree in designs)
+
     def test_depth_no_class_holds_builds_no_tree(self):
         # a tree of 10**20 branches would not fit in memory
         bounds = SearchBounds(depths=(10**20, 2))
