@@ -27,15 +27,16 @@ import argparse
 import dataclasses
 import json
 import math
+import numbers
 import os
 import sys
 import tempfile
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from .clusterbuild import pcn_curve
-from .envelope import analytic_lb, optimize_z
+# Only the standard library and the numpy-free layers load here; each
+# subcommand imports the layers it runs, so ``verify`` never loads numpy.
+# ``graphstate`` stays at module level: tests patch ``cli.run_structure_checks``,
+# and the benchmark's tracer expects the module loaded with ``cli``.
 from .errors import (
     ClusterChainError,
     ConfigError,
@@ -43,16 +44,18 @@ from .errors import (
     InvalidConfigurationError,
 )
 from .graphstate import run_structure_checks
-from .montecarlo import _checked_seed
-from .optimizer import SearchBounds, _holds_depth, operating_point
 from .params import (
+    SCHEMES,
     DeviceParams,
     chain_coefficients,
     derive_constants,
     load_device_params,
 )
-from .ratemodel import SCHEMES, ChainConfig, k_of_design, r_direct, rate_n
-from .treecode import BranchingVector
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .treecode import BranchingVector
 
 __all__ = ["main"]
 
@@ -63,6 +66,8 @@ _MAX_RANGE_POINTS = 10**6  # largest lo:hi:step grid a range may ask for
 def _parse_range(text: str) -> np.ndarray:
     """Parse ``lo:hi:step`` (inclusive, step dividing the span, at most 10**6 points)
     or one number, all >= 0."""
+    import numpy as np
+
     try:
         values = [float(p) for p in text.split(":")]
     except ValueError as exc:
@@ -88,6 +93,8 @@ def _parse_counts(text: str) -> np.ndarray:
     """Parse source counts, ``lo:hi:step`` or one count, as int64: exactly, so
     every part must be an integer in ``[0, 2**63)`` (``1e6`` is one)."""
     import decimal  # exact parsing; only this command pays its import
+
+    import numpy as np
 
     try:
         values = [decimal.Decimal(p) for p in text.split(":")]
@@ -122,7 +129,7 @@ def _parse_int_list(text: str) -> list[int]:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):
         return str(int(value))
     return "%.12g" % float(value)
 
@@ -222,6 +229,9 @@ def cmd_constants(args: argparse.Namespace) -> int:
     consts = derive_constants(device)
     report = dataclasses.asdict(consts)
     if args.m is not None:
+        from .ratemodel import k_of_design
+        from .treecode import BranchingVector
+
         k = k_of_design(args.m, BranchingVector.parse(args.b))
         coeffs = chain_coefficients(consts, device, args.m, k,
                                     boosted=(args.scheme == "new"))
@@ -233,6 +243,9 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 
 def cmd_rate(args: argparse.Namespace) -> int:
+    from .ratemodel import ChainConfig, r_direct, rate_n
+    from .treecode import BranchingVector
+
     device = _resolve_device(args)
     tree = BranchingVector.parse(args.b)
     grid = _parse_range(args.L)
@@ -251,6 +264,10 @@ def cmd_rate(args: argparse.Namespace) -> int:
 
 
 def cmd_envelope(args: argparse.Namespace) -> int:
+    from .envelope import analytic_lb, optimize_z
+    from .ratemodel import k_of_design
+    from .treecode import BranchingVector
+
     device = _resolve_device(args)
     tree = BranchingVector.parse(args.b)
     grid = _parse_range(args.L)
@@ -276,6 +293,9 @@ def cmd_envelope(args: argparse.Namespace) -> int:
 
 
 def cmd_resources(args: argparse.Namespace) -> int:
+    from .clusterbuild import pcn_curve
+    from .montecarlo import _checked_seed
+
     _checked_seed(args.trials, args.seed)
     device = _resolve_device(args)
     consts = derive_constants(device)
@@ -295,6 +315,9 @@ def cmd_resources(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
+    from .montecarlo import _checked_seed
+    from .optimizer import SearchBounds, _holds_depth, operating_point
+
     _checked_seed(args.trials, args.seed)  # whether or not --with-sources reads them
     device = _resolve_device(args)
     ks = _parse_int_list(args.k)

@@ -8,8 +8,9 @@ This module implements those rules on graphs held as plain mappings
 ``vertex -> frozenset(neighbours)``, each edge stored at both ends (local
 Clifford byproducts are deliberately not tracked; the claims verified here
 are about edge structure) and backs the outcome-sign bookkeeping the graph
-layer drops with dense-statevector checks on plain ``(2,)*q`` complex
-arrays of one to three qubits.
+layer drops with dense-statevector checks on one to three qubits, whose
+amplitudes are flat lists of Python ``complex`` in C order (qubit 0 is the
+most significant bit of the index); no numpy is used.
 
 The ``check_*`` functions and :func:`verify_reordering_identities` return
 :class:`CheckResult` rows; the CLI ``verify`` subcommand prints them as a
@@ -20,10 +21,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .errors import InvalidConfigurationError
 
@@ -40,11 +40,13 @@ __all__ = [
 
 _PHASE_TOL = 1e-12
 
+_R = 1.0 / math.sqrt(2.0)
+
 # single-qubit measurement bases: rows are the outcome-0 / outcome-1 eigenkets
 _BASIS_KETS = {
-    "Z": np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex),
-    "X": np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0),
-    "Y": np.array([[1.0, 1.0j], [1.0, -1.0j]], dtype=complex) / math.sqrt(2.0),
+    "Z": ((1 + 0j, 0j), (0j, 1 + 0j)),
+    "X": ((_R + 0j, _R + 0j), (_R + 0j, -_R + 0j)),
+    "Y": ((_R + 0j, _R * 1j), (_R + 0j, -_R * 1j)),
 }
 
 
@@ -143,7 +145,13 @@ def tree_graph(branches: Sequence[int]) -> _Graph:
 
 
 def check_star_clique(max_leaves: int = 10) -> CheckResult:
-    """Y measurement of a star's center must leave a clique on the leaves."""
+    """Y measurement of a star's center must leave a clique on the leaves.
+
+    Checks every star with 2 to ``max_leaves`` leaves; ``max_leaves < 2``
+    leaves no star to check and is refused.
+    """
+    if max_leaves < 2:
+        raise InvalidConfigurationError(f"max_leaves must be >= 2, got {max_leaves}")
     for leaves in range(2, max_leaves + 1):
         star = _graph((0, leaf) for leaf in range(1, leaves + 1))
         clique = _graph(itertools.combinations(range(1, leaves + 1), 2))
@@ -167,7 +175,8 @@ def check_tree_attachment(
     an edge to a cluster vertex ``p`` that has ``cluster_neighbors`` other
     neighbors, measures X at ``p`` and then X at ``r``, and asserts the
     spliced pattern: every former neighbor of ``r`` ends up adjacent to
-    every former neighbor of ``p``.
+    every former neighbor of ``p``.  An empty branching vector (a lone root,
+    with no edge to check) is refused.
 
     The pattern is a statement up to local Cliffords, so it is only literal
     in the right correction frame: both X measurements use the same
@@ -176,6 +185,8 @@ def check_tree_attachment(
     """
     if cluster_neighbors < 1:
         raise InvalidConfigurationError("the cluster vertex needs at least one other neighbor")
+    if not branches:
+        raise InvalidConfigurationError("the protection tree needs at least one level")
     tree = tree_graph(branches)
     p = len(tree)
     cluster = range(p + 1, p + 1 + cluster_neighbors)
@@ -208,43 +219,64 @@ def check_tree_attachment(
 # ---------------------------------------------------------------------------
 
 
-def _apply(gate: np.ndarray, amps: np.ndarray, q: int) -> np.ndarray:
-    """``gate`` applied to qubit ``q`` of amplitudes shaped ``(2,)*n``."""
-    moved = np.tensordot(gate, np.moveaxis(amps, q, 0), axes=([1], [0]))
-    return np.moveaxis(moved, 0, q)
+_Amps = list[complex]  # 2**n amplitudes, qubit 0 the index's most significant bit
+_Gate = tuple[tuple[complex, complex], tuple[complex, complex]]
 
 
-def _measure(amps: np.ndarray, q: int, basis: str) -> list[tuple[int, float, np.ndarray | None]]:
+def _pairs(n_amps: int, q: int) -> Iterator[tuple[int, int]]:
+    """Index pairs ``(i, j)`` that differ only in qubit ``q``, bit 0 at ``i``, in
+    the C order of the other qubits."""
+    stride = n_amps >> (q + 1)
+    for high in range(0, n_amps, 2 * stride):
+        for i in range(high, high + stride):
+            yield i, i + stride
+
+
+def _norm_sq(amps: _Amps) -> float:
+    return sum(a.real * a.real + a.imag * a.imag for a in amps)
+
+
+def _apply(gate: _Gate, amps: _Amps, q: int) -> _Amps:
+    """``gate`` applied to qubit ``q`` of ``amps``."""
+    (g00, g01), (g10, g11) = gate
+    out = list(amps)
+    for i, j in _pairs(len(amps), q):
+        out[i] = g00 * amps[i] + g01 * amps[j]
+        out[j] = g10 * amps[i] + g11 * amps[j]
+    return out
+
+
+def _measure(amps: _Amps, q: int, basis: str) -> list[tuple[int, float, _Amps | None]]:
     """Both branches of a projective ``basis`` measurement of qubit ``q``.
 
     Returns ``[(outcome, probability, post_amplitudes), ...]`` for outcomes
     0 and 1 (the +1/-1 eigenstates of the basis operator).
-    ``post_amplitudes`` has the measured axis removed — for a one-qubit
-    state it is a length-1 array holding the branch phase — and is ``None``
-    on (numerically) zero-probability branches.
+    ``post_amplitudes`` has qubit ``q`` removed — for a one-qubit state it is
+    a length-1 list holding the branch phase — and is ``None`` on
+    (numerically) zero-probability branches.
     """
-    branches: list[tuple[int, float, np.ndarray | None]] = []
-    for outcome, ket in enumerate(_BASIS_KETS[basis]):
-        post = np.tensordot(ket.conj(), amps, axes=([0], [q]))
-        if post.ndim == 0:
-            post = post[None]
-        prob = float(np.vdot(post, post).real)
+    branches: list[tuple[int, float, _Amps | None]] = []
+    for outcome, (k0, k1) in enumerate(_BASIS_KETS[basis]):
+        c0, c1 = k0.conjugate(), k1.conjugate()
+        post = [c0 * amps[i] + c1 * amps[j] for i, j in _pairs(len(amps), q)]
+        prob = _norm_sq(post)
         if prob < 1e-28:
             branches.append((outcome, 0.0, None))
         else:
-            branches.append((outcome, prob, post / math.sqrt(prob)))
+            norm = math.sqrt(prob)
+            branches.append((outcome, prob, [a / norm for a in post]))
     return branches
 
 
-def _same_up_to_phase(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two normalised amplitude arrays agree up to a global phase."""
-    overlap = abs(np.vdot(a, b))
+def _same_up_to_phase(a: _Amps, b: _Amps) -> bool:
+    """Whether two normalised amplitude lists agree up to a global phase."""
+    overlap = abs(sum(x.conjugate() * y for x, y in zip(a, b)))
     return abs(overlap - 1.0) <= _PHASE_TOL
 
 
 def _branches_match(
-    got: list[tuple[int, float, np.ndarray | None]],
-    want: list[tuple[int, float, np.ndarray | None]],
+    got: list[tuple[int, float, _Amps | None]],
+    want: list[tuple[int, float, _Amps | None]],
     flip: bool,
 ) -> bool:
     """Compare branch lists, matching outcome ``o`` of ``got`` to ``o XOR flip``."""
@@ -262,7 +294,7 @@ def _branches_match(
     return True
 
 
-_Z = np.diag([1.0, -1.0]).astype(complex)
+_Z: _Gate = ((1 + 0j, 0j), (0j, -1 + 0j))
 _H = _BASIS_KETS["X"]  # the Hadamard's rows are the X eigenkets
 
 # (name, gate on the measured qubit, ((basis after the gate, basis without it,
@@ -275,23 +307,25 @@ _IDENTITIES = (
 )
 
 
-def _identity_inputs(seed: int = 7, samples: int = 100) -> Iterator[np.ndarray]:
+def _identity_inputs(seed: int = 7, samples: int = 100) -> Iterator[_Amps]:
     """Computational basis states on 1-3 qubits, then seeded random 2-qubit
-    states (complex normal amplitudes, normalised), made lazily."""
+    states (standard normal real and imaginary parts from ``random.Random(seed)``,
+    normalised), made lazily."""
     if not 0 <= seed < 2**64 or samples < 0:
         raise InvalidConfigurationError(
             f"seed must lie in [0, 2**64) and samples be >= 0, got seed={seed}, samples={samples}"
         )
     basis = (
-        np.eye(2**qubits, dtype=complex)[index].reshape((2,) * qubits)
+        [1 + 0j if i == index else 0j for i in range(2**qubits)]
         for qubits in (1, 2, 3)
         for index in range(2**qubits)
     )
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
 
-    def random_state() -> np.ndarray:
-        amps = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        return amps / np.linalg.norm(amps)
+    def random_state() -> _Amps:
+        amps = [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(4)]
+        norm = math.sqrt(_norm_sq(amps))
+        return [a / norm for a in amps]
 
     return itertools.chain(basis, (random_state() for _ in range(samples)))
 
@@ -310,7 +344,7 @@ def verify_reordering_identities(seed: int = 7, samples: int = 100) -> list[Chec
     """
     passed = [True] * len(_IDENTITIES)
     for count, amps in enumerate(_identity_inputs(seed=seed, samples=samples), 1):
-        for q in range(amps.ndim):
+        for q in range(len(amps).bit_length() - 1):
             plain = {basis: _measure(amps, q, basis) for basis in "XYZ"}
             for row, (_, gate, pairs) in enumerate(_IDENTITIES):
                 gated = _apply(gate, amps, q)

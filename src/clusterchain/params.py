@@ -40,6 +40,8 @@ __all__ = [
 _UNIT_INTERVAL_FIELDS = ("eta_c", "eta_sd")
 _POSITIVE_FIELDS = ("alpha", "beta", "tau_f", "tau_s", "c_f", "c_ch")
 
+SCHEMES = ("new", "naive")  # the repeater schemes; ``ratemodel`` re-exports it
+
 
 @dataclass(frozen=True)
 class DeviceParams:

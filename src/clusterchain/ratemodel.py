@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import InvalidConfigurationError
 from .params import (
+    SCHEMES,
     ChainCoefficients,
     DeviceParams,
     chain_coefficients,
@@ -63,8 +64,6 @@ __all__ = [
     "rates_over_n",
     "r_direct",
 ]
-
-SCHEMES = ("new", "naive")
 
 _LN2 = math.log(2.0)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from clusterchain.errors import InvalidConfigurationError
 from clusterchain.graphstate import (
+    _BASIS_KETS,
     _H,
     _Z,
     _apply,
@@ -199,6 +201,22 @@ class TestStructureChecks:
         with pytest.raises(InvalidConfigurationError):
             check_tree_attachment(cluster_neighbors=0)
 
+    @pytest.mark.parametrize("max_leaves", [1, 0, -5])
+    def test_star_clique_without_a_star_is_refused(self, max_leaves):
+        # 1 used to pass over "star sizes 3..2 vertices", checking nothing
+        with pytest.raises(InvalidConfigurationError, match="max_leaves must be >= 2"):
+            check_star_clique(max_leaves)
+
+    def test_star_clique_smallest_star(self):
+        result = check_star_clique(2)
+        assert result.passed
+        assert result.detail == "star sizes 3..3 vertices"
+
+    def test_tree_attachment_needs_a_tree(self):
+        # an empty branching vector splices a lone root and checks no edge
+        with pytest.raises(InvalidConfigurationError, match="at least one level"):
+            check_tree_attachment(branches=())
+
     def test_full_battery(self):
         results = run_structure_checks(samples=20)
         assert len(results) == 5
@@ -207,21 +225,25 @@ class TestStructureChecks:
             assert result.passed, f"{result.name}: {result.detail}"
 
 
-def basis_state(*bits: int) -> np.ndarray:
-    amps = np.zeros((2,) * len(bits), dtype=complex)
-    amps[bits] = 1.0
-    return amps
+def basis_state(*bits: int) -> list[complex]:
+    """Flat amplitudes of ``|bits>``, qubit 0 the index's most significant bit."""
+    index = int("".join(map(str, bits)), 2)
+    return [1 + 0j if i == index else 0j for i in range(2 ** len(bits))]
+
+
+def norm(amps) -> float:
+    return math.sqrt(sum(abs(a) ** 2 for a in amps))
 
 
 class TestSmallState:
-    """The statevector helpers on plain ``(2,)*q`` amplitude arrays."""
+    """The statevector helpers on flat lists of Python complex amplitudes."""
 
     def test_computational_measurement(self):
         branches = _measure(basis_state(1, 0), 0, "Z")
         assert branches[0][1] == pytest.approx(0.0)
         assert branches[0][2] is None
         assert branches[1][1] == pytest.approx(1.0)
-        np.testing.assert_allclose(branches[1][2], [1.0, 0.0])
+        assert branches[1][2] == pytest.approx([1.0, 0.0])
 
     def test_plus_state_branches(self):
         plus = _apply(_H, basis_state(0), 0)
@@ -239,35 +261,110 @@ class TestSmallState:
         assert branches[1][1] == pytest.approx(1.0)
 
     def test_y_eigenstate(self):
-        plus_i = np.array([1.0, 1.0j]) / np.sqrt(2.0)
+        plus_i = [1 / math.sqrt(2.0), 1j / math.sqrt(2.0)]
         branches = _measure(plus_i, 0, "Y")
         assert branches[0][1] == pytest.approx(1.0)
         assert branches[1][1] == pytest.approx(0.0)
 
     def test_bell_state_collapse(self):
-        bell = (basis_state(0, 0) + basis_state(1, 1)) / np.sqrt(2.0)
+        bell = [(a + b) / math.sqrt(2.0) for a, b in zip(basis_state(0, 0), basis_state(1, 1))]
         for outcome, prob, post in _measure(bell, 0, "Z"):
             assert prob == pytest.approx(0.5)
-            want = np.zeros(2)
+            want = [0.0, 0.0]
             want[outcome] = 1.0
-            np.testing.assert_allclose(post, want, atol=1e-12)
+            assert post == pytest.approx(want, abs=1e-12)
 
     def test_twelve_qubits_supported(self):
         assert _measure(basis_state(*[0] * 12), 11, "Z")[0][1] == pytest.approx(1.0)
+
+    def test_qubit_order_is_c_order(self):
+        # qubit 0 is the most significant bit: X on qubit 0 of |01> gives |11>
+        flip = ((0j, 1 + 0j), (1 + 0j, 0j))
+        assert _apply(flip, basis_state(0, 1), 0) == basis_state(1, 1)
+        assert _apply(flip, basis_state(0, 1), 1) == basis_state(0, 0)
 
     def test_random_reproducible(self):
         # the inputs end with the seeded random 2-qubit states
         *_, a = _identity_inputs(seed=5, samples=1)
         *_, b = _identity_inputs(seed=5, samples=1)
-        assert a.shape == (2, 2)
-        np.testing.assert_array_equal(a, b)
-        assert np.linalg.norm(a) == pytest.approx(1.0)
+        assert len(a) == 4
+        assert all(type(x) is complex for x in a)
+        assert a == b
+        assert norm(a) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_is_refused(self, seed):
         with pytest.raises(InvalidConfigurationError, match=r"seed must lie in \[0, 2\*\*64\)"):
             _identity_inputs(seed=seed)
         assert len(list(_identity_inputs(seed=2**64 - 1, samples=1))) == 15
+
+
+# The numpy statevector layer that the flat-list one replaced, kept as an
+# oracle: amplitudes shaped (2,)*n, contracted with tensordot.
+ORACLE_KETS = {
+    "Z": np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex),
+    "X": np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0),
+    "Y": np.array([[1.0, 1.0j], [1.0, -1.0j]], dtype=complex) / math.sqrt(2.0),
+}
+
+
+def oracle_apply(gate: np.ndarray, amps: np.ndarray, q: int) -> np.ndarray:
+    moved = np.tensordot(gate, np.moveaxis(amps, q, 0), axes=([1], [0]))
+    return np.moveaxis(moved, 0, q)
+
+
+def oracle_measure(amps: np.ndarray, q: int, basis: str) -> list:
+    branches = []
+    for outcome, ket in enumerate(ORACLE_KETS[basis]):
+        post = np.tensordot(ket.conj(), amps, axes=([0], [q]))
+        if post.ndim == 0:
+            post = post[None]
+        prob = float(np.vdot(post, post).real)
+        if prob < 1e-28:
+            branches.append((outcome, 0.0, None))
+        else:
+            branches.append((outcome, prob, post / math.sqrt(prob)))
+    return branches
+
+
+def random_amps(rng: np.random.Generator, qubits: int) -> np.ndarray:
+    amps = rng.normal(size=(2,) * qubits) + 1j * rng.normal(size=(2,) * qubits)
+    return amps / np.linalg.norm(amps)
+
+
+class TestAgainstNumpyOracle:
+    """The flat-list statevector layer agrees with the numpy one it replaced."""
+
+    def test_basis_kets(self):
+        for basis, kets in ORACLE_KETS.items():
+            np.testing.assert_allclose(np.array(_BASIS_KETS[basis]), kets, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("qubits", [1, 2, 3])
+    def test_apply(self, qubits):
+        rng = np.random.default_rng(100 + qubits)
+        for _ in range(20):
+            amps = random_amps(rng, qubits)
+            gates = [np.array(_Z), np.array(_H), random_amps(rng, 2)]
+            for gate, q in itertools.product(gates, range(qubits)):
+                got = _apply(tuple(map(tuple, gate.tolist())), amps.ravel().tolist(), q)
+                want = oracle_apply(gate, amps, q).ravel()
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("qubits", [1, 2, 3])
+    def test_measure(self, qubits):
+        rng = np.random.default_rng(200 + qubits)
+        states = [random_amps(rng, qubits) for _ in range(20)]
+        states += [np.eye(2**qubits, dtype=complex)[i].reshape((2,) * qubits)
+                   for i in range(2**qubits)]
+        for amps, q, basis in itertools.product(states, range(qubits), "XYZ"):
+            got = _measure(amps.ravel().tolist(), q, basis)
+            for (outcome, prob, post), (want_outcome, want_prob, want_post) in zip(
+                    got, oracle_measure(amps, q, basis)):
+                assert outcome == want_outcome
+                assert prob == pytest.approx(want_prob, rel=0, abs=1e-12)
+                assert (post is None) == (want_post is None)
+                if post is not None:
+                    np.testing.assert_allclose(post, want_post.ravel(), rtol=0, atol=1e-12)
 
 
 class TestReorderingIdentities:

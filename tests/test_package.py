@@ -1,10 +1,12 @@
 """The package surface: submodules are the API, their ``__all__`` lists resolve,
-and nothing outside the standard library and numpy is imported."""
+nothing outside the standard library and numpy is imported, and each CLI
+subcommand loads only the layers it runs."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import clusterchain
+from clusterchain import cli
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(clusterchain.__path__))
 
@@ -50,11 +53,18 @@ def test_imports_only_stdlib_and_numpy(path):
     assert sorted(m for m in imported if m.split(".")[0] not in allowed) == []
 
 
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(clusterchain.__file__))}
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("blocked, argv", [
     ("networkx", ["verify", "--samples", "5"]),
+    ("numpy", ["verify", "--samples", "5"]),
     ("scipy", ["resources", "--k", "3", "--m", "1", "--n", "5",
                "--sources", "600:2400:600", "--method", "exact"]),
-], ids=["networkx", "scipy"])
+], ids=["networkx", "numpy", "scipy"])
 def test_cli_runs_without(blocked, argv):
     # a None entry in sys.modules makes any import of the blocked module fail
     script = (
@@ -63,7 +73,54 @@ def test_cli_runs_without(blocked, argv):
         "from clusterchain.cli import main\n"
         f"sys.exit(main({argv!r}))\n"
     )
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(clusterchain.__file__))}
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = _run_python("-c", script)
     assert done.returncode == 0, done.stderr
+
+
+def _layers_loaded(argv: list[str]) -> set[str]:
+    """The ``clusterchain`` modules loaded after ``cli.main(argv)`` in a fresh process."""
+    script = (
+        "import json, sys\n"
+        "from clusterchain.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('clusterchain.'))))\n"
+        "sys.exit(code)\n"
+    )
+    done = _run_python("-c", script)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["resources", "--k", "3", "--m", "1", "--n", "5", "--sources", "600:1200:600",
+      "--method", "exact"], {"clusterchain.optimizer", "clusterchain.envelope"}),
+    (["constants", "--m", "4", "--b", "7,3"], {"clusterchain.clusterbuild"}),
+    (["rate", "--m", "4", "--b", "7,3", "--n", "100", "--L", "100:200:50"],
+     {"clusterchain.clusterbuild"}),
+], ids=["resources", "constants", "rate"])
+def test_subcommand_loads_only_its_layers(argv, absent):
+    loaded = _layers_loaded(argv)
+    assert "clusterchain.graphstate" in loaded  # cli's module-level import
+    assert loaded & absent == set()
+
+
+# one argument list of each shape the benchmark's cli_session runs
+CLI_SESSION_ARGVS = [
+    ["constants", "--m", "4", "--b", "7,3"],
+    ["rate", "--m", "4", "--b", "7,3", "--n", "100", "--L", "50:550:50"],
+    ["envelope", "--m", "4", "--b", "7,3", "--L", "100:600:50"],
+    ["optimize", "--L", "300", "--k", "7"],
+    ["resources", "--k", "5", "--m", "1", "--n", "20", "--sources", "120000:180000:20000",
+     "--method", "exact"],
+    ["verify", "--seed", "11"],
+]
+
+
+@pytest.mark.parametrize("argv", CLI_SESSION_ARGVS, ids=lambda argv: argv[0])
+def test_module_entry_point_matches_main(argv, capsys):
+    # ``python -m clusterchain.cli`` runs the subcommands' own imports under
+    # ``__main__``; its exit code and stdout must be those of ``cli.main``
+    done = _run_python("-m", "clusterchain.cli", *argv)
+    code = cli.main(argv)
+    assert (done.returncode, done.stdout) == (code, capsys.readouterr().out)
+    assert code == 0, done.stderr
