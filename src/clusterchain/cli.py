@@ -9,9 +9,9 @@ Subcommands::
     optimize    best design per cluster class at a range (CSV)
     verify      graph-rule and measurement-identity checks (report)
 
-Conventions: ranges are ``lo:hi:step`` (inclusive, with a step that
-divides the span), Monte Carlo seeds are integers in ``[0, 2**64)``,
-lists are comma-separated, device parameters come from built-in defaults
+Conventions: ranges are ``lo:hi:step`` (inclusive, read as exact decimals,
+with a step that divides the span), Monte Carlo seeds are integers in
+``[0, 2**64)``, lists are comma-separated, device parameters come from built-in defaults
 overridden by an optional JSON config file and then by per-field flags.  Every CSV
 starts with a ``# config:`` comment holding the resolved configuration as
 sorted JSON, so identical configuration and seed reproduce byte-identical
@@ -31,7 +31,7 @@ import numbers
 import os
 import sys
 import tempfile
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 # Only the standard library and the numpy-free layers load here; each
 # subcommand imports the layers it runs, so ``verify`` never loads numpy.
@@ -47,12 +47,13 @@ from .graphstate import run_structure_checks
 from .params import (
     SCHEMES,
     DeviceParams,
-    chain_coefficients,
     derive_constants,
     load_device_params,
 )
 
 if TYPE_CHECKING:
+    import decimal
+
     import numpy as np
 
     from .treecode import BranchingVector
@@ -63,60 +64,67 @@ _DEVICE_FIELDS = [f.name for f in dataclasses.fields(DeviceParams)]
 _MAX_RANGE_POINTS = 10**6  # largest lo:hi:step grid a range may ask for
 
 
-def _parse_range(text: str) -> np.ndarray:
-    """Parse ``lo:hi:step`` (inclusive, step dividing the span, at most 10**6 points)
-    or one number, all >= 0."""
+def _parse_grid(text: str, read: Callable[[decimal.Decimal], float | int]) -> np.ndarray:
+    """Parse ``lo:hi:step`` (inclusive, the step dividing the span, at most
+    10**6 points) or one number.
+
+    Every part is read as an exact decimal, so ``0:1:0.1`` has 11 points, and
+    must pass ``read``, the caller's rule for one value: it returns the value
+    the grid holds or raises :class:`ConfigError`.
+    """
+    import decimal  # exact parsing; only the commands that take a grid pay its import
+
     import numpy as np
 
     try:
-        values = [float(p) for p in text.split(":")]
-    except ValueError as exc:
+        parts = [decimal.Decimal(p) for p in text.split(":")]
+    except decimal.InvalidOperation as exc:
         raise ConfigError(f"range must be numeric, got {text!r}") from exc
-    if len(values) not in (1, 3) or not all(0.0 <= v < math.inf for v in values):
-        raise ConfigError(f"range must be 'lo:hi:step' or one number, finite, >= 0, got {text!r}")
-    if len(values) == 1:
+    if len(parts) not in (1, 3):
+        raise ConfigError(f"range must be 'lo:hi:step' or one number, got {text!r}")
+    values = [read(p) for p in parts]
+    if len(parts) == 1:
         return np.array(values)
-    lo, hi, step = values
+    lo, hi, step = parts
     if step <= 0:
-        raise ConfigError(f"range step must be positive, got {step!r}")
+        raise ConfigError(f"range step must be positive, got {text!r}")
     if hi < lo:
-        raise ConfigError(f"range end {hi!r} is below start {lo!r}")
-    steps = (hi - lo) / step
-    if not (math.isfinite(steps) and math.isclose(steps, round(steps), rel_tol=1e-9)):
+        raise ConfigError(f"range end is below its start, got {text!r}")
+    with decimal.localcontext(prec=decimal.MAX_PREC):  # exact: read bounds the exponents
+        steps, rest = divmod(hi - lo, step)
+    if rest:
         raise ConfigError(f"range step must divide hi - lo, got {text!r}")
     if steps >= _MAX_RANGE_POINTS:
         raise ConfigError(f"range {text!r} has more than {_MAX_RANGE_POINTS} points")
-    return lo + step * np.arange(round(steps) + 1)
+    return values[0] + values[2] * np.arange(int(steps) + 1)
+
+
+def _parse_range(text: str) -> np.ndarray:
+    """Parse a range grid (see :func:`_parse_grid`) of finite floats >= 0; a
+    nonzero part must not round to 0.0, and the points must be distinct floats."""
+
+    def read(part: decimal.Decimal) -> float:
+        value = float(part) if part.is_finite() else math.nan
+        if not (0.0 <= value < math.inf and (value > 0.0 or part == 0)):
+            raise ConfigError(f"range parts must be finite floats >= 0, got {text!r}")
+        return value
+
+    grid = _parse_grid(text, read)
+    if (grid[1:] <= grid[:-1]).any():
+        raise ConfigError(f"range points must be distinct floats, got {text!r}")
+    return grid
 
 
 def _parse_counts(text: str) -> np.ndarray:
-    """Parse source counts, ``lo:hi:step`` or one count, as int64: exactly, so
+    """Parse a source-count grid (see :func:`_parse_grid`) as int64: exactly, so
     every part must be an integer in ``[0, 2**63)`` (``1e6`` is one)."""
-    import decimal  # exact parsing; only this command pays its import
 
-    import numpy as np
+    def read(part: decimal.Decimal) -> int:
+        if not (part.is_finite() and part == part.to_integral_value() and 0 <= part < 2**63):
+            raise ConfigError(f"source counts must be integers in [0, 2**63), got {text!r}")
+        return int(part)
 
-    try:
-        values = [decimal.Decimal(p) for p in text.split(":")]
-    except decimal.InvalidOperation as exc:
-        raise ConfigError(f"source counts must be numeric, got {text!r}") from exc
-    if len(values) not in (1, 3) or not all(
-            v.is_finite() and v == v.to_integral_value() and 0 <= v < 2**63 for v in values):
-        raise ConfigError(
-            f"source counts must be 'lo:hi:step' or one count, integers in [0, 2**63), got {text!r}"
-        )
-    if len(values) == 1:
-        return np.array([int(values[0])], dtype=np.int64)
-    lo, hi, step = map(int, values)
-    if step <= 0:
-        raise ConfigError(f"range step must be positive, got {step!r}")
-    if hi < lo:
-        raise ConfigError(f"range end {hi!r} is below start {lo!r}")
-    if (hi - lo) % step:
-        raise ConfigError(f"range step must divide hi - lo, got {text!r}")
-    if (hi - lo) // step >= _MAX_RANGE_POINTS:
-        raise ConfigError(f"range {text!r} has more than {_MAX_RANGE_POINTS} points")
-    return lo + step * np.arange((hi - lo) // step + 1, dtype=np.int64)
+    return _parse_grid(text, read)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -229,12 +237,11 @@ def cmd_constants(args: argparse.Namespace) -> int:
     consts = derive_constants(device)
     report = dataclasses.asdict(consts)
     if args.m is not None:
-        from .ratemodel import k_of_design
+        from .ratemodel import coefficients_for, k_of_design
         from .treecode import BranchingVector
 
         k = k_of_design(args.m, BranchingVector.parse(args.b))
-        coeffs = chain_coefficients(consts, device, args.m, k,
-                                    boosted=(args.scheme == "new"))
+        coeffs = coefficients_for(args.m, k, device, args.scheme)
         report.update(k=k, a_coeff=coeffs.a_coeff, b_coeff=coeffs.b_coeff,
                       c_coeff=coeffs.c_coeff, ab_squared=coeffs.ab_squared)
     for name, value in report.items():
@@ -265,16 +272,13 @@ def cmd_rate(args: argparse.Namespace) -> int:
 
 def cmd_envelope(args: argparse.Namespace) -> int:
     from .envelope import analytic_lb, optimize_z
-    from .ratemodel import k_of_design
+    from .ratemodel import coefficients_for, k_of_design
     from .treecode import BranchingVector
 
     device = _resolve_device(args)
     tree = BranchingVector.parse(args.b)
     grid = _parse_range(args.L)
-    consts = derive_constants(device)
-    k = k_of_design(args.m, tree)
-    coeffs = chain_coefficients(consts, device, args.m, k,
-                                boosted=(args.scheme == "new"))
+    coeffs = coefficients_for(args.m, k_of_design(args.m, tree), device, args.scheme)
     z_star = optimize_z(args.m, tree, device, coeffs, scheme=args.scheme)
     env = analytic_lb(z_star, args.m, tree, device, coeffs,
                       p_cn=args.p_cn, scheme=args.scheme)

@@ -236,6 +236,14 @@ def _naive_converted(
     return -np.expm1(n_meas * np.log1p(-(p_k * p_convert)))
 
 
+def _check_sources(n_s: int) -> None:
+    """Refuse a source count outside ``[0, 2**63)``, the range int64 budgets hold."""
+    if n_s < 0:
+        raise InvalidConfigurationError(f"source count must be >= 0, got {n_s}")
+    if n_s >= 2**63:
+        raise InvalidConfigurationError(f"source count must be below 2**63, got {n_s}")
+
+
 def optimize_naive_multiplex(
     n_s: int,
     k: int,
@@ -252,10 +260,7 @@ def optimize_naive_multiplex(
     arrays, so it must lie in ``[0, 2**63)``.
     """
     _check_naive_design(k, m)
-    if n_s < 0:
-        raise InvalidConfigurationError(f"source count must be >= 0, got {n_s}")
-    if n_s >= 2**63:
-        raise InvalidConfigurationError(f"source count must be below 2**63, got {n_s}")
+    _check_sources(n_s)
     if (n_s // 6).bit_length() <= k:  # n_s < 6 * 2**k
         return None, 0.0
     grid = np.arange(1, _NAIVE_GRID + 1)
@@ -462,11 +467,8 @@ def _plan(x: np.ndarray, sched: FusionSchedule) -> _Plan:
 
 def _ghz_attempts(n_s: int, ghz_source: bool) -> int:
     """GHZ attempts ``n_s`` sources make: ``n_s // 6``, or ``n_s`` GHZ sources.
-    Both factories count GHZ states in int64, so ``n_s`` must lie in ``[0, 2**63)``."""
-    if n_s < 0:
-        raise InvalidConfigurationError(f"source count must be >= 0, got {n_s}")
-    if n_s >= 2**63:
-        raise InvalidConfigurationError(f"source count must be below 2**63, got {n_s}")
+    Both factories count GHZ states in int64 (see :func:`_check_sources`)."""
+    _check_sources(n_s)
     return n_s if ghz_source else n_s // 6
 
 

@@ -320,16 +320,17 @@ def numeric_envelope(
     """Envelope ``max_n R_n(L)`` over node counts ``n in [1, 10**6]``, for the
     ``"new"`` scheme at ``P_cn = 0.9``.
 
-    Scans integer ``n`` upward in vectorised chunks, stopping once the rate
-    has decreased for 50 consecutive node counts past the incumbent maximum
-    (the curves are empirically unimodal in ``n``), then polishes the
-    maximum over real-valued ``n`` in ``[n - 1, n + 1]`` around the best
-    integer ``n`` with :func:`_narrow`, to a width of ``1e-9``.  The continuous
-    maximum is what the analytic construction bounds from below — the
-    integer-restricted maximum can dip beneath the locus value by the
-    rounding loss — and the integer maximizer is still reported as
-    ``n_opt``.  Warns when the maximum sits at the largest node count
-    scanned, where the true maximum may lie further out.
+    Per range, :func:`_narrow` maximises the rate over real-valued ``n`` on
+    ``u = ln n in [0, ln 10**6]`` to a bracket width of ``2e-8`` (the curves
+    are empirically unimodal in ``n``, and a run of zero rates at small
+    ``n`` does not stop it).  One read of the rate at the maximiser ``n*``
+    and at the four integers ``floor(n*) - 1 .. floor(n*) + 2`` (clipped to
+    the scanned range) then gives both results: the best of those integers
+    is reported as ``n_opt``, and the largest of the five rates as the
+    envelope.  The continuous maximum is what the analytic construction
+    bounds from below — the integer-restricted maximum can dip beneath the
+    locus value by the rounding loss.  Warns when ``n_opt`` is the largest
+    node count scanned, where the true maximum may lie further out.
     """
     l_values = np.asarray(list(l_grid), dtype=float)
     if l_values.size == 0:
@@ -337,39 +338,24 @@ def numeric_envelope(
     if np.any(np.diff(l_values) <= 0):
         raise InvalidConfigurationError("range grid must be strictly increasing")
     points: list[EnvelopePoint] = []
-    chunk = 512
-    tail_needed = 50
     cfg = ChainConfig(total_range_km=0.0, node_count=1, channels=m, tree=tree)
-    coeffs = coefficients_for(cfg, device)  # set by m, k, scheme and the device, not by L
+    coeffs = coefficients_for(m, cfg.k, device, cfg.scheme)  # the same at every L
     for l_km in l_values:
         cfg = replace(cfg, total_range_km=float(l_km))
-        best_rate = -math.inf
-        best_n = 1
-        start = 1
-        while start <= _N_MAX:
-            stop = min(start + chunk - 1, _N_MAX)
-            ns = np.arange(start, stop + 1)
-            rates = rates_over_n(cfg, device, ns, coeffs)
-            idx = int(np.argmax(rates))
-            if rates[idx] > best_rate:
-                best_rate = float(rates[idx])
-                best_n = int(ns[idx])
-            if stop - best_n >= tail_needed:  # the scan is contiguous up to stop
-                break
-            start = stop + 1
-        if best_n == _N_MAX:
+        u_star = _narrow(lambda u: -rates_over_n(cfg, device, np.exp(u[0]), coeffs)[None],
+                         np.array([0.0]), np.array([math.log(_N_MAX)]), 2e-8)
+        n_star = math.exp(u_star[0])
+        ns = np.clip(math.floor(n_star) + np.arange(-1.0, 3.0), 1.0, _N_MAX)
+        rates = rates_over_n(cfg, device, np.append(ns, n_star), coeffs)
+        n_opt = int(ns[np.argmax(rates[:-1])])
+        if n_opt == _N_MAX:
             warnings.warn(
                 f"envelope maximum at the largest node count scanned, n={_N_MAX}, "
                 f"for L={l_km:g} km; the true maximum may lie at a larger n",
                 stacklevel=2,
             )
-        elif best_n > 1:
-            n_star = _narrow(lambda nr: -rates_over_n(cfg, device, nr[0], coeffs)[None],
-                             np.array([best_n - 1.0]), np.array([best_n + 1.0]), 1e-9)
-            polished = rates_over_n(cfg, device, n_star, coeffs)[0]
-            best_rate = max(best_rate, float(polished))
         points.append(
-            EnvelopePoint(l_km=float(l_km), rate_bits_per_mode=best_rate, n_opt=best_n)
+            EnvelopePoint(l_km=float(l_km), rate_bits_per_mode=float(np.max(rates)), n_opt=n_opt)
         )
     return points
 

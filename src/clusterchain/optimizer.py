@@ -22,8 +22,8 @@ import numpy as np
 from .clusterbuild import min_sources
 from .envelope import EnvelopeParams, analytic_lb, optimize_z
 from .errors import EmptyFeasibleSetError, InvalidConfigurationError
-from .params import ChainCoefficients, DeviceParams, chain_coefficients, derive_constants
-from .ratemodel import cluster_photons, k_of_design
+from .params import ChainCoefficients, DeviceParams, derive_constants
+from .ratemodel import cluster_photons, coefficients_for, k_of_design
 from .treecode import BranchingVector
 
 __all__ = [
@@ -172,11 +172,8 @@ def design_envelopes(
     """
     if k < 1:
         raise InvalidConfigurationError(f"k must be >= 1, got {k}")
-    consts = derive_constants(device)
     # built on first use: the scan stops at the first m that leaves the class
-    coeffs = functools.cache(
-        lambda m: chain_coefficients(consts, device, m, k, boosted=(scheme == "new"))
-    )
+    coeffs = functools.cache(lambda m: coefficients_for(m, k, device, scheme))
     out: list[tuple[int, BranchingVector, EnvelopeParams]] = []
     for _, group in itertools.groupby(iter_designs(k, bounds), key=lambda d: d[1].depth):
         while block := list(itertools.islice(group, _BLOCK_DESIGNS)):

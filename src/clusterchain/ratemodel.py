@@ -160,12 +160,10 @@ class RatePoint:
     rate_bits_per_mode: float
 
 
-def coefficients_for(cfg: ChainConfig, device: DeviceParams) -> ChainCoefficients:
-    """Chain coefficients matching a config (boosted fusion iff scheme 'new')."""
-    consts = derive_constants(device)
-    return chain_coefficients(
-        consts, device, cfg.channels, cfg.k, boosted=(cfg.scheme == "new")
-    )
+def coefficients_for(m: int, k: int, device: DeviceParams, scheme: str) -> ChainCoefficients:
+    """Chain coefficients of ``m`` channels of class ``k`` under ``scheme``: the
+    ``"new"`` scheme's mid-link Bell measurements use boosted fusion."""
+    return chain_coefficients(derive_constants(device), device, m, k, boosted=(scheme == "new"))
 
 
 def chain_probs(
@@ -223,7 +221,8 @@ def _eta_link(cfg: ChainConfig, device: DeviceParams, n) -> np.ndarray:
 
 def _chain_probs(cfg: ChainConfig, device: DeviceParams, coeffs, n) -> tuple:
     """Kernel outputs for ``cfg``'s chain at node count(s) ``n``."""
-    coeffs = coeffs if coeffs is not None else coefficients_for(cfg, device)
+    if coeffs is None:
+        coeffs = coefficients_for(cfg.channels, cfg.k, device, cfg.scheme)
     return chain_probs(_eta_link(cfg, device, n), cfg.channels, cfg.tree, coeffs, cfg.scheme)
 
 
@@ -255,7 +254,8 @@ def loss_rates(
     ``"naive"`` scheme measures everything at the midpoints, so both
     populations see ``eps_trav``.
     """
-    coeffs = coeffs if coeffs is not None else coefficients_for(cfg, device)
+    if coeffs is None:
+        coeffs = coefficients_for(cfg.channels, cfg.k, device, cfg.scheme)
     survivals = _survivals(_eta_link(cfg, device, cfg.node_count), coeffs, cfg.scheme)
     eps_trav, eps_stat = (float(np.clip(1.0 - v, 0.0, 1.0)) for v in survivals)
     return LossRates(eps_trav=eps_trav, eps_stat=eps_stat)

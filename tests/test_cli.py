@@ -594,9 +594,12 @@ class TestErrorHandling:
     BAD_RANGES = pytest.mark.parametrize(
         "bad_range",
         ["300:100:50", "100:200:0", "1:2:3:4", "nan", "inf", "1:nan:1", "1:x:1",
-         "0:11:4", "0:1e12:1"],
+         "0:11:4", "0:1e12:1", "0:1:0.333333333333", "0:1e-400:1e-400", "1e309",
+         "0:1e309:1e308", "1e20:1.00000000000000000001e20:1"],
         ids=["reversed", "zero_step", "too_many_parts", "nan", "inf", "nan_end",
-             "non_numeric", "step_not_dividing", "too_many_points"],
+             "non_numeric", "step_not_dividing", "too_many_points", "step_not_exact",
+             "step_rounds_to_zero", "past_float_range", "end_past_float_range",
+             "points_not_distinct"],
     )
 
     @BAD_RANGES
@@ -620,22 +623,30 @@ class TestErrorHandling:
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(
-        lo=st.floats(-1e6, 1e6),
-        step=st.floats(1e-6, 1e6),
+        lo=st.decimals(0, 10**6, places=6),
+        step=st.decimals("0.000001", 10**6, places=6),
         whole_steps=st.integers(0, 200),
-        extra=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
     )
-    def test_range_is_refused_or_uniform_and_inclusive(self, lo, step, whole_steps, extra):
-        hi = lo + (whole_steps + extra) * step
+    def test_range_is_refused_or_uniform_and_inclusive(self, lo, step, whole_steps):
+        # drawn as exact decimals whose step divides the span
+        hi = lo + whole_steps * step
         try:
-            grid = cli._parse_range(f"{lo!r}:{hi!r}:{step!r}")
+            grid = cli._parse_range(f"{lo}:{hi}:{step}")
         except ConfigError:
             return
-        span_tol = 1e-9 * (hi - lo) + 4 * np.spacing(max(abs(lo), abs(hi)))
+        lo, hi, step = float(lo), float(hi), float(step)
+        span_tol = 1e-9 * (hi - lo) + 4 * np.spacing(hi)
+        assert grid.size == whole_steps + 1
         assert grid[0] == lo
         assert abs(grid[-1] - hi) <= span_tol
         if grid.size > 1:
             assert np.allclose(np.diff(grid), step, rtol=1e-9, atol=span_tol)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(lo=st.integers(0, 2**52), step=st.integers(1, 2**40), whole_steps=st.integers(0, 50))
+    def test_range_and_source_counts_read_integers_alike(self, lo, step, whole_steps):
+        text = f"{lo}:{lo + whole_steps * step}:{step}"
+        assert cli._parse_range(text).tolist() == cli._parse_counts(text).tolist()
 
     @pytest.mark.parametrize("bad_l", ["abc", "nan", "inf", "100:300:100"],
                              ids=["non_numeric", "nan", "inf", "multi_point"])

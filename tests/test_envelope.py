@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from clusterchain import envelope
 from clusterchain.envelope import (
@@ -26,7 +28,7 @@ from clusterchain.errors import (
     NoInteriorMinimumError,
 )
 from clusterchain.params import ChainCoefficients, chain_coefficients
-from clusterchain.ratemodel import ChainConfig, r_direct, rate_n
+from clusterchain.ratemodel import ChainConfig, r_direct, rate_n, rates_over_n
 from clusterchain.treecode import BranchingVector
 
 TREE = BranchingVector((7, 3))
@@ -210,8 +212,6 @@ class TestNumericEnvelope:
         cfg = ChainConfig(
             total_range_km=p.l_km, node_count=1, channels=M, tree=TREE, p_cn=0.9
         )
-        from clusterchain.ratemodel import rates_over_n
-
         neighbours = rates_over_n(
             cfg, device, np.array([p.n_opt - 1, p.n_opt, p.n_opt + 1])
         )
@@ -229,6 +229,38 @@ class TestNumericEnvelope:
     def test_spacing_tracks_l0(self, points):
         for p in points[3:]:
             assert p.l_km / p.n_opt == pytest.approx(L0_KM, rel=0.1)
+
+    def test_zero_run_before_the_maximum(self, device):
+        # every chain with n <= 520 has rate exactly 0 at 1600 km, yet the
+        # maximum lies past n = 14000: no run of zeros may end the search
+        tree = BranchingVector((16, 16))
+        points = numeric_envelope(16, tree, device, [1600.0, 2000.0])
+        assert [p.n_opt for p in points] == [14436, 18045]
+        for p in points:
+            cfg = ChainConfig(total_range_km=p.l_km, node_count=1, channels=16, tree=tree)
+            brute = rates_over_n(cfg, device, np.arange(1.0, 20001.0))
+            assert brute[:520].max() == 0.0
+            # the continuous maximum sits at or above the integer one
+            assert brute.max() <= p.rate_bits_per_mode == pytest.approx(brute.max(), rel=1e-8)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(m=st.integers(1, 8), b0=st.integers(1, 16), b1=st.integers(1, 16),
+           l_km=st.floats(1.0, 1500.0))
+    def test_n_opt_is_the_integer_argmax(self, device, m, b0, b1, l_km):
+        tree = BranchingVector((b0, b1))
+        (point,) = numeric_envelope(m, tree, device, [l_km])
+        assume(point.rate_bits_per_mode > 0.0)
+        cfg = ChainConfig(total_range_km=l_km, node_count=1, channels=m, tree=tree)
+        brute = rates_over_n(cfg, device, np.arange(1.0, 20001.0))
+        assert point.n_opt == int(np.argmax(brute)) + 1
+
+    def test_one_search_per_range(self, device, monkeypatch):
+        # five _narrow steps over ln n and one read of the five final points
+        calls = []
+        monkeypatch.setattr(envelope, "rates_over_n",
+                            lambda *args: calls.append(args) or rates_over_n(*args))
+        numeric_envelope(M, TREE, device, [100.0, 300.0, 1000.0])
+        assert len(calls) <= 3 * 7
 
     def test_boundary_warns(self, device, monkeypatch):
         monkeypatch.setattr(envelope, "_N_MAX", 2)

@@ -152,8 +152,8 @@ class TestDesignEnvelopes:
 
     def test_coefficients_built_only_for_channel_counts_in_use(self, device, monkeypatch):
         calls = []
-        original = optimizer.chain_coefficients
-        monkeypatch.setattr(optimizer, "chain_coefficients",
+        original = optimizer.coefficients_for
+        monkeypatch.setattr(optimizer, "coefficients_for",
                             lambda *args, **kw: calls.append(args) or original(*args, **kw))
         wide = design_envelopes(7, device, bounds=SearchBounds(m_max=10**6))
         assert len(calls) == len({m for m, _ in iter_designs(7, SearchBounds(m_max=10**6))})

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from clusterchain.errors import InvalidConfigurationError
-from clusterchain.params import ChainCoefficients
+from clusterchain.params import ChainCoefficients, chain_coefficients, derive_constants
 from clusterchain.ratemodel import (
     ChainConfig,
     cluster_photons,
@@ -104,6 +104,13 @@ class TestChainConfig:
         assert cfg_73(scheme="naive").divisor == 232
 
 
+class TestCoefficientsFor:
+    @pytest.mark.parametrize("scheme,boosted", [("new", True), ("naive", False)])
+    def test_only_the_new_scheme_boosts_its_fusions(self, device, scheme, boosted):
+        want = chain_coefficients(derive_constants(device), device, 4, 8, boosted=boosted)
+        assert coefficients_for(4, 8, device, scheme) == want
+
+
 class TestLossRates:
     def test_stationary_exceeds_traveling(self, device):
         rates = loss_rates(cfg_73(), device)
@@ -115,7 +122,7 @@ class TestLossRates:
 
     def test_zero_range_leaves_chip_losses(self, device):
         cfg = cfg_73(l_km=0.0)
-        coeffs = coefficients_for(cfg, device)
+        coeffs = coefficients_for(cfg.channels, cfg.k, device, cfg.scheme)
         rates = loss_rates(cfg, device, coeffs)
         assert rates.eps_trav == pytest.approx(1.0 - coeffs.c_coeff, rel=1e-12)
         assert rates.eps_stat == pytest.approx(1.0 - coeffs.b_coeff, rel=1e-12)
@@ -123,7 +130,7 @@ class TestLossRates:
     def test_explicit_coefficients_match_default(self, device):
         cfg = cfg_73()
         assert loss_rates(cfg, device) == loss_rates(
-            cfg, device, coefficients_for(cfg, device)
+            cfg, device, coefficients_for(cfg.channels, cfg.k, device, cfg.scheme)
         )
 
 
@@ -137,7 +144,7 @@ class TestProbabilities:
 
     def test_p_bell_formula(self, device):
         cfg = cfg_73()
-        coeffs = coefficients_for(cfg, device)
+        coeffs = coefficients_for(cfg.channels, cfg.k, device, cfg.scheme)
         eta_link = math.exp(-device.alpha * cfg.total_range_km / cfg.node_count)
         expected = coeffs.ab_squared / cfg.channels * eta_link
         assert p_bell(cfg, device) == pytest.approx(expected, rel=1e-14)
@@ -150,7 +157,7 @@ class TestProbabilities:
 
     def test_p_end_formula_and_monotone_in_m(self, device):
         cfg = cfg_73()
-        coeffs = coefficients_for(cfg, device)
+        coeffs = coefficients_for(cfg.channels, cfg.k, device, cfg.scheme)
         per_half = math.exp(
             -device.alpha * cfg.total_range_km / (2 * cfg.node_count)
         )
