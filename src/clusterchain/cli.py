@@ -73,6 +73,7 @@ def _parse_grid(text: str, read: Callable[[decimal.Decimal], float | int]) -> np
     the grid holds or raises :class:`ConfigError`.
     """
     import decimal  # exact parsing; only the commands that take a grid pay its import
+    from fractions import Fraction
 
     import numpy as np
 
@@ -90,8 +91,8 @@ def _parse_grid(text: str, read: Callable[[decimal.Decimal], float | int]) -> np
         raise ConfigError(f"range step must be positive, got {text!r}")
     if hi < lo:
         raise ConfigError(f"range end is below its start, got {text!r}")
-    with decimal.localcontext(prec=decimal.MAX_PREC):  # exact: read bounds the exponents
-        steps, rest = divmod(hi - lo, step)
+    # exact and cheap: a Fraction holds the value, not the exponent (0E-999999999 is 0)
+    steps, rest = divmod(Fraction(hi) - Fraction(lo), Fraction(step))
     if rest:
         raise ConfigError(f"range step must divide hi - lo, got {text!r}")
     if steps >= _MAX_RANGE_POINTS:

@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from clusterchain import cli
 from clusterchain.clusterbuild import pcn_curve
 from clusterchain.envelope import analytic_lb, optimize_z
-from clusterchain.errors import ConfigError
 from clusterchain.graphstate import CheckResult
 from clusterchain.params import DeviceParams, chain_coefficients, derive_constants
 from clusterchain.ratemodel import ChainConfig, k_of_design, r_direct, rate_n
@@ -616,6 +615,13 @@ class TestErrorHandling:
         assert (code, out) == (2, "")
         assert err.startswith("error: config:")
 
+    @pytest.mark.parametrize("zero", ["0E-999999999", "0E-999999999999", "-0E+999999999"])
+    def test_zero_with_any_exponent_reads_as_zero(self, zero):
+        # the divisibility test works on values, never on the raw exponent
+        text = f"{zero}:1:1"
+        assert cli._parse_range(text).tolist() == cli._parse_range("0:1:1").tolist()
+        assert cli._parse_counts(text).tolist() == cli._parse_counts("0:1:1").tolist()
+
     def test_fractional_step_keeps_both_ends(self):
         grid = cli._parse_range("0:1:0.1")
         assert grid.size == 11
@@ -628,12 +634,9 @@ class TestErrorHandling:
         whole_steps=st.integers(0, 200),
     )
     def test_range_is_refused_or_uniform_and_inclusive(self, lo, step, whole_steps):
-        # drawn as exact decimals whose step divides the span
+        # drawn as exact decimals whose step divides the span, so none is refused
         hi = lo + whole_steps * step
-        try:
-            grid = cli._parse_range(f"{lo}:{hi}:{step}")
-        except ConfigError:
-            return
+        grid = cli._parse_range(f"{lo}:{hi}:{step}")
         lo, hi, step = float(lo), float(hi), float(step)
         span_tol = 1e-9 * (hi - lo) + 4 * np.spacing(hi)
         assert grid.size == whole_steps + 1
