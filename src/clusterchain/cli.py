@@ -46,8 +46,11 @@ from .errors import (
 from .graphstate import run_structure_checks
 from .params import (
     SCHEMES,
+    BranchingVector,
     DeviceParams,
+    coefficients_for,
     derive_constants,
+    k_of_design,
     load_device_params,
 )
 
@@ -55,8 +58,6 @@ if TYPE_CHECKING:
     import decimal
 
     import numpy as np
-
-    from .treecode import BranchingVector
 
 __all__ = ["main"]
 
@@ -238,9 +239,6 @@ def cmd_constants(args: argparse.Namespace) -> int:
     consts = derive_constants(device)
     report = dataclasses.asdict(consts)
     if args.m is not None:
-        from .ratemodel import coefficients_for, k_of_design
-        from .treecode import BranchingVector
-
         k = k_of_design(args.m, BranchingVector.parse(args.b))
         coeffs = coefficients_for(args.m, k, device, args.scheme)
         report.update(k=k, a_coeff=coeffs.a_coeff, b_coeff=coeffs.b_coeff,
@@ -252,7 +250,6 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 def cmd_rate(args: argparse.Namespace) -> int:
     from .ratemodel import ChainConfig, r_direct, rate_n
-    from .treecode import BranchingVector
 
     device = _resolve_device(args)
     tree = BranchingVector.parse(args.b)
@@ -273,8 +270,6 @@ def cmd_rate(args: argparse.Namespace) -> int:
 
 def cmd_envelope(args: argparse.Namespace) -> int:
     from .envelope import analytic_lb, optimize_z
-    from .ratemodel import coefficients_for, k_of_design
-    from .treecode import BranchingVector
 
     device = _resolve_device(args)
     tree = BranchingVector.parse(args.b)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -35,8 +35,8 @@ import numpy as np
 from .errors import (InvalidConfigurationError, LocusInvalidError, NoCrossoverError,
                      NoInteriorMinimumError)
 from .params import ChainCoefficients, DeviceParams
-from .ratemodel import (ChainConfig, chain_probs, coefficients_for, log_chain_factors,
-                        mode_divisor, r_direct, rates_over_n)
+from .ratemodel import (ChainConfig, _link_probs, _log_link_factors, _rates_over_n, chain_probs,
+                        coefficients_for, log_chain_factors, mode_divisor, r_direct)
 from .treecode import BranchingVector
 
 __all__ = [
@@ -57,6 +57,9 @@ _Z_XTOL = 1e-6  # width of the final z bracket, relative to z
 _N_MAX = 10**6  # largest node count numeric_envelope scans
 _L_LO, _L_HI = 1e-2, 5e4  # range bracket in km scanned by crossover_analytic
 _BRACKET_POINTS = 129  # grid points per _narrow step, ends included; odd keeps the centre
+# Ranges numeric_envelope narrows per _narrow call: its temporaries take about
+# 14 kB per range, so a block of 256 holds them near 3.5 MB whatever the grid.
+_ENVELOPE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -120,17 +123,20 @@ def _columns(m, tree, coeffs: ChainCoefficients, keep=slice(None)) -> tuple:
     return m, tuple(levels), ChainCoefficients(a_coeff=a, b_coeff=b, c_coeff=c)
 
 
-def _locus(z, m, tree, coeffs: ChainCoefficients, scheme: str) -> tuple:
+def _locus(z, m, tree, coeffs: ChainCoefficients, scheme: str, end: bool = False) -> tuple:
     """``(kernel outputs, log factors, s)`` on the locus, array-native in ``z > 0``.
 
-    ``s = inf`` wherever ``p_b > 1`` or a factor vanishes.  The design may be
+    ``s = inf`` wherever ``p_b > 1`` or a factor vanishes.  ``s`` reads only
+    ``(P_X, P_Z, P_B)`` and ``(ln q1, ln q2)``, so only with ``end`` are
+    ``P_end`` and ``ln q3`` computed and returned too.  The design may be
     per-design columns (see :func:`_columns`) that broadcast against ``z``.
     """
-    log_ab2 = np.log(coeffs.ab_squared)
-    probs = chain_probs(coeffs.ab_squared ** -np.asarray(z), m, tree, coeffs, scheme)
+    eta_link = coeffs.ab_squared ** -np.asarray(z)
+    probs = (chain_probs if end else _link_probs)(eta_link, m, tree, coeffs, scheme)
     with np.errstate(invalid="ignore"):  # ln q2 is undefined where p_b > 1
-        logs = log_chain_factors(*probs, m)
-        s = np.where(probs[2] > 1.0, np.inf, -(logs[0] + logs[1]) / (z * log_ab2))
+        logs = (log_chain_factors if end else _log_link_factors)(*probs, m)
+        s = np.where(probs[2] > 1.0, np.inf,
+                     -(logs[0] + logs[1]) / (z * np.log(coeffs.ab_squared)))
     return probs, logs, s
 
 
@@ -170,7 +176,7 @@ def _locus_factors(z, m, tree, coeffs: ChainCoefficients, scheme: str) -> tuple:
     _require_locus(coeffs)
     if np.any(z <= 0.0):
         raise LocusInvalidError(f"locus parameter z must be > 0, got {np.min(z)!r}")
-    probs, logs, s = _locus(z, m, tree, coeffs, scheme)
+    probs, logs, s = _locus(z, m, tree, coeffs, scheme, end=True)
     if np.any(probs[2] > 1.0):
         i = np.argmax(np.ravel(probs[2]))
         raise LocusInvalidError(
@@ -320,43 +326,55 @@ def numeric_envelope(
     """Envelope ``max_n R_n(L)`` over node counts ``n in [1, 10**6]``, for the
     ``"new"`` scheme at ``P_cn = 0.9``.
 
-    Per range, :func:`_narrow` maximises the rate over real-valued ``n`` on
+    One :func:`_narrow` call, with a row per range (per block of 256 ranges on
+    a longer grid), maximises the rate over real-valued ``n`` on
     ``u = ln n in [0, ln 10**6]`` to a bracket width of ``2e-8`` (the curves
-    are empirically unimodal in ``n``, and a run of zero rates at small
-    ``n`` does not stop it).  One read of the rate at the maximiser ``n*``
-    and at the four integers ``floor(n*) - 1 .. floor(n*) + 2`` (clipped to
-    the scanned range) then gives both results: the best of those integers
-    is reported as ``n_opt``, and the largest of the five rates as the
+    are empirically unimodal in ``n``, and a run of zero rates at small ``n``
+    does not stop it); the rows narrow in lockstep, and each gives the bits of
+    a one-range call.  One read of the rate at each maximiser ``n*`` and at
+    the four integers ``floor(n*) - 1 .. floor(n*) + 2`` (clipped to the
+    scanned range) then gives both results: the best of those integers is
+    reported as ``n_opt``, and the largest of the five rates as the
     envelope.  The continuous maximum is what the analytic construction
     bounds from below — the integer-restricted maximum can dip beneath the
     locus value by the rounding loss.  Warns when ``n_opt`` is the largest
     node count scanned, where the true maximum may lie further out.
+
+    Raises :class:`InvalidConfigurationError`, before any search, for an
+    empty grid, a range that is not finite and ``>= 0``, or a grid that is not
+    strictly increasing.
     """
     l_values = np.asarray(list(l_grid), dtype=float)
     if l_values.size == 0:
         raise InvalidConfigurationError("range grid must be non-empty")
+    bad = l_values[~(np.isfinite(l_values) & (l_values >= 0.0))]
+    if bad.size:
+        raise InvalidConfigurationError(f"ranges must be finite and >= 0, got {float(bad[0])!r}")
     if np.any(np.diff(l_values) <= 0):
         raise InvalidConfigurationError("range grid must be strictly increasing")
-    points: list[EnvelopePoint] = []
     cfg = ChainConfig(total_range_km=0.0, node_count=1, channels=m, tree=tree)
     coeffs = coefficients_for(m, cfg.k, device, cfg.scheme)  # the same at every L
-    for l_km in l_values:
-        cfg = replace(cfg, total_range_km=float(l_km))
-        u_star = _narrow(lambda u: -rates_over_n(cfg, device, np.exp(u[0]), coeffs)[None],
-                         np.array([0.0]), np.array([math.log(_N_MAX)]), 2e-8)
-        n_star = math.exp(u_star[0])
-        ns = np.clip(math.floor(n_star) + np.arange(-1.0, 3.0), 1.0, _N_MAX)
-        rates = rates_over_n(cfg, device, np.append(ns, n_star), coeffs)
-        n_opt = int(ns[np.argmax(rates[:-1])])
+    n_opts: list[float] = []
+    maxima: list[float] = []
+    for block in np.split(l_values, range(_ENVELOPE_ROWS, l_values.size, _ENVELOPE_ROWS)):
+        l_rows = block[:, None]
+        u_star = _narrow(lambda u: -_rates_over_n(cfg, device, np.exp(u), coeffs, l_rows),
+                         np.zeros(block.size), np.full(block.size, math.log(_N_MAX)), 2e-8)
+        # math.exp, as a one-range search reads n*: np.exp may differ in the last bit
+        n_star = np.array([[math.exp(u)] for u in u_star])
+        ns = np.clip(np.floor(n_star) + np.arange(-1.0, 3.0), 1.0, _N_MAX)
+        rates = _rates_over_n(cfg, device, np.append(ns, n_star, axis=1), coeffs, l_rows)
+        n_opts += ns[np.arange(block.size), np.argmax(rates[:, :-1], axis=1)].tolist()
+        maxima += np.max(rates, axis=1).tolist()
+    points: list[EnvelopePoint] = []
+    for l_km, n_opt, rate in zip(l_values.tolist(), n_opts, maxima):
         if n_opt == _N_MAX:
             warnings.warn(
                 f"envelope maximum at the largest node count scanned, n={_N_MAX}, "
                 f"for L={l_km:g} km; the true maximum may lie at a larger n",
                 stacklevel=2,
             )
-        points.append(
-            EnvelopePoint(l_km=float(l_km), rate_bits_per_mode=float(np.max(rates)), n_opt=n_opt)
-        )
+        points.append(EnvelopePoint(l_km=l_km, rate_bits_per_mode=rate, n_opt=int(n_opt)))
     return points
 
 

@@ -297,9 +297,10 @@ def rate_family(
         candidates = design_envelopes(k, device)
         d_coeffs = np.array([env.d_coeff for _, _, env in candidates])
         s_exps = np.array([env.s_exp for _, _, env in candidates])
+        # exponentiated and scaled in place: one (designs, ranges) array, not three
+        rates = -s_exps[:, None] * device.alpha * grid[None, :]
         with np.errstate(over="ignore"):
-            rates = d_coeffs[:, None] * np.exp(
-                -s_exps[:, None] * device.alpha * grid[None, :]
-            )
+            np.exp(rates, out=rates)
+            rates *= d_coeffs[:, None]
         curves.append(FamilyCurve(k=k, l_km=grid, rate_bits_per_mode=rates.max(axis=0)))
     return curves

@@ -15,6 +15,11 @@ Two levels of derived quantity live here:
 * :class:`ChainCoefficients` -- the composite coefficients ``A``, ``B``, ``C``
   that the rate model uses; these additionally depend on the channel count
   ``m`` and the number of fusion steps ``k`` of a concrete design.
+
+The design's own shape lives here too: the tree's :class:`BranchingVector`,
+the node cluster's photon count and its fusion class ``k``.  Like the rest of
+this module they need no numpy, so ``constants`` with a design loads none;
+:mod:`clusterchain.treecode` and :mod:`clusterchain.ratemodel` re-export them.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from .errors import ConfigError, InvalidConfigurationError
 
@@ -34,6 +39,10 @@ __all__ = [
     "ChainCoefficients",
     "derive_constants",
     "chain_coefficients",
+    "coefficients_for",
+    "BranchingVector",
+    "cluster_photons",
+    "k_of_design",
     "load_device_params",
 ]
 
@@ -233,6 +242,82 @@ def chain_coefficients(
         b_coeff=survival * d.p_fib,
         c_coeff=survival,
     )
+
+
+@dataclass(frozen=True)
+class BranchingVector:
+    """Shape of a loss-protection tree.
+
+    Attributes
+    ----------
+    branches : tuple of int
+        Child counts per depth, ``(b_0, ..., b_d)``; every entry >= 1.
+    """
+
+    branches: tuple[int, ...]
+
+    def __init__(self, branches: Iterable[int]) -> None:
+        entries = tuple(int(b) for b in branches)
+        if not entries:
+            raise InvalidConfigurationError("branching vector must have at least one level")
+        if any(b < 1 for b in entries):
+            raise InvalidConfigurationError(
+                f"branching vector entries must be >= 1, got {entries}"
+            )
+        object.__setattr__(self, "branches", entries)
+
+    @classmethod
+    def parse(cls, text: str) -> BranchingVector:
+        """Parse a comma-separated list such as ``"7,3"``.
+
+        Raises :class:`ConfigError` for a part that is not an integer and
+        :class:`InvalidConfigurationError` for an entry below 1.
+        """
+        try:
+            entries = [int(part) for part in text.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse branching vector from {text!r}") from exc
+        return cls(entries)
+
+    @property
+    def depth(self) -> int:
+        """Largest depth index ``d`` (one less than the number of levels)."""
+        return len(self.branches) - 1
+
+    def __str__(self) -> str:
+        return "{" + ",".join(str(b) for b in self.branches) + "}"
+
+
+def _tree_size(levels):
+    """Photon count ``1 + b0 + b0*b1 + ... + b0*...*bd`` of a tree with child
+    counts ``levels`` per depth, numbers or per-design columns alike."""
+    total, level = 1, 1
+    for count in levels:
+        level *= count
+        total += level
+    return total
+
+
+def cluster_photons(m: int, tree: BranchingVector) -> int:
+    """Photon count of one node's cluster: a ``4m+1`` star plus ``2m`` trees."""
+    return (4 * m + 1) + 2 * m * _tree_size(tree.branches)
+
+
+def k_of_design(m: int, tree: BranchingVector) -> int:
+    """Fusion steps needed to assemble the node cluster.
+
+    Each fusion roughly doubles the cluster, and a ``k``-step product holds
+    ``2**k + 2`` photons, so ``k = ceil(log2(N_cluster - 2))``.
+    """
+    if m < 1:
+        raise InvalidConfigurationError(f"channel count m must be >= 1, got {m}")
+    return max(1, math.ceil(math.log2(cluster_photons(m, tree) - 2)))
+
+
+def coefficients_for(m: int, k: int, device: DeviceParams, scheme: str) -> ChainCoefficients:
+    """Chain coefficients of ``m`` channels of class ``k`` under ``scheme``: the
+    ``"new"`` scheme's mid-link Bell measurements use boosted fusion."""
+    return chain_coefficients(derive_constants(device), device, m, k, boosted=(scheme == "new"))
 
 
 def load_device_params(source: str | Path | Mapping[str, Any]) -> DeviceParams:

@@ -14,7 +14,10 @@ with ``P_cn`` the probability that every node's cluster factory fires.
 The factors are defined once, in the kernel :func:`chain_probs` (per-link
 transmissivity to ``(P_X, P_Z, P_B, P_end)``) and :func:`log_chain_factors`
 (``ln P_meas = n ln q1 + (n-1) ln q2 + ln q3``); the scalar functions, the
-node-count sweep and the envelope locus are views of it.
+node-count sweep and the envelope locus are views of it.  Each is the link
+half (``P_X, P_Z, P_B`` and ``ln q1, ln q2``, all that the envelope exponent
+reads) plus the end half (``P_end`` and ``ln q3``), so the envelope's ``z``
+search computes the link half alone.
 
 Two measurement conventions are supported via ``ChainConfig.scheme``:
 
@@ -39,8 +42,9 @@ from .params import (
     SCHEMES,
     ChainCoefficients,
     DeviceParams,
-    chain_coefficients,
-    derive_constants,
+    cluster_photons,
+    coefficients_for,
+    k_of_design,
 )
 from .treecode import BranchingVector, LossRates, p_x_general, p_z_general, tree_size
 
@@ -66,22 +70,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-
-
-def cluster_photons(m: int, tree: BranchingVector) -> int:
-    """Photon count of one node's cluster: a ``4m+1`` star plus ``2m`` trees."""
-    return (4 * m + 1) + 2 * m * tree_size(tree)
-
-
-def k_of_design(m: int, tree: BranchingVector) -> int:
-    """Fusion steps needed to assemble the node cluster.
-
-    Each fusion roughly doubles the cluster, and a ``k``-step product holds
-    ``2**k + 2`` photons, so ``k = ceil(log2(N_cluster - 2))``.
-    """
-    if m < 1:
-        raise InvalidConfigurationError(f"channel count m must be >= 1, got {m}")
-    return max(1, math.ceil(math.log2(cluster_photons(m, tree) - 2)))
 
 
 def mode_divisor(m: int, tree: BranchingVector, scheme: str = "new") -> int:
@@ -160,12 +148,6 @@ class RatePoint:
     rate_bits_per_mode: float
 
 
-def coefficients_for(m: int, k: int, device: DeviceParams, scheme: str) -> ChainCoefficients:
-    """Chain coefficients of ``m`` channels of class ``k`` under ``scheme``: the
-    ``"new"`` scheme's mid-link Bell measurements use boosted fusion."""
-    return chain_coefficients(derive_constants(device), device, m, k, boosted=(scheme == "new"))
-
-
 def chain_probs(
     eta_link: float | np.ndarray,
     m: int | np.ndarray,
@@ -181,12 +163,22 @@ def chain_probs(
     ``tree`` (see :func:`clusterchain.treecode.xi`) and the fields of
     ``coeffs`` are per-design columns that broadcast against ``eta_link``.
     """
+    traveling = _traveling(eta_link, coeffs)
+    return (*_link_probs(eta_link, m, tree, coeffs, scheme, traveling), _any_of(traveling, m))
+
+
+def _link_probs(eta_link, m, tree, coeffs: ChainCoefficients, scheme: str, traveling=None) -> tuple:
+    """``(P_X, P_Z, P_B)``: the kernel outputs that ``q1`` and ``q2`` read.
+
+    The envelope exponent ``s`` reads nothing else, so its search skips
+    ``P_end``.  ``traveling`` is the traveling-photon survival, where the
+    caller has it.
+    """
     if scheme not in SCHEMES:
         raise InvalidConfigurationError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    traveling, stationary = _survivals(eta_link, coeffs, scheme)
-    eps_stat = np.clip(1.0 - stationary, 0.0, 1.0)
+    eps_stat = np.clip(1.0 - _stationary(eta_link, coeffs, scheme, traveling), 0.0, 1.0)
     p_b = coeffs.ab_squared / m * eta_link
-    return p_x_general(tree, eps_stat), p_z_general(tree, eps_stat), p_b, _any_of(traveling, m)
+    return p_x_general(tree, eps_stat), p_z_general(tree, eps_stat), p_b
 
 
 def log_chain_factors(
@@ -198,15 +190,27 @@ def log_chain_factors(
     ``q3 = P_end**2``.  A vanishing factor gives ``-inf``, never NaN; ``P_Z``
     does not enter ``q1`` at ``m = 1``.  ``m`` may be a per-design column.
     """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (*_log_link_factors(p_x, p_z, p_b, m), 2.0 * np.log(p_end))
+
+
+def _log_link_factors(p_x, p_z, p_b, m) -> tuple:
+    """``(ln q1, ln q2)`` of :func:`log_chain_factors`, from :func:`_link_probs`'s outputs."""
     with np.errstate(divide="ignore", invalid="ignore"):  # 0 * ln 0 at m = 1 is not taken
         ln_q1 = 2.0 * np.log(p_x) + np.where(m > 1, 2.0 * (m - 1) * np.log(p_z), 0.0)
-        return ln_q1, np.log(_any_of(p_b, m)), 2.0 * np.log(p_end)
+        return ln_q1, np.log(_any_of(p_b, m))
 
 
-def _survivals(eta_link, coeffs: ChainCoefficients, scheme: str) -> tuple:
-    """Survival ``(traveling, stationary)`` of a tree photon (see :func:`loss_rates`)."""
-    traveling = np.sqrt(eta_link) * coeffs.c_coeff
-    return traveling, (eta_link * coeffs.b_coeff if scheme == "new" else traveling)
+def _traveling(eta_link, coeffs: ChainCoefficients):
+    """Survival of a traveling tree photon (see :func:`loss_rates`)."""
+    return np.sqrt(eta_link) * coeffs.c_coeff
+
+
+def _stationary(eta_link, coeffs: ChainCoefficients, scheme: str, traveling=None):
+    """Survival of a stationary tree photon, a traveling one under ``"naive"``."""
+    if scheme == "new":
+        return eta_link * coeffs.b_coeff
+    return _traveling(eta_link, coeffs) if traveling is None else traveling
 
 
 def _any_of(p, m: int):
@@ -215,15 +219,17 @@ def _any_of(p, m: int):
         return -np.expm1(m * np.log1p(-p))
 
 
-def _eta_link(cfg: ChainConfig, device: DeviceParams, n) -> np.ndarray:
-    return np.exp(-device.alpha * cfg.total_range_km / np.asarray(n, dtype=float))
+def _eta_link(l_km, device: DeviceParams, n) -> np.ndarray:
+    return np.exp(-device.alpha * l_km / np.asarray(n, dtype=float))
 
 
-def _chain_probs(cfg: ChainConfig, device: DeviceParams, coeffs, n) -> tuple:
-    """Kernel outputs for ``cfg``'s chain at node count(s) ``n``."""
+def _chain_probs(cfg: ChainConfig, device: DeviceParams, coeffs, n, l_km=None) -> tuple:
+    """Kernel outputs for ``cfg``'s chain at node count(s) ``n``, at range(s)
+    ``l_km`` in place of its own where given."""
     if coeffs is None:
         coeffs = coefficients_for(cfg.channels, cfg.k, device, cfg.scheme)
-    return chain_probs(_eta_link(cfg, device, n), cfg.channels, cfg.tree, coeffs, cfg.scheme)
+    l_km = cfg.total_range_km if l_km is None else l_km
+    return chain_probs(_eta_link(l_km, device, n), cfg.channels, cfg.tree, coeffs, cfg.scheme)
 
 
 def _checked_bell(p_b):
@@ -232,9 +238,9 @@ def _checked_bell(p_b):
     return p_b
 
 
-def _log_p_meas(cfg: ChainConfig, device: DeviceParams, coeffs, n) -> np.ndarray:
-    """``ln P_meas = n ln q1 + (n-1) ln q2 + ln q3`` at node count(s) ``n``."""
-    probs = _chain_probs(cfg, device, coeffs, n)
+def _log_p_meas(cfg: ChainConfig, device: DeviceParams, coeffs, n, l_km=None) -> np.ndarray:
+    """``ln P_meas = n ln q1 + (n-1) ln q2 + ln q3`` at node count(s) ``n``, range(s) ``l_km``."""
+    probs = _chain_probs(cfg, device, coeffs, n, l_km)
     _checked_bell(probs[2])
     ln_q1, ln_q2, ln_q3 = log_chain_factors(*probs, cfg.channels)
     with np.errstate(invalid="ignore"):  # one node has no link: no 0 * -inf from q2
@@ -256,7 +262,9 @@ def loss_rates(
     """
     if coeffs is None:
         coeffs = coefficients_for(cfg.channels, cfg.k, device, cfg.scheme)
-    survivals = _survivals(_eta_link(cfg, device, cfg.node_count), coeffs, cfg.scheme)
+    eta_link = _eta_link(cfg.total_range_km, device, cfg.node_count)
+    traveling = _traveling(eta_link, coeffs)
+    survivals = (traveling, _stationary(eta_link, coeffs, cfg.scheme, traveling))
     eps_trav, eps_stat = (float(np.clip(1.0 - v, 0.0, 1.0)) for v in survivals)
     return LossRates(eps_trav=eps_trav, eps_stat=eps_stat)
 
@@ -337,10 +345,20 @@ def rates_over_n(
     channels, tree, scheme, ``p_cn``) is taken from ``cfg``.  A chain whose
     success probability vanishes has rate 0, never NaN.
     """
+    return _rates_over_n(cfg, device, n_values, coeffs)
+
+
+def _rates_over_n(cfg: ChainConfig, device: DeviceParams, n_values, coeffs,
+                  l_km=None) -> np.ndarray:
+    """:func:`rates_over_n`, at range(s) ``l_km`` in place of ``cfg``'s where given.
+
+    A column of ranges against one row of node counts per range gives one
+    row of rates per range, each with the bits of its own one-range call.
+    """
     n = np.asarray(n_values, dtype=float)
     if np.any(n < 1):
         raise InvalidConfigurationError("node counts must be >= 1")
-    return np.exp(_log_p_meas(cfg, device, coeffs, n) + math.log(cfg.p_cn / cfg.divisor))
+    return np.exp(_log_p_meas(cfg, device, coeffs, n, l_km) + math.log(cfg.p_cn / cfg.divisor))
 
 
 def r_direct(l_km: float, alpha: float) -> float:

@@ -26,12 +26,12 @@ engine (:mod:`clusterchain.montecarlo`), one tree photon per cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, InvalidConfigurationError
+from .errors import InvalidConfigurationError
 from .montecarlo import mc_fractions
+from .params import BranchingVector, _tree_size
 
 __all__ = [
     "BranchingVector",
@@ -46,50 +46,6 @@ __all__ = [
     "mc_xi",
     "mc_measurement_probs",
 ]
-
-
-@dataclass(frozen=True)
-class BranchingVector:
-    """Shape of a loss-protection tree.
-
-    Attributes
-    ----------
-    branches : tuple of int
-        Child counts per depth, ``(b_0, ..., b_d)``; every entry >= 1.
-    """
-
-    branches: tuple[int, ...]
-
-    def __init__(self, branches: Iterable[int]) -> None:
-        entries = tuple(int(b) for b in branches)
-        if not entries:
-            raise InvalidConfigurationError("branching vector must have at least one level")
-        if any(b < 1 for b in entries):
-            raise InvalidConfigurationError(
-                f"branching vector entries must be >= 1, got {entries}"
-            )
-        object.__setattr__(self, "branches", entries)
-
-    @classmethod
-    def parse(cls, text: str) -> BranchingVector:
-        """Parse a comma-separated list such as ``"7,3"``.
-
-        Raises :class:`ConfigError` for a part that is not an integer and
-        :class:`InvalidConfigurationError` for an entry below 1.
-        """
-        try:
-            entries = [int(part) for part in text.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse branching vector from {text!r}") from exc
-        return cls(entries)
-
-    @property
-    def depth(self) -> int:
-        """Largest depth index ``d`` (one less than the number of levels)."""
-        return len(self.branches) - 1
-
-    def __str__(self) -> str:
-        return "{" + ",".join(str(b) for b in self.branches) + "}"
 
 
 @dataclass(frozen=True)

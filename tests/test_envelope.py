@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,8 +28,9 @@ from clusterchain.errors import (
     NoCrossoverError,
     NoInteriorMinimumError,
 )
-from clusterchain.params import ChainCoefficients, chain_coefficients
-from clusterchain.ratemodel import ChainConfig, r_direct, rate_n, rates_over_n
+from clusterchain.optimizer import _BLOCK_DESIGNS, SearchBounds, iter_designs
+from clusterchain.params import ChainCoefficients, chain_coefficients, coefficients_for
+from clusterchain.ratemodel import ChainConfig, _rates_over_n, r_direct, rate_n, rates_over_n
 from clusterchain.treecode import BranchingVector
 
 TREE = BranchingVector((7, 3))
@@ -168,6 +170,36 @@ class TestOptimizeZ:
         with pytest.raises(LocusInvalidError):
             optimize_z(M, TREE, device, weak)
 
+    @pytest.mark.parametrize("depth", [2, 3])
+    @pytest.mark.parametrize("scheme", ["new", "naive"])
+    def test_search_s_is_analytic_lb_s(self, device, scheme, depth):
+        # the search scores s without P_end or ln q3; at the same z its s has
+        # the bits of analytic_lb's, on a scan block of class-7 designs.  A*B^2
+        # is below 1 at m = 1, so a fourfold A gives those rows a locus too.
+        block = list(iter_designs(7, SearchBounds(depths=(depth,))))[:_BLOCK_DESIGNS]
+        m = np.array([mi for mi, _ in block])
+        tree = np.array([ti.branches for _, ti in block]).T
+        a_coeff = np.array([coefficients_for(mi, 7, device, scheme).a_coeff for mi in m])
+        checked_m, over_one = set(), 0
+        for gain in (1.0, 4.0):
+            coeffs = replace(coefficients_for(1, 7, device, scheme), a_coeff=gain * a_coeff)
+            rows = coeffs.ab_squared > 1.0  # optimize_z drops the rest before its scan
+            coeffs = replace(coeffs, a_coeff=coeffs.a_coeff[rows])
+            design = envelope._columns(m[rows], tree[:, rows], coeffs)
+            for z in np.geomspace(1e-3, 3.0, 9):
+                z_rows = np.full((rows.sum(), 1), z)
+                s = envelope._locus(z_rows, *design, scheme)[2][:, 0]
+                probs, _, s_full = envelope._locus(z_rows, *design, scheme, end=True)
+                assert s.tobytes() == s_full[:, 0].tobytes()
+                ok = probs[2][:, 0] <= 1.0
+                assert np.all(s[~ok] == np.inf)
+                env = analytic_lb(z_rows[ok, 0], m[rows][ok], tree[:, rows][:, ok], device,
+                                  replace(coeffs, a_coeff=coeffs.a_coeff[ok]), scheme=scheme)
+                assert s[ok].tobytes() == env.s_exp.tobytes()
+                checked_m.update(m[rows][ok].tolist())
+                over_one += (~ok).sum()
+        assert 1 in checked_m and over_one > 0
+
 
 class TestSpacing:
     def test_spacing_matches_envelope(self, device, coeffs, env_star):
@@ -255,12 +287,40 @@ class TestNumericEnvelope:
         assert point.n_opt == int(np.argmax(brute)) + 1
 
     def test_one_search_per_range(self, device, monkeypatch):
-        # five _narrow steps over ln n and one read of the five final points
-        calls = []
-        monkeypatch.setattr(envelope, "rates_over_n",
-                            lambda *args: calls.append(args) or rates_over_n(*args))
-        numeric_envelope(M, TREE, device, [100.0, 300.0, 1000.0])
-        assert len(calls) <= 3 * 7
+        # one lockstep search over every range: five _narrow steps over ln n
+        # and one read of the five final points, however many ranges there are
+        counts = []
+        for grid in ([100.0, 300.0, 1000.0], np.arange(50.0, 451.0, 10.0)):
+            calls = []
+            monkeypatch.setattr(envelope, "_rates_over_n",
+                                lambda *args: calls.append(args) or _rates_over_n(*args))
+            numeric_envelope(M, TREE, device, grid)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 7
+
+    @pytest.mark.parametrize("m, branches, grid", [
+        (M, (7, 3), np.arange(50.0, 451.0, 10.0)),  # the benchmark's 41-range grid
+        (16, (16, 16), [1600.0, 2000.0]),
+    ], ids=["design_scan", "zero_run"])
+    def test_rows_are_independent(self, device, m, branches, grid):
+        # the lockstep rows give the bits of one-range calls
+        tree = BranchingVector(branches)
+        together = numeric_envelope(m, tree, device, grid)
+        alone = [numeric_envelope(m, tree, device, [l_km])[0] for l_km in grid]
+        bits = [[(p.l_km.hex(), p.rate_bits_per_mode.hex(), p.n_opt) for p in points]
+                for points in (together, alone)]
+        assert bits[0] == bits[1]
+
+    def test_long_grid_is_searched_in_blocks(self, device, monkeypatch):
+        # the lockstep temporaries grow with the rows; a block bounds them
+        grid = np.arange(50.0, 451.0, 10.0)
+        whole = numeric_envelope(M, TREE, device, grid)
+        rows = []
+        monkeypatch.setattr(envelope, "_ENVELOPE_ROWS", 4)
+        monkeypatch.setattr(envelope, "_rates_over_n",
+                            lambda *args: rows.append(len(args[-1])) or _rates_over_n(*args))
+        assert numeric_envelope(M, TREE, device, grid) == whole
+        assert max(rows) == 4 and sum(rows) <= 7 * len(grid)
 
     def test_boundary_warns(self, device, monkeypatch):
         monkeypatch.setattr(envelope, "_N_MAX", 2)
@@ -272,6 +332,16 @@ class TestNumericEnvelope:
             numeric_envelope(M, TREE, device, [])
         with pytest.raises(InvalidConfigurationError):
             numeric_envelope(M, TREE, device, [100.0, 100.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_range_refused_before_any_search(self, device, monkeypatch, bad):
+        def no_search(*args, **kw):
+            raise AssertionError("searched a grid holding a bad range")
+
+        monkeypatch.setattr(envelope, "_narrow", no_search)
+        grid = [100.0, bad]  # the old loop searched 100 km before it met the bad range
+        with pytest.raises(InvalidConfigurationError, match="finite and >= 0"):
+            numeric_envelope(M, TREE, device, grid)
 
 
 class TestCrossover:

@@ -20,6 +20,7 @@ import clusterchain
 from clusterchain import cli
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(clusterchain.__path__))
+SOURCES = sorted(Path(clusterchain.__file__).parent.glob("*.py"))
 
 
 def test_root_exposes_only_the_version():
@@ -38,8 +39,7 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
-@pytest.mark.parametrize("path", sorted(Path(clusterchain.__file__).parent.glob("*.py")),
-                         ids=lambda path: path.stem)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
 def test_imports_only_stdlib_and_numpy(path):
     # numpy is the one runtime dependency; a relative import stays in the package
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
@@ -53,6 +53,13 @@ def test_imports_only_stdlib_and_numpy(path):
     assert sorted(m for m in imported if m.split(".")[0] not in allowed) == []
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
+def test_grammar_is_python_3_10(path):
+    # the package supports Python 3.10; this checks its syntax only, not
+    # whether it calls a library API that 3.10 lacks
+    ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
 def _run_python(*args: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(clusterchain.__file__))}
     return subprocess.run([sys.executable, *args], env=env,
@@ -62,9 +69,10 @@ def _run_python(*args: str) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize("blocked, argv", [
     ("networkx", ["verify", "--samples", "5"]),
     ("numpy", ["verify", "--samples", "5"]),
+    ("numpy", ["constants", "--m", "4", "--b", "7,3"]),
     ("scipy", ["resources", "--k", "3", "--m", "1", "--n", "5",
                "--sources", "600:2400:600", "--method", "exact"]),
-], ids=["networkx", "numpy", "scipy"])
+], ids=["networkx", "numpy", "numpy_constants", "scipy"])
 def test_cli_runs_without(blocked, argv):
     # a None entry in sys.modules makes any import of the blocked module fail
     script = (
