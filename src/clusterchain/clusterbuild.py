@@ -67,6 +67,11 @@ _LEVEL_CUT = 1e-20  # largest survival a fusion level's cut drops from any row
 _EXACT_COUNT_LIMIT = 2**12  # largest per-bank GHZ count the exact factory holds
 _MAX_LEVELS = _MAX_BLOCK_CELLS.bit_length() - 1  # largest k whose 2**k leaf banks fit one MC block
 _SLICE_CELLS = 2**18  # leaf-bank cells per banked MC slice, and cells per inversion table
+_SLICE_TOP = math.isqrt(_SLICE_CELLS) - 1  # largest count an inversion table holds
+# Raw words per inversion pass.  One pass holds about 0.6 MB with its indices;
+# a k = 7 first level inverted in one 131072-word pass faulted its 2.6 MB in
+# afresh on every slice, as glibc returned the heap top between slices.
+_DRAW_WORDS = 2**15
 _NAIVE_GRID = 200  # n_ghz and n_meas scanned on [1, _NAIVE_GRID] by the naive optimiser
 _SOURCE_CEILING = 10**15  # largest source count min_sources tries
 
@@ -394,7 +399,7 @@ def allocate_ghz_counts(x: np.ndarray, sched: FusionSchedule) -> np.ndarray:
     both classes when the remainders are equal) take one more in index
     order up to ``stop``.  The counts are one ``np.take`` of the classes'
     counts per bank, ``O(t 2**k)`` time and memory with no sort; the exact
-    factory reads the plan itself and never forms them.
+    factory and the Monte Carlo read the plan itself and never form them.
     """
     return _plan(x, sched).dense(_bank_class(sched))
 
@@ -487,38 +492,78 @@ def _binomial_cdf_rows(values: np.ndarray, p: float) -> np.ndarray:
     n = values[:, None]
     c = np.arange(int(values.max()) + 1)[None, :]
     mode = np.minimum(np.floor((n + 1) * p), n)
+    below = c < mode
+    # besides ``ratio``, one table-sized array at a time, worked in place
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(c < n, (n - c) / (c + 1) * np.divide(p, 1.0 - p), 0.0)
-        down = np.where(c < mode, 1.0 / ratio, 1.0)
-    up = np.where(c < mode, 1.0, ratio)
+        ratio = (n - c) / (c + 1)
+        ratio *= np.divide(p, 1.0 - p)
+        ratio[c >= n] = 0.0
+        pmf = np.divide(1.0, ratio, out=np.ones_like(ratio), where=below)
+    ratio[below] = 1.0
     # pmf(c) / pmf(mode): the product of the factors between c and the mode
-    pmf = np.cumprod(down[:, ::-1], axis=1)[:, ::-1]
-    pmf[:, 1:] *= np.cumprod(up, axis=1)[:, :-1]
-    cdf = np.cumsum(pmf, axis=1)
-    return np.where(c < n, cdf / cdf[:, -1:], 2.0)
+    np.cumprod(pmf[:, ::-1], axis=1, out=pmf[:, ::-1])
+    np.cumprod(ratio, axis=1, out=ratio)
+    pmf[:, 1:] *= ratio[:, :-1]
+    del ratio
+    cdf = np.cumsum(pmf, axis=1, out=pmf)
+    cdf /= cdf[:, -1:].copy()
+    cdf[c >= n] = 2.0
+    return cdf
+
+
+def _guide_codes(cdf: np.ndarray, buckets: int) -> np.ndarray:
+    """Per CDF row and each of ``buckets`` equal ``u``-buckets, flat: the
+    count of the row's entries at or below the bucket's lower edge if its
+    upper edge passes no more, else -1, in int16."""
+    width = len(cdf)
+    # an entry is at or below the bucket edge b / buckets for every b >= its
+    # edge ceil(entry * buckets), so a row's counts start at 0 and step up by
+    # one at each of its entries' edges: ``steps`` holds where each count
+    # starts, row by row at its flat offset, and ``counts`` the count; a
+    # row's last count is the one at the upper edge of its last bucket
+    stride = buckets + 1
+    steps = np.empty((width, width + 1), dtype=np.intp)
+    steps[:, 0] = 0
+    np.ceil(cdf * buckets, out=steps[:, 1:], casting="unsafe")
+    steps += np.arange(width)[:, None] * stride
+    kept = np.ones(steps.shape, dtype=bool)
+    np.less_equal(cdf, 1.0, out=kept[:, 1:])
+    steps = steps[kept]
+    counts = np.broadcast_to(np.arange(width + 1, dtype=np.int16), kept.shape)[kept]
+    edges = np.repeat(counts, np.diff(steps, append=width * stride)).reshape(width, stride)
+    # a bucket whose upper edge passes more entries than its lower one is unsettled
+    return np.where(edges[:, :-1] < edges[:, 1:], np.int16(-1), edges[:, :-1]).ravel()
 
 
 class _InverseBinomial:
     """``Binomial(n, p)`` draws for one ``p`` by inversion of a cached CDF table.
 
     The table holds the CDF row of every ``n = 0..top``, indexed by ``n``, and
-    is rebuilt when a draw brings a larger ``n``.  The answer for a uniform
-    ``u`` is the number of entries at or below ``u`` in the row of its ``n``.
-    A guide table holds, per row and for each of ``G`` equal ``u``-buckets
-    (``G`` the power of two at or above four times the row width, so
-    ``u * G`` is exact), one int32 code: the count ``c`` of entries at or
-    below the bucket's lower edge if its upper edge passes no more (the
-    bucket is settled and ``c`` is the answer), else ``~c``, which is
-    negative; a last code per row holds the count at the upper edge of the
-    last bucket.  A draw gathers its code once, and only a negative one
-    reads the next code, decoded, as the count at the bucket's upper edge;
-    a vectorised binary search between the two finishes the count, so the
-    guide changes the time, never the answer.  A draw whose largest ``n``
-    would need a table over ``_SLICE_CELLS`` cells (``n`` of 512 and up)
-    goes to ``rng.binomial``; whether it does depends on the draw's own
-    ``n`` alone, never on what is cached.  The guide holds under eight
-    codes, 32 bytes, per table cell, and its flat index, under ``2**20``,
-    is worked out in int32.
+    is rebuilt, an eighth wider than asked within the cell budget, when a draw
+    brings a larger ``n``.  A draw reads one raw 64-bit word ``w`` of the
+    generator, whose uniform is ``u = (w >> 11) * 2**-53`` (as
+    ``Generator.random()`` makes it), and its answer is the number of entries
+    at or below ``u`` in the row of its ``n``.  An entry ``e`` is at or below
+    ``u`` exactly when ``w >> 11`` reaches ``ceil(e * 2**53)`` (the product is
+    exact), so the table holds each entry as that integer, capped at
+    ``2**53``, which no word reaches, plus ``r << 54`` in row ``r``: the keys
+    then rise row after row, and one ``np.searchsorted`` of ``(r << 54) +
+    (w >> 11)`` over all of them counts the row's entries passed plus ``r``
+    full rows.  No float is formed.  A guide table holds, per row and for each
+    of ``G`` equal ``u``-buckets (``G`` the power of two at or above four
+    times the row width, so the bucket of ``u`` is the word's top ``log2 G``
+    bits, ``w >> (64 - log2 G)``), one int16 code: the count of entries at or
+    below the bucket's lower edge if its upper edge passes no more (the bucket
+    is settled and the count is the answer), else -1.  A draw gathers its code
+    once, and only a draw in an unsettled bucket (1% to 7% of draws at k = 7)
+    searches the keys, so the guide changes the time, never the answer.  A
+    draw whose largest ``n`` would need a table over ``_SLICE_CELLS`` cells
+    (``n`` of 512 and up) goes to ``rng.binomial``; whether it does depends on
+    the draw's own ``n`` alone, never on what is cached.  The guide holds
+    under eight codes, 16 bytes, per table cell, and its flat index, under
+    ``2**20``, is worked out in int32.  A draw reads its words in runs of
+    ``_DRAW_WORDS``, one inversion pass each; the runs follow one another in
+    the stream, so the answers are those of one pass.
     """
 
     def __init__(self, p: float) -> None:
@@ -526,65 +571,48 @@ class _InverseBinomial:
         self._build(0)
 
     def _build(self, top: int) -> None:
-        self.cdf = _binomial_cdf_rows(np.arange(top + 1), self.p)
-        width = top + 1
-        self.buckets = 1 << (4 * width - 1).bit_length()
-        # an entry is at or below the bucket edge b / buckets for every b >= its edge
-        edge = np.ceil(self.cdf * self.buckets).astype(np.intp)
-        edge += np.arange(width)[:, None] * (self.buckets + 1)
-        tally = np.bincount(edge[self.cdf <= 1.0], minlength=width * (self.buckets + 1))
-        guide = np.cumsum(tally.reshape(width, -1), axis=1, dtype=np.int32)
-        # a bucket whose upper edge passes more entries than its lower one is unsettled
-        np.invert(guide[:, :-1], out=guide[:, :-1], where=guide[:, :-1] < guide[:, 1:])
-        self.guide = guide.ravel()
+        cdf = _binomial_cdf_rows(np.arange(top + 1), self.p)
+        self.width = top + 1
+        self.shift = 64 - (4 * self.width - 1).bit_length()
+        self.buckets = 1 << (64 - self.shift)
+        self.guide = _guide_codes(cdf, self.buckets)
+        cdf *= 2.0**53
+        np.ceil(cdf, out=cdf)
+        np.minimum(cdf, 2.0**53, out=cdf)  # the entries of 2.0 past each row's n
+        self.keys = cdf.astype(np.int64)
+        self.keys += np.arange(self.width, dtype=np.int64)[:, None] << 54
+        self.keys = self.keys.ravel()
 
-    def invert(self, n: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """The count of entries at or below ``u`` in the row of each ``n``, flat;
-        the table must reach ``n.max()``."""
-        rows, u = n.ravel(), u.ravel()
-        at = (u * self.buckets).astype(np.int32)
-        at += rows.astype(np.int32, copy=False) * np.int32(self.buckets + 1)
-        lo = self.guide.take(at)
-        todo = np.flatnonzero(lo < 0)
+    def invert(self, n: np.ndarray, words: np.ndarray) -> np.ndarray:
+        """The count of entries at or below the uniform of each raw word in
+        ``words`` in the row of each ``n``, flat; the table must reach ``n.max()``."""
+        rows, words = n.ravel(), words.ravel()
+        # the bucket, the word's top bits, cast to int32 as it is shifted
+        at = np.right_shift(words, np.uint64(self.shift), out=np.empty(words.size, np.int32),
+                            casting="unsafe")
+        at += rows * np.int32(self.buckets)
+        drawn = self.guide.take(at)
+        todo = np.flatnonzero(drawn < 0)
         if todo.size:
-            # the next bucket's code, decoded, counts the entries at or below
-            # the bucket's upper edge, so each answer lies in [lo, hi]
-            hi = self.guide.take(at[todo] + 1)
-            base = rows[todo] * np.int32(self.cdf.shape[1])
-            lo[todo] = self._search(base, u[todo], ~lo[todo], np.maximum(hi, ~hi))
-        return lo
-
-    def _search(self, base: np.ndarray, u: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """The count of entries at or below each ``u`` in the row that starts at
-        the flat CDF index ``base``, by binary search in ``[lo, hi]``, where it lies.
-
-        Most unsettled buckets hold one entry and settle in one step; the
-        rest, mostly the tail buckets of many entries, go on alone."""
-        cdf = self.cdf.ravel()
-
-        def step(base, u, lo, hi):
-            # a converged element reads the entry at lo, which exceeds u
-            mid = (lo + hi) >> 1
-            passed = cdf.take(base + mid) <= u
-            return np.where(passed, mid + 1, lo), np.where(passed, hi, mid)
-
-        lo, hi = step(base, u, lo, hi)
-        wide = np.flatnonzero(lo < hi)
-        if wide.size:
-            base, u, lo_wide, hi = base[wide], u[wide], lo[wide], hi[wide]
-            for _ in range(int((hi - lo_wide).max()).bit_length()):
-                lo_wide, hi = step(base, u, lo_wide, hi)
-            lo[wide] = lo_wide
-        return lo
+            row = rows[todo].astype(np.int64)
+            key = (words[todo] >> np.uint64(11)).astype(np.int64) + (row << 54)
+            drawn[todo] = np.searchsorted(self.keys, key, side="right") - row * self.width
+        return drawn
 
     def draw(self, n: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One ``Binomial(n, p)`` per element of ``n``, in its shape."""
         top = int(n.max(initial=0))
-        if (top + 1) ** 2 > _SLICE_CELLS:
+        if top > _SLICE_TOP:
             return rng.binomial(n, self.p)
-        if top >= len(self.cdf):
-            self._build(top)
-        return self.invert(n, rng.random(n.shape)).reshape(n.shape)
+        if top >= self.width:
+            self._build(min(top + top // 8, _SLICE_TOP))
+        rows = n.ravel()
+        drawn = np.empty(rows.size, dtype=np.int16)
+        for start in range(0, rows.size, _DRAW_WORDS):
+            part = rows[start : start + _DRAW_WORDS]
+            words = rng.bit_generator.random_raw(part.size)
+            drawn[start : start + part.size] = self.invert(part, words)
+        return drawn.reshape(n.shape)
 
 
 def improved_pc1_mc(
@@ -611,17 +639,25 @@ def improved_pc1_mc(
     so the result is bit-identical for a given ``(seed, trials)``.  Each
     engine block runs in slices of ``max(1, 2**18 // 2**k)`` trials, so no
     slice holds more than ``2**18`` leaf-bank cells (one trial past k = 18).
-    The thinning and every fusion level draw by inversion: one uniform per
-    bank, read off the level's CDF row for the bank's count.  The error
-    budget is the CDF rounding: each entry of every row the table builds
-    (``n <= 511``) lies within ``2e-15`` of its exact value (the tests hold
-    rows up to ``n = 511`` to that against exact rationals), and the
-    uniforms step by ``2**-53``, so each draw's law is off by about
+    The thinning and every fusion level draw by inversion: one raw 64-bit
+    word of the block's generator per bank, whose uniform
+    ``(w >> 11) * 2**-53`` (the one ``Generator.random()`` would make of it)
+    is read off the level's CDF row for the bank's count, the word's top
+    bits picking the row's guide bucket (:class:`_InverseBinomial`).  The
+    error budget is the CDF rounding: each entry of every row the table
+    builds (``n <= 511``) lies within ``2e-15`` of its exact value (the
+    tests hold rows up to ``n = 511`` to that against exact rationals), and
+    the uniforms step by ``2**-53``, so each draw's law is off by about
     ``1e-15``, far below the estimate's ``1 / sqrt(trials)``.  A level
     whose largest count in a slice is 512 or more would need a table over
     ``2**18`` cells, and draws that slice with ``rng.binomial``.  A slice
-    holds its leaf counts in int32 when the largest is below ``2**31`` and
-    in int64 otherwise, so no count wraps, and ``rng.binomial`` sees each
+    never forms its ``(t, 2**k)`` leaf counts.  Inside a weight class the
+    counts never rise with bank index, so a pair of light banks enters
+    level 1 as its odd bank's count, read off the allocation plan; only the
+    pairs that hold a measured bank are formed from both of their banks,
+    the measured ones thinned in their own order.  A slice holds these
+    counts in int32 when its largest leaf count is below ``2**31`` and in
+    int64 otherwise, so no count wraps, and ``rng.binomial`` sees each
     exactly.
 
     Returns
@@ -631,8 +667,16 @@ def improved_pc1_mc(
     n_attempts = _ghz_attempts(n_s, ghz_source)
     bank_class = _bank_class(sched)
     thin = _InverseBinomial(consts.p_chip * consts.eta_ghz)
-    levels = [_InverseBinomial(p) for p in fusion_probabilities(sched.k, consts)]
+    first, *levels = [_InverseBinomial(p) for p in fusion_probabilities(sched.k, consts)]
     slice_trials = max(1, _SLICE_CELLS // sched.leaf_banks)
+    # The pairs that hold a measured bank: ``held`` lists their even banks,
+    # then their odd ones, and ``thinned`` where in that list the measured
+    # banks sit, in their own order.
+    odd = np.arange(1, sched.leaf_banks, 2)
+    measured = np.array(sched.measured, dtype=np.intp)
+    pairs = np.unique(measured // 2)
+    held = np.concatenate((2 * pairs, 2 * pairs + 1))
+    thinned = np.searchsorted(pairs, measured // 2) + len(pairs) * (measured % 2)
 
     def draw(size: int, rng: np.random.Generator) -> tuple[int]:
         hits = 0
@@ -643,8 +687,14 @@ def improved_pc1_mc(
             else:
                 x = rng.binomial(n_attempts, consts.p_ghz, size=t)
             plan = _plan(x, sched)
-            y = plan.dense(bank_class, np.int32 if plan.largest().max() < 2**31 else np.int64)
-            y[:, sched.measured] = thin.draw(y[:, sched.measured], rng)
+            dtype = np.int32 if plan.largest().max() < 2**31 else np.int64
+            banks = plan.counts(held, bank_class[held], dtype)
+            banks[:, thinned] = thin.draw(banks[:, thinned], rng)
+            # a light pair's minimum is its odd bank's count; the pairs that
+            # hold a measured bank take the minimum of both, thinned
+            y = plan.counts(odd, bank_class[odd], dtype)
+            y[:, pairs] = np.minimum(banks[:, :len(pairs)], banks[:, len(pairs):])
+            y = first.draw(y, rng)
             for level in levels:
                 y = level.draw(np.minimum(y[:, 0::2], y[:, 1::2]), rng)
             hits += int(np.count_nonzero(y))

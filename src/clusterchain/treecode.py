@@ -25,6 +25,7 @@ engine (:mod:`clusterchain.montecarlo`), one tree photon per cell.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,6 +200,23 @@ def _level_widths(b: BranchingVector) -> list[int]:
     return widths
 
 
+def _survivals(rng: np.random.Generator, samples: int, width: int, eps: float) -> np.ndarray:
+    """One level's survivals, vertex-major ``(width, samples)``, from ``samples * width``
+    raw words of ``rng`` drawn sample-major.
+
+    ``Generator.random()`` turns a word ``w`` into ``u = (w >> 11) * 2**-53``,
+    so ``u >= eps`` holds exactly when ``w >> 11`` reaches ``ceil(eps * 2**53)``
+    (the product is exact), that is when ``w >= ceil(eps * 2**53) << 11``: one
+    integer compare per photon and no float.  At ``eps = 1`` the threshold is
+    ``2**64``, which no word reaches, so nothing survives and nothing is drawn.
+    """
+    if eps == 1.0:
+        return np.zeros((width, samples), dtype=bool)
+    threshold = np.uint64(math.ceil(eps * 2**53) << 11)
+    survive = rng.bit_generator.random_raw(samples * width) >= threshold
+    return np.ascontiguousarray(survive.reshape(samples, width).T)
+
+
 def _simulate_tree(
     b: BranchingVector, eps: float, samples: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -211,13 +229,15 @@ def _simulate_tree(
     The rule evaluated bottom-up: an indirect Z at vertex ``v`` succeeds if
     at least one child ``c`` of ``v`` survived while every child of ``c`` is
     itself measurable.  Each level is drawn sample-major, ``(samples,
-    width)``, and held vertex-major, ``(width, samples)``: row ``v`` is
+    width)``, as raw 64-bit words, each compared with one integer threshold
+    that answers as ``u >= eps`` on the word's uniform (:func:`_survivals`),
+    and held vertex-major, ``(width, samples)``: row ``v`` is
     vertex ``v`` in every sample, and a parent's children are consecutive
     rows, so each step reduces a ``(parent, child, samples)`` view over
     whole contiguous rows.
     """
     widths = _level_widths(b)
-    survive = [np.ascontiguousarray((rng.random((samples, w)) >= eps).T) for w in widths]
+    survive = [_survivals(rng, samples, w, eps) for w in widths]
     measurable = list(survive)  # leaves have no children, so their M = S
     for j in range(b.depth, -1, -1):
         child_ok = survive[j + 1]

@@ -637,7 +637,7 @@ class TestExactPropagation:
     ], ids=["k12", "k13"])
     def test_exact_path_never_forms_dense_counts(self, consts, monkeypatch, k, n_s, expected):
         # the subtrees are numbered from the plan; the (257, 2**k) counts
-        # are the Monte Carlo's alone.  The values were recorded on one BLAS
+        # are allocate_ghz_counts' alone.  The values were recorded on one BLAS
         # thread; from k = 12 the level matmuls are large enough to be split
         # over threads, which moves the last bits (0.9658702434852512 and
         # 0.8675254920982012 on two)
@@ -711,13 +711,32 @@ class TestRecordedOutputs:
         (2 * 10**8, 11, 8, 300, 3, (0.9833333333333333, 0.007391185942027828)),
         (2_700_000, 7, 4, 20000, 4, (0.9975, 0.0003531111722956346)),
         (22_000_000, 9, 4, 5000, 6, (0.9954, 0.000956957679315031)),
-    ], ids=["k11_thinning_on_numpy", "k7", "k9"])
+        (4_200_000, 7, 4, 50_000, 13, (0.99998, 1.9999799999009992e-05)),
+        (2**35, 3, 1, 50, 2, (1.0, 0.0)),
+    ], ids=["k11_thinning_on_numpy", "k7", "k9", "k7_high", "int64_counts"])
     def test_monte_carlo_streams(self, consts, n_s, k, m, trials, seed, expected):
         # recorded before the inversion guide took one int32 gather per draw
-        # and the slice counts went int32; at k = 11 the thinning draws with
-        # rng.binomial and the levels by inversion
+        # and the slice counts went int32, and the last two before the
+        # samplers read raw words; at k = 11 the thinning draws with
+        # rng.binomial and the levels by inversion.  With the k = 7 row here
+        # and in test_monte_carlo_stream, each of the benchmark's three k = 7
+        # strata has a row; 2**35 sources hold the leaf counts in int64
         assert improved_pc1_mc(n_s, build_schedule(k, m, consts), consts, trials=trials,
                                seed=seed) == expected
+
+    @pytest.mark.parametrize("sched,n_s,trials,seed,expected", [
+        ((5, 3), 288, 3000, 5, (0.357, 0.00874739961359946)),
+        (FusionSchedule(2, (0,), 1000.0), 2400, 4000, 7, (0.6895, 0.0073159030543057365)),
+    ], ids=["k5", "thinning_on_numpy"])
+    def test_ghz_source_streams(self, consts, sched, n_s, trials, seed, expected):
+        # recorded before the samplers read raw words and the slice stopped
+        # forming the dense bank counts; the heavy bank of the hand schedule
+        # holds about 2400 states, so its thinning draws with rng.binomial
+        # and its levels by inversion
+        if isinstance(sched, tuple):
+            sched = build_schedule(*sched, consts)
+        assert improved_pc1_mc(n_s, sched, consts, trials=trials, seed=seed,
+                               ghz_source=True) == expected
 
     @pytest.mark.parametrize("k,m,expected", [(7, 4, 3268608), (8, 5, 9928704)], ids=["k7", "k8"])
     def test_min_sources(self, consts, k, m, expected):
@@ -806,6 +825,21 @@ def chi_square_limit(dof: int) -> float:
     return dof * (1.0 - 2.0 / (9 * dof) + 4.0 * math.sqrt(2.0 / (9 * dof))) ** 3
 
 
+def uniforms(words: np.ndarray) -> np.ndarray:
+    """The uniform ``Generator.random()`` makes of each raw 64-bit word."""
+    return (np.asarray(words, dtype=np.uint64) >> np.uint64(11)) * 2.0**-53
+
+
+def words_around(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each ``x`` in ``[0, 1)``, the last word whose uniform is at or below
+    it (every low bit set) and the first whose uniform is at or above it;
+    both are ``x``'s own uniform when ``x`` is a multiple of ``2**-53``."""
+    scaled = np.asarray(x) * 2.0**53  # exact
+    low = np.uint64(2**11 - 1)
+    return ((np.floor(scaled).astype(np.uint64) << np.uint64(11)) | low,
+            np.ceil(scaled).astype(np.uint64) << np.uint64(11))
+
+
 class TestInverseBinomial:
     """The banked Monte Carlo's binomial sampler: CDF rows, guide, fallback."""
 
@@ -850,45 +884,62 @@ class TestInverseBinomial:
     @example(batches=[[0, 1, 150], [511, 2, 0]], p=0.69, seed=0)
     def test_guide_matches_per_row_searchsorted(self, batches, p, seed):
         # several batches grow the cached table, up to 511, the widest it
-        # builds; the uniforms include both ends of [0, 1), bucket edges and
-        # the CDF entries themselves, where ties count as passed
+        # builds; the words include both ends of the word range, the first
+        # and last word of a bucket, and the two words whose uniforms bracket
+        # a CDF entry, where ties count as passed
         inverse = clusterbuild._InverseBinomial(p)
         rng = np.random.default_rng(seed)
         for batch in batches:
             n = np.array(batch)
             inverse.draw(n, rng)  # grows the table to max(batch)
             alone = [clusterbuild._binomial_cdf_rows(np.array([v]), p)[0] for v in batch]
-            u = rng.random(n.size)
-            edges = rng.integers(0, inverse.buckets, n.size) / inverse.buckets
-            ties = [row[rng.integers(0, row.size)] for row in alone]
-            ends = (np.zeros(n.size), np.full(n.size, 1.0 - 2.0**-53))
-            for uniforms in (u, edges, np.where(np.array(ties) < 1.0, ties, u), *ends):
-                got = inverse.invert(n, uniforms)
-                want = [np.searchsorted(row, x, side="right") for row, x in zip(alone, uniforms)]
+            words = rng.bit_generator.random_raw(n.size)
+            firsts = rng.integers(0, inverse.buckets, n.size, dtype=np.uint64) << np.uint64(
+                inverse.shift)
+            ties = np.array([row[rng.integers(0, row.size)] for row in alone])
+            at_or_below, at_or_above = (np.where(ties < 1.0, around, words)
+                                        for around in words_around(np.where(ties < 1.0, ties, 0.0)))
+            ends = (np.zeros(n.size, dtype=np.uint64), np.full(n.size, 2**64 - 1, dtype=np.uint64))
+            for trial in (words, firsts, firsts - np.uint64(1), at_or_below, at_or_above, *ends):
+                got = inverse.invert(n, trial)
+                want = [np.searchsorted(row, x, side="right")
+                        for row, x in zip(alone, uniforms(trial))]
                 assert got.tolist() == want
 
     @pytest.mark.parametrize("p", [0.0, 0.031, 0.69, 0.9792747163170544, 1.0])
     @pytest.mark.parametrize("top", [0, 1, 150, 511])
     def test_encoded_guide_answers_as_the_two_column_guide(self, p, top):
         # the two-column guide holds, per row and bucket, the count of
-        # entries at or below the bucket's lower and upper edge
+        # entries at or below the bucket's lower and upper edge; the encoded
+        # one keeps the lower count where the two agree and -1 elsewhere, and
+        # row r's keys are its entries' ceil(entry * 2**53), at most 2**53,
+        # plus r << 54
         inverse = clusterbuild._InverseBinomial(p)
         inverse._build(top)
+        cdf = clusterbuild._binomial_cdf_rows(np.arange(top + 1), p)
         edges = np.arange(inverse.buckets + 1) / inverse.buckets
-        two = np.array([np.searchsorted(row, edges, side="right") for row in inverse.cdf])
+        two = np.array([np.searchsorted(row, edges, side="right") for row in cdf])
         lower, upper = two[:, :-1], two[:, 1:]
-        code = inverse.guide.reshape(top + 1, inverse.buckets + 1)
-        assert code.dtype == np.int32
-        np.testing.assert_array_equal(code[:, :-1], np.where(lower == upper, lower, ~lower))
-        np.testing.assert_array_equal(code[:, -1], two[:, -1])
-        # its answer: the lower count if settled, else a search of the bucket's entries
+        code = inverse.guide.reshape(top + 1, inverse.buckets)
+        assert code.dtype == np.int16
+        np.testing.assert_array_equal(code, np.where(lower == upper, lower, -1))
+        assert inverse.keys.tolist() == [(r << 54) + min(math.ceil(entry * 2**53), 2**53)
+                                         for r, row in enumerate(cdf) for entry in row]
+        # its answer is the count of the row's entries at or below the word's
+        # uniform; the words hold each bucket's first and last word
         rng = np.random.default_rng(top)
-        u = np.concatenate([rng.random(3000), edges[:-1], [0.0, 1.0 - 2.0**-53]])
+        firsts = np.arange(inverse.buckets, dtype=np.uint64) << np.uint64(inverse.shift)
+        lasts = firsts + (firsts[1] - np.uint64(1))
+        words = np.concatenate([rng.bit_generator.random_raw(3000), firsts, lasts,
+                                np.array([0, 2**64 - 1], dtype=np.uint64)])
+        u = uniforms(words)
         n = rng.integers(0, top + 1, u.size)
-        bucket = (u * inverse.buckets).astype(int)
-        want = [lo + np.searchsorted(inverse.cdf[row, lo:hi], x, side="right")
-                for row, x, lo, hi in zip(n, u, lower[n, bucket], upper[n, bucket])]
-        assert inverse.invert(n, u).tolist() == want
+        bucket = (words >> np.uint64(inverse.shift)).astype(int)
+        assert np.array_equal(bucket, (u * inverse.buckets).astype(int))  # the word's top bits
+        got = inverse.invert(n, words)
+        assert got.tolist() == [np.searchsorted(cdf[row], x, side="right") for row, x in zip(n, u)]
+        settled = lower[n, bucket] == upper[n, bucket]
+        np.testing.assert_array_equal(got[settled], lower[n, bucket][settled])
 
     def test_table_past_the_cell_budget_falls_back_to_numpy(self, consts, monkeypatch):
         # 511 is the last count whose 0..n table fits the cell budget, 512 the
@@ -896,14 +947,15 @@ class TestInverseBinomial:
         inverse = clusterbuild._InverseBinomial(0.69)
         n = np.array([[511, 3], [0, 7]])
         got = inverse.draw(n, np.random.default_rng(8))
-        assert np.array_equal(got.ravel(), inverse.invert(n, np.random.default_rng(8).random(n.shape)))
+        words = np.random.default_rng(8).bit_generator.random_raw(n.size)
+        assert np.array_equal(got.ravel(), inverse.invert(n, words))
         for n in ([[512, 3], [0, 7]], [[10**6, 10**6 + 3], [10**6 + 1, 0]], [[10**12, 10**12 - 1]]):
             n = np.array(n)
             got = clusterbuild._InverseBinomial(0.69).draw(n, np.random.default_rng(8))
             assert np.array_equal(got, np.random.default_rng(8).binomial(n, 0.69))
         # deterministic GHZ states of about 3e5 per bank take the fallback at
         # every level of a whole Monte Carlo run
-        def refuse(self, n, u):
+        def refuse(self, n, words):
             raise AssertionError("no table fits the cell budget")
 
         monkeypatch.setattr(clusterbuild._InverseBinomial, "invert", refuse)
@@ -1267,6 +1319,38 @@ class TestMonteCarlo:
         se = math.sqrt(exact * (1.0 - exact) / trials)
         assert abs(est - exact) < 3 * se
 
+    @pytest.mark.parametrize("sched,counts", [
+        ((7, 4), range(2000, 2400, 3)),
+        (FusionSchedule(3, (0, 1, 5), 1.5), range(0, 120)),
+        (FusionSchedule(2, (), 2.0), range(0, 40)),
+        (FusionSchedule(1, (0, 1), 0.5), range(0, 40)),
+    ], ids=["k7", "adjacent_measured", "no_measured_bank", "all_measured"])
+    def test_first_level_takes_the_dense_pairwise_minimum(self, consts, monkeypatch, sched,
+                                                           counts):
+        # the slice reads a light pair off the plan as its odd bank; the first
+        # fusion level must still see what the dense counts would give: each
+        # sibling pair's minimum, with the measured banks thinned
+        if isinstance(sched, tuple):
+            sched = build_schedule(*sched, consts)
+        measured = list(sched.measured)
+        seen = []
+        original = clusterbuild._InverseBinomial.draw
+
+        def spy(self, n, rng):
+            drawn = original(self, n, rng)
+            seen.append((n.copy(), np.array(drawn)))
+            return drawn
+
+        monkeypatch.setattr(clusterbuild._InverseBinomial, "draw", spy)
+        for n_s in counts:
+            seen.clear()
+            improved_pc1_mc(n_s, sched, consts, trials=3, ghz_source=True)
+            (thin_in, thin_out), (first_in, _) = seen[:2]
+            leaves = allocate_ghz_counts(np.full(3, n_s), sched)
+            np.testing.assert_array_equal(thin_in, leaves[:, measured])
+            leaves[:, measured] = thin_out
+            np.testing.assert_array_equal(first_in, np.minimum(leaves[:, 0::2], leaves[:, 1::2]))
+
     def test_plain_schedule_has_nothing_to_thin(self, consts):
         sched = plain_schedule(3)
         assert improved_pc1_mc(5, sched, consts, trials=1000) == (0.0, 0.0)
@@ -1276,17 +1360,29 @@ class TestMonteCarlo:
         est, _ = improved_pc1_mc(60, sched, consts, trials=trials, seed=0, ghz_source=True)
         assert abs(est - exact) < 3 * math.sqrt(exact * (1.0 - exact) / trials)
 
-    def test_one_block_stays_within_its_slices(self, consts):
+    def test_one_block_stays_within_its_slices(self, consts, monkeypatch):
         # 16384 trials at k = 7 are one engine block, drawn in eight slices
-        # of 2**18 leaf-bank cells; drawn whole, the block peaked at 33 MiB
+        # of 2**18 leaf-bank cells; drawn whole, the block peaked at 33 MiB.
+        # Once a first call has made numpy's one-time allocations, the block
+        # peaks at 3.8 MB (tracemalloc, numpy 2.4): the eight inversion
+        # tables, about 2 MB, a slice's counts and one inversion pass of
+        # 2**15 words with their guide indices.  Drawn from float uniforms,
+        # with the dense (2048, 128) bank counts, an int32 guide and the
+        # first level's 131072 words in one pass, it peaked at 7.2 MB.  The
+        # bound leaves a 0.9 MB margin, and no slice forms dense counts.
+        def refuse(self, bank_class, dtype=np.int64):
+            raise AssertionError("the slice formed the dense bank counts")
+
+        monkeypatch.setattr(clusterbuild._Plan, "dense", refuse)
         sched = build_schedule(7, 4, consts)
+        improved_pc1_mc(3_600_000, sched, consts, trials=1)
         tracemalloc.start()
         try:
             improved_pc1_mc(3_600_000, sched, consts, trials=16384)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 4.5 * 2**20
 
     @pytest.mark.parametrize("n_s", [17_046_347_555, 17_046_347_556, 2**35],
                              ids=["largest_below_2**31", "largest_at_2**31", "2**35"])
@@ -1301,9 +1397,7 @@ class TestMonteCarlo:
         class Spy:
             def __init__(self, rng):
                 self.rng = rng
-
-            def random(self, shape):
-                return self.rng.random(shape)
+                self.bit_generator = rng.bit_generator  # the raw words the tables invert
 
             def binomial(self, n, p, size=None):
                 seen.append(np.array(n))

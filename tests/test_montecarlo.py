@@ -74,3 +74,20 @@ def test_invalid_run_raises_before_any_draw(samples, seed):
     with pytest.raises(InvalidConfigurationError):
         mc_fractions(samples, seed, 1, recording_draw(calls))
     assert calls == []
+
+
+def test_raw_words_are_the_uniforms_stream():
+    # both samplers read rng.bit_generator.random_raw where they once called
+    # rng.random(); that keeps every result only while a word w is the uniform
+    # (w >> 11) * 2**-53 and both consume one word per draw of the shared
+    # stream, with rng.binomial draws interleaved as the banked slices make them
+    floats = np.random.Generator(np.random.Philox(key=(5 << 64) + 3))
+    words = np.random.Generator(np.random.Philox(key=(5 << 64) + 3))
+    for size in (1, 7, 4096, 3):
+        u = floats.random(size)
+        w = words.bit_generator.random_raw(size)
+        assert w.dtype == np.uint64
+        np.testing.assert_array_equal((w >> np.uint64(11)) * 2.0**-53, u)
+        n = np.arange(size) * 40
+        np.testing.assert_array_equal(floats.binomial(n, 0.69), words.binomial(n, 0.69))
+    np.testing.assert_equal(floats.bit_generator.state, words.bit_generator.state)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -217,9 +219,14 @@ class TestMonteCarlo:
         assert mc_xi(1, b, 0.1, samples=20_000, seed=5) == (19_977 / 20_000, 0.00023965365634598447)
 
     # (tree, eps, x hits, z hits, p_x_err, p_z_err) at 40000 samples and seed 3,
-    # recorded before the kernel held its levels vertex-major; every tree's
-    # engine block is 16384 trials, so each run spans three blocks
+    # recorded before the kernel held its levels vertex-major, and the (7, 3)
+    # rows before it compared raw words; every tree's engine block is 16384
+    # trials, so each run spans three blocks
     PINNED = [
+        ((7, 3), 0.0, 40_000, 40_000, 0.0, 0.0),
+        ((7, 3), 0.1, 39_981, 39_967, 0.0001089465895519455, 0.00014355481313769704),
+        ((7, 3), 0.2, 39_018, 39_516, 0.0007737457188896098, 0.0005466623729506175),
+        ((7, 3), 1.0, 0, 0, 0.0, 0.0),
         ((5,), 0.0, 40_000, 40_000, 0.0, 0.0),
         ((5,), 0.1, 39_999, 23_569, 2.4999687498073227e-05, 0.0024598724528672213),
         ((5,), 0.5, 38_720, 1_224, 0.0008800000000000004, 0.0008611567801509781),
@@ -285,6 +292,37 @@ class TestMonteCarlo:
             }
             assert x_success[s] == indirect((0, 0))
             assert z_success[s] == all(measurable(c) for c in children(0, 0))
+
+    @pytest.mark.parametrize("eps", [
+        0.0, 2.0**-53, 0.1, 0.5, 1.0 - 2.0**-53, 1.0, 3 * 2.0**-55, 0.75 + 2.0**-54,
+    ], ids=["0", "2**-53", "0.1", "0.5", "1-2**-53", "1", "3*2**-55", "0.75+2**-54"])
+    def test_word_threshold_is_the_uniform_rule(self, eps):
+        # a photon survives when its word reaches ceil(eps * 2**53) << 11,
+        # exactly when its uniform (w >> 11) * 2**-53 is at least eps; the
+        # words hold both ends of the range and the two words on either side
+        # of the threshold (the last two eps lie between multiples of 2**-53)
+        class Words:
+            def __init__(self, words):
+                self.words = words
+
+            def random_raw(self, size):
+                assert size == self.words.size
+                return self.words
+
+        first = math.ceil(eps * 2**53) << 11  # the first surviving word; none at 2**64
+        near = [min(max(first + step, 0), 2**64 - 1) for step in (-2, -1, 0, 1)]
+        words = np.concatenate([
+            np.array([0, 1, 2**11 - 1, 2**11, 2**64 - 2**11, 2**64 - 1, *near], dtype=np.uint64),
+            np.random.Generator(np.random.Philox(key=9)).bit_generator.random_raw(14),
+        ])
+        rng = SimpleNamespace(bit_generator=Words(words.reshape(4, 6)))
+        alive = treecode._survivals(rng, 4, 6, eps)
+        uniform = (words >> np.uint64(11)) * 2.0**-53
+        np.testing.assert_array_equal(alive, (uniform >= eps).reshape(4, 6).T)
+        # drawn from a generator, the survivals are those of rng.random()
+        got = treecode._survivals(np.random.Generator(np.random.Philox(key=17)), 300, 7, eps)
+        want = np.random.Generator(np.random.Philox(key=17)).random((300, 7)) >= eps
+        np.testing.assert_array_equal(got, want.T)
 
     def test_block_memory_is_bounded(self):
         # one full engine block of (16, 5): 16384 trials of 97 photons.  The
