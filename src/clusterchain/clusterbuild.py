@@ -43,7 +43,7 @@ from .errors import (
     InvalidConfigurationError,
     TargetUnreachableError,
 )
-from .montecarlo import _MAX_BLOCK_CELLS, _checked_seed, mc_fractions
+from .montecarlo import _MAX_BLOCK_CELLS, _checked_seed, _uniform_keys, mc_fractions
 from .params import DerivedConstants
 
 __all__ = [
@@ -539,20 +539,20 @@ class _InverseBinomial:
     """``Binomial(n, p)`` draws for one ``p`` by inversion of a cached CDF table.
 
     The table holds the CDF row of every ``n = 0..top``, indexed by ``n``, and
-    is rebuilt, an eighth wider than asked within the cell budget, when a draw
-    brings a larger ``n``.  A draw reads one raw 64-bit word ``w`` of the
-    generator, whose uniform is ``u = (w >> 11) * 2**-53`` (as
-    ``Generator.random()`` makes it), and its answer is the number of entries
-    at or below ``u`` in the row of its ``n``.  An entry ``e`` is at or below
-    ``u`` exactly when ``w >> 11`` reaches ``ceil(e * 2**53)`` (the product is
-    exact), so the table holds each entry as that integer, capped at
-    ``2**53``, which no word reaches, plus ``r << 54`` in row ``r``: the keys
-    then rise row after row, and one ``np.searchsorted`` of ``(r << 54) +
-    (w >> 11)`` over all of them counts the row's entries passed plus ``r``
-    full rows.  No float is formed.  A guide table holds, per row and for each
-    of ``G`` equal ``u``-buckets (``G`` the power of two at or above four
-    times the row width, so the bucket of ``u`` is the word's top ``log2 G``
-    bits, ``w >> (64 - log2 G)``), one int16 code: the count of entries at or
+    is rebuilt when a draw brings a larger ``n``.  A draw reads one raw 64-bit
+    word ``w`` of the generator, whose uniform is ``u = (w >> 11) * 2**-53``
+    (as ``Generator.random()`` makes it), and its answer is the number of
+    entries at or below ``u`` in the row of its ``n``.  An entry is at or
+    below ``u`` exactly when ``w >> 11`` reaches its key
+    (:func:`~clusterchain.montecarlo._uniform_keys`, at most ``2**53``, which
+    no word reaches), so the table holds each entry as its key plus
+    ``r << 54`` in row ``r``: the keys then rise row after row, and one
+    ``np.searchsorted`` of ``(r << 54) + (w >> 11)`` over all of them counts
+    the row's entries passed plus ``r`` full rows.  No uniform is formed.  A
+    guide table holds, per row and for each of ``G`` equal ``u``-buckets
+    (``G`` the power of two at or above four times the row width, so the
+    bucket of ``u`` is the word's top ``log2 G`` bits,
+    ``w >> (64 - log2 G)``), one int16 code: the count of entries at or
     below the bucket's lower edge if its upper edge passes no more (the bucket
     is settled and the count is the answer), else -1.  A draw gathers its code
     once, and only a draw in an unsettled bucket (1% to 7% of draws at k = 7)
@@ -576,10 +576,7 @@ class _InverseBinomial:
         self.shift = 64 - (4 * self.width - 1).bit_length()
         self.buckets = 1 << (64 - self.shift)
         self.guide = _guide_codes(cdf, self.buckets)
-        cdf *= 2.0**53
-        np.ceil(cdf, out=cdf)
-        np.minimum(cdf, 2.0**53, out=cdf)  # the entries of 2.0 past each row's n
-        self.keys = cdf.astype(np.int64)
+        self.keys = _uniform_keys(cdf)  # the entries of 2.0 past each row's n pass no word
         self.keys += np.arange(self.width, dtype=np.int64)[:, None] << 54
         self.keys = self.keys.ravel()
 
@@ -587,10 +584,11 @@ class _InverseBinomial:
         """The count of entries at or below the uniform of each raw word in
         ``words`` in the row of each ``n``, flat; the table must reach ``n.max()``."""
         rows, words = n.ravel(), words.ravel()
-        # the bucket, the word's top bits, cast to int32 as it is shifted
+        # the bucket, the word's top bits, cast to int32 as it is shifted; the
+        # row offset in int32 too, as an int16 row times buckets would wrap
         at = np.right_shift(words, np.uint64(self.shift), out=np.empty(words.size, np.int32),
                             casting="unsafe")
-        at += rows * np.int32(self.buckets)
+        at += rows.astype(np.int32, copy=False) * np.int32(self.buckets)
         drawn = self.guide.take(at)
         todo = np.flatnonzero(drawn < 0)
         if todo.size:
@@ -605,7 +603,7 @@ class _InverseBinomial:
         if top > _SLICE_TOP:
             return rng.binomial(n, self.p)
         if top >= self.width:
-            self._build(min(top + top // 8, _SLICE_TOP))
+            self._build(top)
         rows = n.ravel()
         drawn = np.empty(rows.size, dtype=np.int16)
         for start in range(0, rows.size, _DRAW_WORDS):

@@ -9,6 +9,10 @@ one trial touches: tree photons, leaf banks), so memory stays bounded for
 any sample count, and drives block ``i`` from
 ``Generator(Philox(key=(seed << 64) + i))``.  A result depends only on
 ``(samples, seed, width)`` and the draw, never on how blocks are scheduled.
+
+Both samplers read a block's raw 64-bit words, ``rng.bit_generator.random_raw``,
+the stream ``Generator.random()`` turns into the uniform ``(w >> 11) * 2**-53``,
+and compare ``w >> 11`` with integer keys from :func:`_uniform_keys`.
 """
 
 from __future__ import annotations
@@ -41,6 +45,21 @@ def _checked_seed(samples: int, seed: int) -> int:
     if not 0 <= seed < 2**64:
         raise InvalidConfigurationError(f"seed must lie in [0, 2**64), got {seed!r}")
     return seed
+
+
+def _uniform_keys(x: np.ndarray | float) -> np.ndarray:
+    """The int64 key ``min(ceil(x * 2**53), 2**53)`` of each ``x >= 0``.
+
+    ``x`` is at or below the uniform ``(w >> 11) * 2**-53`` of a raw word
+    ``w`` exactly when its key is at or below ``w >> 11``: the product is
+    exact, and ``w >> 11`` stays below ``2**53``, so no word passes an ``x``
+    above ``1 - 2**-53``, whose key is ``2**53``.
+    """
+    keys = np.array(x, dtype=float)
+    keys *= 2.0**53
+    np.ceil(keys, out=keys)
+    np.minimum(keys, 2.0**53, out=keys)
+    return keys.astype(np.int64)
 
 
 def mc_fractions(

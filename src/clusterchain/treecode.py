@@ -25,13 +25,12 @@ engine (:mod:`clusterchain.montecarlo`), one tree photon per cell.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidConfigurationError
-from .montecarlo import mc_fractions
+from .montecarlo import _uniform_keys, mc_fractions
 from .params import BranchingVector, _tree_size
 
 __all__ = [
@@ -204,16 +203,16 @@ def _survivals(rng: np.random.Generator, samples: int, width: int, eps: float) -
     """One level's survivals, vertex-major ``(width, samples)``, from ``samples * width``
     raw words of ``rng`` drawn sample-major.
 
-    ``Generator.random()`` turns a word ``w`` into ``u = (w >> 11) * 2**-53``,
-    so ``u >= eps`` holds exactly when ``w >> 11`` reaches ``ceil(eps * 2**53)``
-    (the product is exact), that is when ``w >= ceil(eps * 2**53) << 11``: one
-    integer compare per photon and no float.  At ``eps = 1`` the threshold is
-    ``2**64``, which no word reaches, so nothing survives and nothing is drawn.
+    A photon survives when its uniform ``u = (w >> 11) * 2**-53`` is at least
+    ``eps``, that is when ``w >> 11`` reaches the key of ``eps``
+    (:func:`~clusterchain.montecarlo._uniform_keys`): one shift and one integer
+    compare per photon, and no float.  At ``eps = 1`` the key is ``2**53``,
+    which no word reaches, so nothing survives.
     """
-    if eps == 1.0:
-        return np.zeros((width, samples), dtype=bool)
-    threshold = np.uint64(math.ceil(eps * 2**53) << 11)
-    survive = rng.bit_generator.random_raw(samples * width) >= threshold
+    words = rng.bit_generator.random_raw(samples * width)
+    words >>= np.uint64(11)
+    survive = words >= np.uint64(_uniform_keys(eps))
+    del words  # before the vertex-major copy
     return np.ascontiguousarray(survive.reshape(samples, width).T)
 
 

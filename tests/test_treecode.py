@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterchain import treecode
+from clusterchain import montecarlo, treecode
 from clusterchain.errors import ConfigError, InvalidConfigurationError
 from clusterchain.params import DeviceParams, chain_coefficients, derive_constants
 from clusterchain.ratemodel import chain_probs
@@ -297,7 +297,7 @@ class TestMonteCarlo:
         0.0, 2.0**-53, 0.1, 0.5, 1.0 - 2.0**-53, 1.0, 3 * 2.0**-55, 0.75 + 2.0**-54,
     ], ids=["0", "2**-53", "0.1", "0.5", "1-2**-53", "1", "3*2**-55", "0.75+2**-54"])
     def test_word_threshold_is_the_uniform_rule(self, eps):
-        # a photon survives when its word reaches ceil(eps * 2**53) << 11,
+        # a photon survives when w >> 11 reaches the key ceil(eps * 2**53),
         # exactly when its uniform (w >> 11) * 2**-53 is at least eps; the
         # words hold both ends of the range and the two words on either side
         # of the threshold (the last two eps lie between multiples of 2**-53)
@@ -307,9 +307,11 @@ class TestMonteCarlo:
 
             def random_raw(self, size):
                 assert size == self.words.size
-                return self.words
+                return self.words.copy()
 
-        first = math.ceil(eps * 2**53) << 11  # the first surviving word; none at 2**64
+        key = math.ceil(eps * 2**53)
+        assert int(montecarlo._uniform_keys(eps)) == key
+        first = key << 11  # the first surviving word; none at 2**64
         near = [min(max(first + step, 0), 2**64 - 1) for step in (-2, -1, 0, 1)]
         words = np.concatenate([
             np.array([0, 1, 2**11 - 1, 2**11, 2**64 - 2**11, 2**64 - 1, *near], dtype=np.uint64),
