@@ -294,9 +294,7 @@ def cmd_envelope(args: argparse.Namespace) -> int:
 
 def cmd_resources(args: argparse.Namespace) -> int:
     from .clusterbuild import pcn_curve
-    from .montecarlo import _checked_seed
 
-    _checked_seed(args.trials, args.seed)
     device = _resolve_device(args)
     consts = derive_constants(device)
     grid = _parse_counts(args.sources)

@@ -1321,6 +1321,15 @@ def pcn_curve(
     trials: int = 10**5,
     seed: int = 0,
 ) -> np.ndarray:
-    """``P_cn`` as a function of source count, for resource-curve emission."""
+    """``P_cn`` as a function of source count, for resource-curve emission.
+
+    Raises :class:`InvalidConfigurationError` for ``n < 1`` or a source
+    count outside ``[0, 2**63)``, before any evaluation.
+    """
+    if n < 1:
+        raise InvalidConfigurationError(f"n must be >= 1, got {n}")
+    for n_s in source_counts:
+        _check_sources(n_s)
+    counts = [int(n_s) for n_s in source_counts]
     evaluate, _ = _pc1_evaluator(scheme, k, m, consts, method, trials, seed)
-    return np.array([pcn(evaluate(int(n_s)), n) for n_s in source_counts])
+    return np.array([pcn(evaluate(n_s), n) for n_s in counts])

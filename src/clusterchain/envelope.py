@@ -62,6 +62,19 @@ _BRACKET_POINTS = 129  # grid points per _narrow step, ends included; odd keeps 
 _ENVELOPE_ROWS = 256
 
 
+def _power_law(d_coeff, s_exp, alpha: float, l_km) -> np.ndarray:
+    """``D * exp(-s * alpha * L)``, broadcast over ``D``, ``s`` and ``L``.
+
+    The exponent array is exponentiated and scaled in place, so a
+    ``(designs, ranges)`` family holds one array of that shape, not three.
+    A scalar result comes back as a numpy scalar.
+    """
+    rates = np.asarray(-s_exp * alpha * np.asarray(l_km, dtype=float))
+    np.exp(rates, out=rates)
+    rates *= d_coeff
+    return rates[()]
+
+
 @dataclass(frozen=True)
 class EnvelopeParams:
     """Parameters of one analytic envelope ``R_LB(eta) = D * eta**s``.
@@ -82,7 +95,7 @@ class EnvelopeParams:
 
     def rate_at(self, l_km: float | np.ndarray, alpha: float) -> float | np.ndarray:
         """Evaluate ``D * exp(-s * alpha * L)`` at range ``l_km``."""
-        return self.d_coeff * np.exp(-self.s_exp * alpha * np.asarray(l_km, dtype=float))
+        return _power_law(self.d_coeff, self.s_exp, alpha, l_km)
 
     def n_opt_at(self, l_km: float) -> int:
         """Envelope node count at range ``l_km``: ``max(1, round(L / l0))``."""

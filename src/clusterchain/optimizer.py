@@ -6,7 +6,9 @@ candidate's analytic envelope ``R(L) = D * exp(-s * alpha * L)`` is
 characterised once — the locus optimisation of ``s`` does not depend on the
 range — after which the best design at any range, the family curve
 ``R_k(L)``, and the crossover structure between classes all follow from
-cheap exponential comparisons.
+cheap exponential comparisons.  Both :func:`optimize_design` and
+:func:`rate_family` compare one ``(designs, ranges)`` array of envelope
+rates, from the helper behind :meth:`EnvelopeParams.rate_at`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .clusterbuild import min_sources
-from .envelope import EnvelopeParams, analytic_lb, optimize_z
+from .envelope import EnvelopeParams, _power_law, analytic_lb, optimize_z
 from .errors import EmptyFeasibleSetError, InvalidConfigurationError
 from .params import ChainCoefficients, DeviceParams, derive_constants
 from .ratemodel import cluster_photons, coefficients_for, k_of_design
@@ -208,20 +210,6 @@ def _block_envelopes(
             for (mi, ti), row in zip(itertools.compress(block, ok), rows)]
 
 
-def _design_point(
-    m: int,
-    tree: BranchingVector,
-    k: int,
-    env: EnvelopeParams,
-    l_km: float,
-    alpha: float,
-) -> DesignPoint:
-    return DesignPoint(
-        m=m, tree=tree, k=k, envelope=env, range_km=l_km,
-        rate_bits_per_mode=env.rate_at(l_km, alpha), n_opt=env.n_opt_at(l_km),
-    )
-
-
 def optimize_design(
     l_km: float,
     k: int,
@@ -234,20 +222,33 @@ def optimize_design(
     """Best design of class ``k`` at range ``l_km`` by envelope rate.
 
     Rate ties are broken toward the smaller cluster, then the smaller
-    channel count.  Pass ``candidates`` (from :func:`design_envelopes`) to
-    amortise the scan across ranges; an empty list raises
-    :class:`EmptyFeasibleSetError`.
+    channel count, then the lexicographically smaller branches: the
+    candidates are sorted once by ``(n_cluster, m, branches)``, and the first
+    of the highest rates wins.  Pass ``candidates`` (from
+    :func:`design_envelopes`) to amortise the scan across ranges; an empty
+    list raises :class:`EmptyFeasibleSetError`.
     """
     if not (math.isfinite(l_km) and l_km > 0):
         raise InvalidConfigurationError(f"range must be positive and finite, got {l_km!r}")
     if candidates is None:
         candidates = design_envelopes(k, device, p_cn, scheme, bounds)
-    points = (_design_point(m, tree, k, env, l_km, device.alpha) for m, tree, env in candidates)
-    best = min(points, key=lambda p: (-p.rate_bits_per_mode, p.n_cluster, p.m, p.tree.branches),
-               default=None)
-    if best is None:
+    ordered = sorted(candidates, key=lambda c: (cluster_photons(c[0], c[1]), c[0], c[1].branches))
+    if not ordered:
         raise EmptyFeasibleSetError(f"no candidate design for k={k} at {l_km:g} km")
-    return best
+    rates = _envelope_rates(ordered, device.alpha, l_km)[:, 0]
+    best = int(np.argmax(rates))
+    m, tree, env = ordered[best]
+    return DesignPoint(m=m, tree=tree, k=k, envelope=env, range_km=l_km,
+                       rate_bits_per_mode=rates[best], n_opt=env.n_opt_at(l_km))
+
+
+def _envelope_rates(
+    candidates: Sequence[tuple[int, BranchingVector, EnvelopeParams]], alpha: float, l_km
+) -> np.ndarray:
+    """``(designs, ranges)`` envelope rates of ``candidates`` at the ranges ``l_km``."""
+    d_coeffs = np.array([env.d_coeff for _, _, env in candidates])
+    s_exps = np.array([env.s_exp for _, _, env in candidates])
+    return _power_law(d_coeffs[:, None], s_exps[:, None], alpha, l_km)
 
 
 def operating_point(
@@ -294,13 +295,7 @@ def rate_family(
         )
     curves = []
     for k in ks:
-        candidates = design_envelopes(k, device)
-        d_coeffs = np.array([env.d_coeff for _, _, env in candidates])
-        s_exps = np.array([env.s_exp for _, _, env in candidates])
-        # exponentiated and scaled in place: one (designs, ranges) array, not three
-        rates = -s_exps[:, None] * device.alpha * grid[None, :]
         with np.errstate(over="ignore"):
-            np.exp(rates, out=rates)
-            rates *= d_coeffs[:, None]
+            rates = _envelope_rates(design_envelopes(k, device), device.alpha, grid)
         curves.append(FamilyCurve(k=k, l_km=grid, rate_bits_per_mode=rates.max(axis=0)))
     return curves

@@ -17,7 +17,10 @@ transmissivity to ``(P_X, P_Z, P_B, P_end)``) and :func:`log_chain_factors`
 node-count sweep and the envelope locus are views of it.  Each is the link
 half (``P_X, P_Z, P_B`` and ``ln q1, ln q2``, all that the envelope exponent
 reads) plus the end half (``P_end`` and ``ln q3``), so the envelope's ``z``
-search computes the link half alone.
+search computes the link half alone.  The scalar views and the sweep take
+``(cfg, device)`` and derive the design's coefficients with
+:func:`coefficients_for`; an explicit coefficient set enters only through the
+kernel.
 
 Two measurement conventions are supported via ``ChainConfig.scheme``:
 
@@ -225,7 +228,11 @@ def _eta_link(l_km, device: DeviceParams, n) -> np.ndarray:
 
 def _chain_probs(cfg: ChainConfig, device: DeviceParams, coeffs, n, l_km=None) -> tuple:
     """Kernel outputs for ``cfg``'s chain at node count(s) ``n``, at range(s)
-    ``l_km`` in place of its own where given."""
+    ``l_km`` in place of its own where given.
+
+    ``coeffs`` is the design's coefficient set, or ``None`` to derive it from
+    ``cfg`` and ``device`` as the views do.
+    """
     if coeffs is None:
         coeffs = coefficients_for(cfg.channels, cfg.k, device, cfg.scheme)
     l_km = cfg.total_range_km if l_km is None else l_km
@@ -247,11 +254,7 @@ def _log_p_meas(cfg: ChainConfig, device: DeviceParams, coeffs, n, l_km=None) ->
         return n * ln_q1 + np.where(n > 1.0, (n - 1.0) * ln_q2, 0.0) + ln_q3
 
 
-def loss_rates(
-    cfg: ChainConfig,
-    device: DeviceParams,
-    coeffs: ChainCoefficients | None = None,
-) -> LossRates:
+def loss_rates(cfg: ChainConfig, device: DeviceParams) -> LossRates:
     """Loss probabilities of traveling and stationary qubits.
 
     ``eps_trav = 1 - eta**(1/2n) * C`` (half a link of fiber plus on-chip
@@ -260,8 +263,7 @@ def loss_rates(
     ``"naive"`` scheme measures everything at the midpoints, so both
     populations see ``eps_trav``.
     """
-    if coeffs is None:
-        coeffs = coefficients_for(cfg.channels, cfg.k, device, cfg.scheme)
+    coeffs = coefficients_for(cfg.channels, cfg.k, device, cfg.scheme)
     eta_link = _eta_link(cfg.total_range_km, device, cfg.node_count)
     traveling = _traveling(eta_link, coeffs)
     survivals = (traveling, _stationary(eta_link, coeffs, cfg.scheme, traveling))
@@ -269,83 +271,54 @@ def loss_rates(
     return LossRates(eps_trav=eps_trav, eps_stat=eps_stat)
 
 
-def measurement_probs(
-    cfg: ChainConfig,
-    device: DeviceParams,
-    coeffs: ChainCoefficients | None = None,
-) -> tuple[float, float]:
+def measurement_probs(cfg: ChainConfig, device: DeviceParams) -> tuple[float, float]:
     """``(P_X, P_Z)`` of the tree code at this config's stationary loss rate."""
-    p_x, p_z, _, _ = _chain_probs(cfg, device, coeffs, cfg.node_count)
+    p_x, p_z, _, _ = _chain_probs(cfg, device, None, cfg.node_count)
     return float(p_x), float(p_z)
 
 
-def p_bell(
-    cfg: ChainConfig,
-    device: DeviceParams,
-    coeffs: ChainCoefficients | None = None,
-) -> float:
+def p_bell(cfg: ChainConfig, device: DeviceParams) -> float:
     """Midpoint Bell-measurement success probability ``(A B**2 / m) * eta**(1/n)``."""
-    return float(_checked_bell(_chain_probs(cfg, device, coeffs, cfg.node_count)[2]))
+    return float(_checked_bell(_chain_probs(cfg, device, None, cfg.node_count)[2]))
 
 
-def p_end(
-    cfg: ChainConfig,
-    device: DeviceParams,
-    coeffs: ChainCoefficients | None = None,
-) -> float:
+def p_end(cfg: ChainConfig, device: DeviceParams) -> float:
     """Probability at least one end-station photon is detected.
 
     ``P_end = 1 - (1 - eta**(1/2n) * C)**m``; increasing in ``m``.
     """
-    return float(_chain_probs(cfg, device, coeffs, cfg.node_count)[3])
+    return float(_chain_probs(cfg, device, None, cfg.node_count)[3])
 
 
-def log_p_meas(
-    cfg: ChainConfig,
-    device: DeviceParams,
-    coeffs: ChainCoefficients | None = None,
-) -> float:
+def log_p_meas(cfg: ChainConfig, device: DeviceParams) -> float:
     """Natural log of ``P_meas``; ``-inf`` when any factor vanishes.
 
     All products are assembled in log space so chains with thousands of
     nodes (where ``P_Z**(2(m-1)n)`` underflows linear arithmetic) evaluate
     exactly as written.
     """
-    return float(_log_p_meas(cfg, device, coeffs, cfg.node_count))
+    return float(_log_p_meas(cfg, device, None, cfg.node_count))
 
 
-def p_meas(
-    cfg: ChainConfig,
-    device: DeviceParams,
-    coeffs: ChainCoefficients | None = None,
-) -> float:
+def p_meas(cfg: ChainConfig, device: DeviceParams) -> float:
     """Probability one clock cycle yields an end-to-end entangled pair."""
-    return math.exp(log_p_meas(cfg, device, coeffs))
+    return math.exp(log_p_meas(cfg, device))
 
 
-def rate_n(
-    cfg: ChainConfig,
-    device: DeviceParams,
-    coeffs: ChainCoefficients | None = None,
-) -> RatePoint:
+def rate_n(cfg: ChainConfig, device: DeviceParams) -> RatePoint:
     """Secret-key rate of the configured chain, in bits per mode."""
-    rate = cfg.p_cn * p_meas(cfg, device, coeffs) / cfg.divisor
+    rate = cfg.p_cn * p_meas(cfg, device) / cfg.divisor
     return RatePoint(range_km=cfg.total_range_km, rate_bits_per_mode=rate)
 
 
-def rates_over_n(
-    cfg: ChainConfig,
-    device: DeviceParams,
-    n_values: np.ndarray,
-    coeffs: ChainCoefficients | None = None,
-) -> np.ndarray:
+def rates_over_n(cfg: ChainConfig, device: DeviceParams, n_values: np.ndarray) -> np.ndarray:
     """Vectorised ``rate_n`` over an array of node counts.
 
     The config's own ``node_count`` is ignored; everything else (range,
     channels, tree, scheme, ``p_cn``) is taken from ``cfg``.  A chain whose
     success probability vanishes has rate 0, never NaN.
     """
-    return _rates_over_n(cfg, device, n_values, coeffs)
+    return _rates_over_n(cfg, device, n_values, None)
 
 
 def _rates_over_n(cfg: ChainConfig, device: DeviceParams, n_values, coeffs,

@@ -91,11 +91,7 @@ def tree_size(b) -> int | np.ndarray:
 
     ``b`` may also be per-design branch columns (see :func:`xi`).
     """
-    total, level = 1, 1
-    for count in _levels(b):
-        level *= count
-        total += level
-    return total
+    return _tree_size(_levels(b))
 
 
 def _levels(b) -> tuple:

@@ -1523,6 +1523,28 @@ class TestMinSources:
 
 
 class TestPcnCurve:
+    @pytest.mark.parametrize("n, counts, match", [
+        (0, [200_000_000], "n must be >= 1"), (0, [], "n must be >= 1"),
+        (1, [600, -6], "source count must be >= 0"),
+        (1, [600, 2**63], r"source count must be below 2\*\*63"),
+        (1, [600, -0.5], "source count must be >= 0"),
+    ], ids=["no_nodes", "no_nodes_no_counts", "negative_count", "count_past_int64",
+            "negative_fraction"])
+    def test_bad_input_is_refused_before_any_evaluation(self, consts, monkeypatch, n, counts,
+                                                        match):
+        # each k = 11 Monte Carlo count is slow, so bad input must be refused before the first
+        evaluated = []
+        original = clusterbuild._pc1_evaluator
+
+        def spied(*args):
+            evaluate, feasible = original(*args)
+            return lambda n_s: evaluated.append(n_s) or evaluate(n_s), feasible
+
+        monkeypatch.setattr(clusterbuild, "_pc1_evaluator", spied)
+        with pytest.raises(InvalidConfigurationError, match=match):
+            pcn_curve("improved", 11, 8, n, consts, counts, method="mc", trials=4000)
+        assert evaluated == []
+
     def test_monotone_and_consistent(self, consts):
         sched = build_schedule(3, 1, consts)
         counts = [600, 1200, 2400, 4800]

@@ -98,7 +98,7 @@ class TestAnalyticLB:
         )
         assert env.l0_km == pytest.approx(env.z * log_ab2 / device.alpha, rel=1e-12)
 
-    def test_locus_elimination_is_exact(self, env_star, device, coeffs):
+    def test_locus_elimination_is_exact(self, env_star, device):
         """On the locus, the power law reproduces the chain rate identically.
 
         With L(n) = n * z * ln(A B^2) / alpha the chain at n nodes satisfies
@@ -114,7 +114,7 @@ class TestAnalyticLB:
                 tree=TREE,
                 p_cn=0.9,
             )
-            chain_rate = rate_n(cfg, device, coeffs).rate_bits_per_mode
+            chain_rate = rate_n(cfg, device).rate_bits_per_mode
             assert float(env.rate_at(l_km, device.alpha)) == pytest.approx(
                 chain_rate, rel=1e-9
             )

@@ -185,14 +185,29 @@ class TestOptimizeDesign:
             cached.rate_bits_per_mode,
         )
 
+    # one envelope shared by hand-built candidates, so every rate ties; each
+    # winner below comes after a loser and loses on every later key, so the
+    # tests fail if the sort drops (n_cluster, m, branches) or reorders it
+    TIED = EnvelopeParams(z=0.1, q1=0.5, q2=0.5, q3=0.5, d_coeff=0.1, s_exp=0.4, l0_km=1.5)
+
     def test_rate_ties_prefer_smaller_cluster(self, device):
-        env = EnvelopeParams(
-            z=0.1, q1=0.5, q2=0.5, q3=0.5, d_coeff=0.1, s_exp=0.4, l0_km=1.5
-        )
-        big = (2, BranchingVector((2, 2)), env)  # 9 + 4*7 = 37 photons
-        small = (1, BranchingVector((3, 3)), env)  # 5 + 2*13 = 31 photons
+        big = (1, BranchingVector((1, 9)), self.TIED)  # 5 + 2*11 = 27 photons
+        small = (2, BranchingVector((2,)), self.TIED)  # 9 + 4*3 = 21 photons
         best = optimize_design(100.0, 7, device, candidates=[big, small])
-        assert best.m == 1
+        assert (best.m, best.tree.branches) == (2, (2,))
+
+    def test_cluster_ties_prefer_fewer_channels(self, device):
+        wide = (2, BranchingVector((1,)), self.TIED)  # 9 + 4*2 = 17 photons
+        narrow = (1, BranchingVector((5,)), self.TIED)  # 5 + 2*6 = 17 photons
+        best = optimize_design(100.0, 7, device, candidates=[wide, narrow])
+        assert (best.m, best.tree.branches) == (1, (5,))
+
+    def test_cluster_and_channel_ties_prefer_smaller_branches(self, device):
+        # trees of 9 photons each, so 13 + 6*9 = 67 photons at m = 3
+        trees = [(2, 3), (1, 1, 6), (1, 7)]
+        candidates = [(3, BranchingVector(b), self.TIED) for b in trees]
+        best = optimize_design(100.0, 7, device, candidates=candidates)
+        assert (best.m, best.tree.branches) == (3, (1, 1, 6))
 
     def test_no_candidates_is_empty_feasible_set(self, device):
         with pytest.raises(EmptyFeasibleSetError):

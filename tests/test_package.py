@@ -1,6 +1,7 @@
 """The package surface: submodules are the API, their ``__all__`` lists resolve,
-nothing outside the standard library and numpy is imported, and each CLI
-subcommand loads only the layers it runs."""
+nothing outside the standard library and numpy is imported, every module-level
+import is used or re-exported, and each CLI subcommand loads only the layers
+it runs."""
 
 from __future__ import annotations
 
@@ -51,6 +52,27 @@ def test_imports_only_stdlib_and_numpy(path):
             imported.add(node.module)
     allowed = sys.stdlib_module_names | {"numpy", "clusterchain"}
     assert sorted(m for m in imported if m.split(".")[0] not in allowed) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
+def test_module_level_imports_are_used_or_exported(path):
+    # an import that nothing reads and ``__all__`` does not re-export is dead code
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    assert sorted(imported - used - exported) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from clusterchain import ratemodel
 from clusterchain.errors import InvalidConfigurationError
 from clusterchain.params import ChainCoefficients, chain_coefficients, derive_constants
 from clusterchain.ratemodel import (
@@ -123,15 +124,9 @@ class TestLossRates:
     def test_zero_range_leaves_chip_losses(self, device):
         cfg = cfg_73(l_km=0.0)
         coeffs = coefficients_for(cfg.channels, cfg.k, device, cfg.scheme)
-        rates = loss_rates(cfg, device, coeffs)
+        rates = loss_rates(cfg, device)
         assert rates.eps_trav == pytest.approx(1.0 - coeffs.c_coeff, rel=1e-12)
         assert rates.eps_stat == pytest.approx(1.0 - coeffs.b_coeff, rel=1e-12)
-
-    def test_explicit_coefficients_match_default(self, device):
-        cfg = cfg_73()
-        assert loss_rates(cfg, device) == loss_rates(
-            cfg, device, coefficients_for(cfg.channels, cfg.k, device, cfg.scheme)
-        )
 
 
 class TestProbabilities:
@@ -150,10 +145,11 @@ class TestProbabilities:
         assert p_bell(cfg, device) == pytest.approx(expected, rel=1e-14)
 
     def test_p_bell_rejects_unphysical_coefficients(self, device):
+        # only the private path takes a coefficient set; its Bell check still refuses
         cfg = cfg_73(l_km=0.1, n=1)
         bad = ChainCoefficients(a_coeff=50.0, b_coeff=1.0, c_coeff=1.0)
-        with pytest.raises(InvalidConfigurationError):
-            p_bell(cfg, device, bad)
+        with pytest.raises(InvalidConfigurationError, match="Bell success probability"):
+            ratemodel._log_p_meas(cfg, device, bad, cfg.node_count)
 
     def test_p_end_formula_and_monotone_in_m(self, device):
         cfg = cfg_73()
