@@ -249,20 +249,16 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 
 def cmd_rate(args: argparse.Namespace) -> int:
-    from .ratemodel import ChainConfig, r_direct, rate_n
+    from .ratemodel import ChainConfig, _rates_over_n, r_direct
 
     device = _resolve_device(args)
     tree = BranchingVector.parse(args.b)
     grid = _parse_range(args.L)
-    rows = []
-    for l_km in grid:
-        cfg = ChainConfig(
-            total_range_km=float(l_km), node_count=args.n, channels=args.m,
-            tree=tree, p_cn=args.p_cn, scheme=args.scheme,
-        )
-        point = rate_n(cfg, device)
-        rows.append((point.range_km, point.rate_bits_per_mode,
-                     r_direct(float(l_km), device.alpha)))
+    cfg = ChainConfig(total_range_km=float(grid[0]), node_count=args.n, channels=args.m,
+                      tree=tree, p_cn=args.p_cn, scheme=args.scheme)
+    rates = _rates_over_n(cfg, device, cfg.node_count, grid)
+    rows = [(l_km, rate, r_direct(l_km, device.alpha))
+            for l_km, rate in zip(grid.tolist(), rates.tolist())]
     _emit(args.out, _config_record(args, device, tree),
           ("l_km", "rate_bits_per_mode", "r_direct"), rows)
     return 0

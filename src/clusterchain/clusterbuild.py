@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -103,7 +102,7 @@ class FusionSchedule:
     Attributes
     ----------
     k : int
-        Fusion levels.
+        Fusion levels, in ``[1, 21]``: the ``2**k`` leaf banks fit one Monte Carlo block.
     measured : tuple of int
         Strictly increasing positions, in ``[0, 2**k)``, of the leaf banks
         that host a photon measured right after assembly.
@@ -118,16 +117,16 @@ class FusionSchedule:
     heavy: float
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise InvalidConfigurationError(f"k must be >= 1, got {self.k!r}")
+        if not 1 <= self.k <= _MAX_LEVELS:  # before 2**k is formed
+            raise InvalidConfigurationError(
+                f"k must lie in [1, {_MAX_LEVELS}] (2**k leaf banks per trial), got {self.k!r}"
+            )
         edges = (-1, *self.measured, 2**self.k)
         if not all(isinstance(b, int) and a < b for a, b in zip(edges, edges[1:])):
             raise InvalidConfigurationError(
                 f"measured must be increasing integers in [0, {2**self.k}), got {self.measured!r}"
             )
-        light = 2**self.k - len(self.measured)  # past the float range the sum would raise
-        if not (self.heavy > 0.0 and light <= sys.float_info.max
-                and math.isfinite(self.weight_sum)):
+        if not (self.heavy > 0.0 and math.isfinite(self.weight_sum)):
             raise InvalidConfigurationError(
                 f"heavy must be > 0 and the 2**{self.k} bank weights must sum finitely, "
                 f"got heavy = {self.heavy!r}"
@@ -242,11 +241,14 @@ def _naive_converted(
 
 
 def _check_sources(n_s: int) -> None:
-    """Refuse a source count outside ``[0, 2**63)``, the range int64 budgets hold."""
+    """Refuse a source count outside ``[0, 2**63)``, the range int64 budgets hold,
+    or one that is not an integral number (``600.0`` is one; 599.99 and NaN are not)."""
     if n_s < 0:
         raise InvalidConfigurationError(f"source count must be >= 0, got {n_s}")
     if n_s >= 2**63:
         raise InvalidConfigurationError(f"source count must be below 2**63, got {n_s}")
+    if not float(n_s).is_integer():
+        raise InvalidConfigurationError(f"source count must be an integer, got {n_s}")
 
 
 def optimize_naive_multiplex(
@@ -1324,7 +1326,7 @@ def pcn_curve(
     """``P_cn`` as a function of source count, for resource-curve emission.
 
     Raises :class:`InvalidConfigurationError` for ``n < 1`` or a source
-    count outside ``[0, 2**63)``, before any evaluation.
+    count that is not an integer in ``[0, 2**63)``, before any evaluation.
     """
     if n < 1:
         raise InvalidConfigurationError(f"n must be >= 1, got {n}")

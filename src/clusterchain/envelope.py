@@ -36,7 +36,7 @@ from .errors import (InvalidConfigurationError, LocusInvalidError, NoCrossoverEr
                      NoInteriorMinimumError)
 from .params import ChainCoefficients, DeviceParams
 from .ratemodel import (ChainConfig, _link_probs, _log_link_factors, _rates_over_n, chain_probs,
-                        coefficients_for, log_chain_factors, mode_divisor, r_direct)
+                        log_chain_factors, mode_divisor, r_direct)
 from .treecode import BranchingVector
 
 __all__ = [
@@ -366,17 +366,16 @@ def numeric_envelope(
     if np.any(np.diff(l_values) <= 0):
         raise InvalidConfigurationError("range grid must be strictly increasing")
     cfg = ChainConfig(total_range_km=0.0, node_count=1, channels=m, tree=tree)
-    coeffs = coefficients_for(m, cfg.k, device, cfg.scheme)  # the same at every L
     n_opts: list[float] = []
     maxima: list[float] = []
     for block in np.split(l_values, range(_ENVELOPE_ROWS, l_values.size, _ENVELOPE_ROWS)):
         l_rows = block[:, None]
-        u_star = _narrow(lambda u: -_rates_over_n(cfg, device, np.exp(u), coeffs, l_rows),
+        u_star = _narrow(lambda u: -_rates_over_n(cfg, device, np.exp(u), l_rows),
                          np.zeros(block.size), np.full(block.size, math.log(_N_MAX)), 2e-8)
         # math.exp, as a one-range search reads n*: np.exp may differ in the last bit
         n_star = np.array([[math.exp(u)] for u in u_star])
         ns = np.clip(np.floor(n_star) + np.arange(-1.0, 3.0), 1.0, _N_MAX)
-        rates = _rates_over_n(cfg, device, np.append(ns, n_star, axis=1), coeffs, l_rows)
+        rates = _rates_over_n(cfg, device, np.append(ns, n_star, axis=1), l_rows)
         n_opts += ns[np.arange(block.size), np.argmax(rates[:, :-1], axis=1)].tolist()
         maxima += np.max(rates, axis=1).tolist()
     points: list[EnvelopePoint] = []

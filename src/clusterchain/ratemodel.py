@@ -20,7 +20,9 @@ reads) plus the end half (``P_end`` and ``ln q3``), so the envelope's ``z``
 search computes the link half alone.  The scalar views and the sweep take
 ``(cfg, device)`` and derive the design's coefficients with
 :func:`coefficients_for`; an explicit coefficient set enters only through the
-kernel.
+kernel :func:`chain_probs`.  The rate is written once, as
+``P_cn * exp(ln P_meas) / (2m)`` (or the ``"naive"`` divisor), which
+:func:`rate_n`, :func:`rates_over_n` and the CLI's ``rate`` sweep all read.
 
 Two measurement conventions are supported via ``ChainConfig.scheme``:
 
@@ -226,30 +228,17 @@ def _eta_link(l_km, device: DeviceParams, n) -> np.ndarray:
     return np.exp(-device.alpha * l_km / np.asarray(n, dtype=float))
 
 
-def _chain_probs(cfg: ChainConfig, device: DeviceParams, coeffs, n, l_km=None) -> tuple:
-    """Kernel outputs for ``cfg``'s chain at node count(s) ``n``, at range(s)
-    ``l_km`` in place of its own where given.
-
-    ``coeffs`` is the design's coefficient set, or ``None`` to derive it from
-    ``cfg`` and ``device`` as the views do.
-    """
-    if coeffs is None:
-        coeffs = coefficients_for(cfg.channels, cfg.k, device, cfg.scheme)
+def _chain_probs(cfg: ChainConfig, device: DeviceParams, n, l_km=None) -> tuple:
+    """Kernel outputs for ``cfg``'s chain, with the design's coefficients, at
+    node count(s) ``n`` and range(s) ``l_km`` in place of its own where given."""
+    coeffs = coefficients_for(cfg.channels, cfg.k, device, cfg.scheme)
     l_km = cfg.total_range_km if l_km is None else l_km
     return chain_probs(_eta_link(l_km, device, n), cfg.channels, cfg.tree, coeffs, cfg.scheme)
 
 
-def _checked_bell(p_b):
-    if np.any(p_b > 1.0):
-        raise InvalidConfigurationError(f"Bell success probability {np.max(p_b):.6g} exceeds 1")
-    return p_b
-
-
-def _log_p_meas(cfg: ChainConfig, device: DeviceParams, coeffs, n, l_km=None) -> np.ndarray:
+def _log_p_meas(cfg: ChainConfig, device: DeviceParams, n, l_km=None) -> np.ndarray:
     """``ln P_meas = n ln q1 + (n-1) ln q2 + ln q3`` at node count(s) ``n``, range(s) ``l_km``."""
-    probs = _chain_probs(cfg, device, coeffs, n, l_km)
-    _checked_bell(probs[2])
-    ln_q1, ln_q2, ln_q3 = log_chain_factors(*probs, cfg.channels)
+    ln_q1, ln_q2, ln_q3 = log_chain_factors(*_chain_probs(cfg, device, n, l_km), cfg.channels)
     with np.errstate(invalid="ignore"):  # one node has no link: no 0 * -inf from q2
         return n * ln_q1 + np.where(n > 1.0, (n - 1.0) * ln_q2, 0.0) + ln_q3
 
@@ -273,13 +262,17 @@ def loss_rates(cfg: ChainConfig, device: DeviceParams) -> LossRates:
 
 def measurement_probs(cfg: ChainConfig, device: DeviceParams) -> tuple[float, float]:
     """``(P_X, P_Z)`` of the tree code at this config's stationary loss rate."""
-    p_x, p_z, _, _ = _chain_probs(cfg, device, None, cfg.node_count)
+    p_x, p_z, _, _ = _chain_probs(cfg, device, cfg.node_count)
     return float(p_x), float(p_z)
 
 
 def p_bell(cfg: ChainConfig, device: DeviceParams) -> float:
-    """Midpoint Bell-measurement success probability ``(A B**2 / m) * eta**(1/n)``."""
-    return float(_checked_bell(_chain_probs(cfg, device, None, cfg.node_count)[2]))
+    """Midpoint Bell-measurement success probability ``(A B**2 / m) * eta**(1/n)``.
+
+    The design's coefficients give ``A B**2 / m = pair_factor * C**2``, so
+    ``P_B <= 3/4`` for every valid device and nothing is raised.
+    """
+    return float(_chain_probs(cfg, device, cfg.node_count)[2])
 
 
 def p_end(cfg: ChainConfig, device: DeviceParams) -> float:
@@ -287,7 +280,7 @@ def p_end(cfg: ChainConfig, device: DeviceParams) -> float:
 
     ``P_end = 1 - (1 - eta**(1/2n) * C)**m``; increasing in ``m``.
     """
-    return float(_chain_probs(cfg, device, None, cfg.node_count)[3])
+    return float(_chain_probs(cfg, device, cfg.node_count)[3])
 
 
 def log_p_meas(cfg: ChainConfig, device: DeviceParams) -> float:
@@ -297,7 +290,7 @@ def log_p_meas(cfg: ChainConfig, device: DeviceParams) -> float:
     nodes (where ``P_Z**(2(m-1)n)`` underflows linear arithmetic) evaluate
     exactly as written.
     """
-    return float(_log_p_meas(cfg, device, None, cfg.node_count))
+    return float(_log_p_meas(cfg, device, cfg.node_count))
 
 
 def p_meas(cfg: ChainConfig, device: DeviceParams) -> float:
@@ -306,8 +299,11 @@ def p_meas(cfg: ChainConfig, device: DeviceParams) -> float:
 
 
 def rate_n(cfg: ChainConfig, device: DeviceParams) -> RatePoint:
-    """Secret-key rate of the configured chain, in bits per mode."""
-    rate = cfg.p_cn * p_meas(cfg, device) / cfg.divisor
+    """Secret-key rate of the configured chain, in bits per mode.
+
+    A one-count sweep, so it has the bits of any sweep's rate at this count.
+    """
+    rate = float(_rates_over_n(cfg, device, [cfg.node_count])[0])
     return RatePoint(range_km=cfg.total_range_km, rate_bits_per_mode=rate)
 
 
@@ -318,20 +314,20 @@ def rates_over_n(cfg: ChainConfig, device: DeviceParams, n_values: np.ndarray) -
     channels, tree, scheme, ``p_cn``) is taken from ``cfg``.  A chain whose
     success probability vanishes has rate 0, never NaN.
     """
-    return _rates_over_n(cfg, device, n_values, None)
+    return _rates_over_n(cfg, device, n_values)
 
 
-def _rates_over_n(cfg: ChainConfig, device: DeviceParams, n_values, coeffs,
-                  l_km=None) -> np.ndarray:
+def _rates_over_n(cfg: ChainConfig, device: DeviceParams, n_values, l_km=None) -> np.ndarray:
     """:func:`rates_over_n`, at range(s) ``l_km`` in place of ``cfg``'s where given.
 
-    A column of ranges against one row of node counts per range gives one
-    row of rates per range, each with the bits of its own one-range call.
+    The one rate formula, ``R = P_cn * exp(ln P_meas) / divisor``.  Node
+    counts and ranges broadcast, and each rate has the bits of a one-point
+    sweep at its count and range.
     """
     n = np.asarray(n_values, dtype=float)
     if np.any(n < 1):
         raise InvalidConfigurationError("node counts must be >= 1")
-    return np.exp(_log_p_meas(cfg, device, coeffs, n, l_km) + math.log(cfg.p_cn / cfg.divisor))
+    return cfg.p_cn * np.exp(_log_p_meas(cfg, device, n, l_km)) / cfg.divisor
 
 
 def r_direct(l_km: float, alpha: float) -> float:

@@ -15,15 +15,17 @@ import dataclasses
 import io
 import json
 import math
+import shlex
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterchain import cli
+from clusterchain import cli, ratemodel
 from clusterchain.clusterbuild import pcn_curve
 from clusterchain.envelope import analytic_lb, optimize_z
 from clusterchain.graphstate import CheckResult
@@ -155,6 +157,29 @@ class TestRate:
         assert config["b"] == str(BranchingVector.parse("7,3"))
         assert config["n"] == 100
         assert config["device"] == dataclasses.asdict(device)
+
+    @pytest.mark.parametrize("argv", [
+        ("--m", "4", "--b", "7,3", "--n", "100", "--L", "0:3000:2.5"),
+        ("--m", "8", "--b", "3,2,2", "--n", "7", "--L", "0:1000:50", "--scheme", "naive"),
+    ], ids=["new", "naive"])
+    def test_one_sweep_gives_each_row_the_bits_of_rate_n(self, capsys, monkeypatch, device,
+                                                        argv):
+        sweeps = []
+        original = ratemodel._rates_over_n
+        monkeypatch.setattr(ratemodel, "_rates_over_n",
+                            lambda *args: sweeps.append(original(*args)) or sweeps[-1])
+        code, out, _ = run_cli(capsys, "rate", *argv)
+        assert code == 0
+        config, _, rows, _ = parse_csv(out)
+        assert len(sweeps) == 1 and len(sweeps[0]) == len(rows)
+        monkeypatch.undo()
+        tree = BranchingVector.parse(argv[3])
+        for row, swept in zip(rows, sweeps[0]):
+            cfg = ChainConfig(total_range_km=float(row[0]), node_count=config["n"],
+                              channels=config["m"], tree=tree, scheme=config["scheme"])
+            rate = rate_n(cfg, device).rate_bits_per_mode
+            assert swept == rate
+            assert row[1] == cli._fmt(rate)
 
     def test_single_point_range(self, capsys):
         code, out, _ = run_cli(
@@ -875,3 +900,29 @@ class TestErrorHandling:
         _, out, _ = run_cli(capsys, "constants", "--config", str(config))
         expected = derive_constants(DeviceParams(alpha=0.1)).p_fib
         assert math.isclose(float(parse_report(out)["p_fib"]), expected, rel_tol=1e-12)
+
+
+def _readme_commands() -> list[list[str]]:
+    """Each ``clusterchain ...`` command of the README's "Command line" block, as argv."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("clusterchain ")]
+
+
+class TestReadme:
+    def test_block_has_every_subcommand(self):
+        commands = {argv[0] for argv in _readme_commands()}
+        assert commands == {"constants", "rate", "envelope", "resources", "optimize", "verify"}
+
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+    def test_command_runs(self, capsys, tmp_path, argv):
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            argv = [*argv[:at], str(tmp_path / argv[at]), *argv[at + 1:]]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        if "--out" in argv:
+            out = Path(argv[argv.index("--out") + 1]).read_text()
+        assert out.strip()

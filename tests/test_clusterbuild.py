@@ -469,9 +469,10 @@ class TestSchedule:
             (2, (4,), 2.0), (2, (-1, 2), 2.0), (2, (3, 1), 2.0), (2, (1, 1), 2.0),
             # a measured-bank weight that is not positive and finite
             (1, (0,), 0.0), (1, (0,), -1.0), (1, (0,), math.nan), (1, (0,), math.inf),
-            # finite weights whose sum overflows, or a bank count past the float range
-            (1, (0, 1), 1e308), (2, (0, 1, 3), 1e308), (1024, (), 1.0),
-            (0, (), 1.0),
+            # finite weights whose sum overflows
+            (1, (0, 1), 1e308), (2, (0, 1, 3), 1e308),
+            # fewer than one or more than 21 fusion levels, refused before 2**k is formed
+            (0, (), 1.0), (22, (0,), 2.0), (64, (0, 5), 1.02), (1024, (), 1.0),
         ]:
             with pytest.raises(InvalidConfigurationError):
                 FusionSchedule(k=k, measured=measured, heavy=heavy)
@@ -1528,8 +1529,10 @@ class TestPcnCurve:
         (1, [600, -6], "source count must be >= 0"),
         (1, [600, 2**63], r"source count must be below 2\*\*63"),
         (1, [600, -0.5], "source count must be >= 0"),
+        (1, [600, 599.99], "source count must be an integer"),
+        (1, [600, math.nan], "source count must be an integer"),
     ], ids=["no_nodes", "no_nodes_no_counts", "negative_count", "count_past_int64",
-            "negative_fraction"])
+            "negative_fraction", "fraction", "nan"])
     def test_bad_input_is_refused_before_any_evaluation(self, consts, monkeypatch, n, counts,
                                                         match):
         # each k = 11 Monte Carlo count is slow, so bad input must be refused before the first
@@ -1544,6 +1547,12 @@ class TestPcnCurve:
         with pytest.raises(InvalidConfigurationError, match=match):
             pcn_curve("improved", 11, 8, n, consts, counts, method="mc", trials=4000)
         assert evaluated == []
+
+    def test_integral_counts_of_any_numeric_type_are_accepted(self, consts):
+        counts = [600.0, np.int64(1200), np.float64(2400.0)]
+        curve = pcn_curve("improved", 3, 1, 5, consts, counts, method="exact")
+        assert curve.tolist() == pcn_curve("improved", 3, 1, 5, consts, [600, 1200, 2400],
+                                           method="exact").tolist()
 
     def test_monotone_and_consistent(self, consts):
         sched = build_schedule(3, 1, consts)
