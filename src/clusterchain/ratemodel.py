@@ -23,6 +23,7 @@ search computes the link half alone.  The scalar views and the sweep take
 kernel :func:`chain_probs`.  The rate is written once, as
 ``P_cn * exp(ln P_meas) / (2m)`` (or the ``"naive"`` divisor), which
 :func:`rate_n`, :func:`rates_over_n` and the CLI's ``rate`` sweep all read.
+The scalar views evaluate a one-count sweep, so each has a sweep's bits.
 
 Two measurement conventions are supported via ``ChainConfig.scheme``:
 
@@ -243,6 +244,13 @@ def _log_p_meas(cfg: ChainConfig, device: DeviceParams, n, l_km=None) -> np.ndar
         return n * ln_q1 + np.where(n > 1.0, (n - 1.0) * ln_q2, 0.0) + ln_q3
 
 
+def _own_count(cfg: ChainConfig) -> np.ndarray:
+    """``cfg``'s node count as a one-count sweep: a numpy scalar's ``**`` and ``math.exp``
+    (libm) may differ from numpy's vector loops in the last bit, which the tree
+    recursion amplifies where ``P_X`` or ``P_Z`` is small."""
+    return np.array([float(cfg.node_count)])
+
+
 def loss_rates(cfg: ChainConfig, device: DeviceParams) -> LossRates:
     """Loss probabilities of traveling and stationary qubits.
 
@@ -253,26 +261,25 @@ def loss_rates(cfg: ChainConfig, device: DeviceParams) -> LossRates:
     populations see ``eps_trav``.
     """
     coeffs = coefficients_for(cfg.channels, cfg.k, device, cfg.scheme)
-    eta_link = _eta_link(cfg.total_range_km, device, cfg.node_count)
+    eta_link = _eta_link(cfg.total_range_km, device, _own_count(cfg))
     traveling = _traveling(eta_link, coeffs)
     survivals = (traveling, _stationary(eta_link, coeffs, cfg.scheme, traveling))
-    eps_trav, eps_stat = (float(np.clip(1.0 - v, 0.0, 1.0)) for v in survivals)
+    eps_trav, eps_stat = (float(np.clip(1.0 - v[0], 0.0, 1.0)) for v in survivals)
     return LossRates(eps_trav=eps_trav, eps_stat=eps_stat)
 
 
 def measurement_probs(cfg: ChainConfig, device: DeviceParams) -> tuple[float, float]:
     """``(P_X, P_Z)`` of the tree code at this config's stationary loss rate."""
-    p_x, p_z, _, _ = _chain_probs(cfg, device, cfg.node_count)
-    return float(p_x), float(p_z)
+    p_x, p_z, _, _ = _chain_probs(cfg, device, _own_count(cfg))
+    return float(p_x[0]), float(p_z[0])
 
 
 def p_bell(cfg: ChainConfig, device: DeviceParams) -> float:
     """Midpoint Bell-measurement success probability ``(A B**2 / m) * eta**(1/n)``.
 
-    The design's coefficients give ``A B**2 / m = pair_factor * C**2``, so
-    ``P_B <= 3/4`` for every valid device and nothing is raised.
+    Derived coefficients give ``A B**2 / m = pair_factor * C**2 <= 3/4``; nothing raises.
     """
-    return float(_chain_probs(cfg, device, cfg.node_count)[2])
+    return float(_chain_probs(cfg, device, _own_count(cfg))[2][0])
 
 
 def p_end(cfg: ChainConfig, device: DeviceParams) -> float:
@@ -280,7 +287,7 @@ def p_end(cfg: ChainConfig, device: DeviceParams) -> float:
 
     ``P_end = 1 - (1 - eta**(1/2n) * C)**m``; increasing in ``m``.
     """
-    return float(_chain_probs(cfg, device, cfg.node_count)[3])
+    return float(_chain_probs(cfg, device, _own_count(cfg))[3][0])
 
 
 def log_p_meas(cfg: ChainConfig, device: DeviceParams) -> float:
@@ -290,20 +297,17 @@ def log_p_meas(cfg: ChainConfig, device: DeviceParams) -> float:
     nodes (where ``P_Z**(2(m-1)n)`` underflows linear arithmetic) evaluate
     exactly as written.
     """
-    return float(_log_p_meas(cfg, device, cfg.node_count))
+    return float(_log_p_meas(cfg, device, _own_count(cfg))[0])
 
 
 def p_meas(cfg: ChainConfig, device: DeviceParams) -> float:
     """Probability one clock cycle yields an end-to-end entangled pair."""
-    return math.exp(log_p_meas(cfg, device))
+    return float(np.exp(log_p_meas(cfg, device)))  # numpy's exp, as the sweeps
 
 
 def rate_n(cfg: ChainConfig, device: DeviceParams) -> RatePoint:
-    """Secret-key rate of the configured chain, in bits per mode.
-
-    A one-count sweep, so it has the bits of any sweep's rate at this count.
-    """
-    rate = float(_rates_over_n(cfg, device, [cfg.node_count])[0])
+    """Secret-key rate of the configured chain, in bits per mode: ``P_cn * p_meas / divisor``."""
+    rate = float(_rates_over_n(cfg, device, _own_count(cfg))[0])
     return RatePoint(range_km=cfg.total_range_km, rate_bits_per_mode=rate)
 
 
